@@ -12,10 +12,10 @@ Seven AST passes over the repo's own source (see DESIGN.md §11, §13):
   carries a label registered in ``costs.known_wire_labels()``;
 * :mod:`~repro.analysis.exports` — ``__all__`` and the public surface
   agree (promoted from ``tests/test_exports.py``);
-* :mod:`~repro.analysis.schedule` — the two halves of every protocol
-  agree on the round schedule (duality: every send matched by the
-  peer's receive of the same label in the same order), and the
-  extracted per-label round counts match ``costs._METHOD_TRAFFIC``;
+* :mod:`~repro.analysis.schedule` — every protocol primitive's
+  extracted per-label opening counts match ``costs._METHOD_TRAFFIC``,
+  and the dealer RPC's client and server agree on their label sets and
+  handshake order;
 * :mod:`~repro.analysis.taint` — interprocedural secret-taint: shares,
   seeds, keys and unsealed bundle payloads stay out of exception
   messages, logs, and unsanctioned wire sends.

@@ -13,15 +13,14 @@ machinery the :mod:`~repro.analysis.schedule` and
   so loop bounds like ``SUFFIX_STEPS`` unroll even when the constant
   lives in a sibling module;
 * :class:`CommEvent` — one symbolic communication action (send / recv /
-  swap / stage / accounting round / dealer-material consumption) with
-  its resolved label and source anchor;
+  swap / accounted opening / round tick / dealer-material consumption)
+  with its resolved label and source anchor;
 * :class:`TraceExtractor` — a small abstract interpreter that walks
-  straight-line code, ``if`` branches and ``for`` loops of one function
-  *under a party assumption*, inlining project-local helper calls (with
-  label-parameter binding, so ``party_open(io, z, label="masked-reveal")``
-  traces the ``swap_ring`` inside it under the right label) and emitting
-  the ordered communication trace — the object the duality checker
-  consumes;
+  straight-line code, ``if`` branches and ``for`` loops of one function,
+  inlining project-local helper calls (with label-parameter binding, so a
+  pass-through ``label`` parameter traces under the caller's literal) and
+  emitting the ordered communication trace — the object the cost
+  cross-check consumes;
 * :func:`collect_events` — the order-free variant: the union of
   communication calls reachable from a function through same-module
   helpers, for code whose control flow is request-driven (the dealer RPC
@@ -51,7 +50,6 @@ __all__ = [
     "SEND_CALLS",
     "RECV_CALLS",
     "SWAP_CALLS",
-    "STAGE_CALLS",
     "ACCT_CALLS",
     "TICK_CALLS",
     "CONSUME_METHODS",
@@ -68,22 +66,30 @@ __all__ = [
 SEND_CALLS = {
     "push": 1,
     "push_deferred": 1,
-    "push_segments": 1,
     "send_obj": 1,
     "send_blob": 1,
 }
 RECV_CALLS = {"pull": 0, "recv_obj": 0, "recv_blob": 0}
-SWAP_CALLS = {"swap": 1, "swap_segments": 1}
-STAGE_CALLS = {"stage": 1}
-# Accounting calls: ``exchange``/``send`` record one opening's payload,
-# ``tick_round`` only advances the round counter (its label is a round
-# bucket, not a wire label — "linear" vs "linear-masked-input").
-ACCT_CALLS = {"exchange": 1, "send": 2}
+SWAP_CALLS = {"swap": 1}
+# Accounted openings: the placement calls every protocol runs — both
+# parties on the same line — each account one opening's payload under
+# their label (``open_*`` a simultaneous exchange, ``hand`` the one
+# client-to-server message), as do the raw ``exchange``/``send``
+# accounting calls beneath them. ``tick_round`` only advances the round
+# counter (its label is a round bucket, not a wire label — "linear" vs
+# "linear-masked-input").
+ACCT_CALLS = {
+    "open_add": 1,
+    "open_xor": 1,
+    "open_bits": 1,
+    "hand": 0,
+    "exchange": 1,
+    "send": 2,
+}
 TICK_CALLS = {"tick_round": 0}
 
-#: Dealer-material consumption sites. ``material.next("bit_triples")``
-#: names the method as its argument; a direct ``dealer.bit_triples(...)``
-#: call names it as the attribute. One consumed item == one opening of
+#: Dealer-material consumption sites: a ``dealer.bit_triples(...)`` call
+#: names the method as the attribute. One consumed item == one opening of
 #: the method's wire label (``costs._METHOD_TRAFFIC``) — the invariant
 #: the schedule pass cross-checks.
 CONSUME_METHODS = {
@@ -104,7 +110,7 @@ _INLINE_DEPTH_LIMIT = 10
 class CommEvent:
     """One symbolic communication action in a function's trace."""
 
-    kind: str  # send | recv | swap | stage | acct | tick | consume
+    kind: str  # send | recv | swap | acct | tick | consume
     label: str  # wire label, round bucket, or dealer method for consume
     rel: str  # module path the call physically sits in
     line: int
@@ -294,45 +300,20 @@ def _call_tail(node: ast.Call) -> str | None:
     return None
 
 
-def _is_party_test(test: ast.expr) -> tuple[bool, int] | None:
-    """``(equality, value)`` for ``io.party == 0``-shaped tests."""
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
-        return None
-    left, comparator = test.left, test.comparators[0]
-    name = None
-    if isinstance(left, ast.Attribute) and left.attr == "party":
-        name = "party"
-    elif isinstance(left, ast.Name) and left.id == "party":
-        name = "party"
-    if name is None or not (
-        isinstance(comparator, ast.Constant) and comparator.value in (0, 1)
-    ):
-        return None
-    if isinstance(test.ops[0], ast.Eq):
-        return True, comparator.value
-    if isinstance(test.ops[0], ast.NotEq):
-        return False, comparator.value
-    return None
-
-
 class TraceExtractor:
-    """Symbolic execution of one function under a party assumption.
+    """Symbolic execution of one function.
 
-    ``party=None`` traces joint (single-process) protocols, where no
-    ``io.party`` test appears; ``party=0/1`` traces one half of a
-    per-party function, statically taking the matching branch of every
-    party test. Helper calls that resolve to project functions are
-    inlined (depth-limited, recursion-guarded) with their string
-    parameters bound from the call site, so labels survive pass-through
-    helpers. Anything the interpreter cannot model faithfully on a path
-    that communicates — an unresolvable loop over comm ops, branches
-    whose arms disagree about communication — raises
-    :class:`UnresolvableTrace` instead of guessing.
+    Helper calls that resolve to project functions are inlined
+    (depth-limited, recursion-guarded) with their string parameters bound
+    from the call site, so labels survive pass-through helpers. Anything
+    the interpreter cannot model faithfully on a path that communicates —
+    an unresolvable loop over comm ops, branches whose arms disagree
+    about communication — raises :class:`UnresolvableTrace` instead of
+    guessing.
     """
 
-    def __init__(self, index: ProjectIndex, party: int | None = None):
+    def __init__(self, index: ProjectIndex):
         self.index = index
-        self.party = party
 
     # -- public ---------------------------------------------------------
     def trace(
@@ -418,24 +399,15 @@ class TraceExtractor:
         # Pass/Import/Global/Assert/Delete: no communication.
 
     def _trace_if(self, statement: ast.If, fn, env, events, stack) -> None:
-        test = _is_party_test(statement.test)
-        if test is not None and self.party is not None:
-            equality, value = test
-            taken = (self.party == value) == equality
-            branch = statement.body if taken else statement.orelse
-            self._trace_block(branch, fn, env, events, stack)
-            return
-        # Unresolvable condition: both arms must agree about what they
-        # communicate (``push_deferred`` vs ``push`` framing choices,
-        # optional bias adds). Disagreement means the schedule depends on
-        # runtime data the analyzer cannot see.
+        # Both arms must agree about what they communicate (row-local
+        # arithmetic, optional bias adds). Disagreement means the schedule
+        # depends on runtime data the analyzer cannot see.
         body_events, body_returned = self._branch_trace(statement.body, fn, env, stack)
         else_events, else_returned = self._branch_trace(statement.orelse, fn, env, stack)
         if [e.key for e in body_events] != [e.key for e in else_events]:
             raise UnresolvableTrace(
                 "if-branches disagree about communication "
-                f"({[e.key for e in body_events]} vs {[e.key for e in else_events]}) "
-                "and the condition is not a party test",
+                f"({[e.key for e in body_events]} vs {[e.key for e in else_events]})",
                 statement,
                 fn.module,
             )
@@ -545,20 +517,12 @@ class TraceExtractor:
         if tail in SWAP_CALLS:
             event("swap", self._label(call, SWAP_CALLS[tail], fn, env))
             return
-        if tail in STAGE_CALLS:
-            event("stage", self._label(call, STAGE_CALLS[tail], fn, env))
-            return
         if tail in ACCT_CALLS:
             event("acct", self._label(call, ACCT_CALLS[tail], fn, env))
             return
         if tail in TICK_CALLS:
             event("tick", self._label(call, TICK_CALLS[tail], fn, env))
             return
-        if tail == "next" and call.args:
-            method = self._resolve_str(call.args[0], fn, env)
-            if method in CONSUME_METHODS:
-                event("consume", method)
-                return
         if tail in CONSUME_METHODS and isinstance(call.func, ast.Attribute):
             event("consume", tail)
             return
@@ -622,9 +586,8 @@ class TraceExtractor:
         value = self._resolve_str(expr, fn, env)
         if value is not None:
             return value
-        # Symbolic but *stable*: both halves of one function produce the
-        # same token for the same unresolved expression, so duality still
-        # holds through pass-through label parameters.
+        # Symbolic but *stable*: the same unresolved expression always
+        # produces the same token.
         return f"<{ast.unparse(expr)}>"
 
     def _resolve_str(self, expr: ast.expr, fn, env) -> str | None:
@@ -654,7 +617,7 @@ def collect_events(
     source order per function, without claiming any cross-branch order.
     """
     events: list[CommEvent] = []
-    extractor = TraceExtractor(index, party=None)
+    extractor = TraceExtractor(index)
     seen: set[str] = set()
 
     def visit(info: FunctionInfo, depth: int) -> None:

@@ -48,7 +48,7 @@ RNG_SCOPE = ("mpc/", "serve/")
 CLOCK_SCOPE = ("mpc/", "serve/")
 # Modules whose control flow decides wire/material ordering.
 SET_SCOPE = (
-    "mpc/protocols/",
+    "mpc/protocols",
     "mpc/engine.py",
     "mpc/party.py",
     "mpc/program.py",

@@ -60,7 +60,7 @@ _BLOCKING_CALLS = {
     "recv", "recv_into", "recvfrom", "sendall", "send_raw", "accept",
     "connect", "select",
     # transport round-trips and framing
-    "push", "pull", "swap", "swap_segments", "push_segments",
+    "push", "pull", "swap", "open_add", "open_xor", "open_bits", "hand",
     "send_obj", "recv_obj", "send_blob", "recv_blob",
     "read_exact", "_read_exact", "read_into", "write",
     # offline material: dealer generation and pool draws

@@ -1,56 +1,27 @@
-"""Round-schedule duality pass: the two halves of every protocol agree.
+"""Round-schedule pass: openings match the cost model, the dealer RPC is dual.
 
-A two-process protocol wedges (or silently desynchronizes) exactly when
-its halves disagree about the communication *schedule*: party 0 pushes a
-label party 1 never pulls, both halves block receiving first, one half
-runs a round the other skipped, or the material consumed per round stops
-matching the openings the cost model charges for. All of these are
-static properties of the halves' code — this pass extracts each half's
-ordered communication trace with the :mod:`~repro.analysis.dataflow`
-interpreter and checks them against each other, before any process is
-spawned.
+The online protocols are written once over a party axis
+(:mod:`repro.mpc.protocols`): both parties execute the same ``open_*`` /
+``hand`` call on the same line, so the wedges a pair of hand-mirrored
+halves could hide — one half pushing a label the other never pulls, both
+receiving first, one skipping a round — cannot be written, and this pass
+no longer simulates them. What can still drift is checked here, before any
+process is spawned:
 
-Three families of code are checked:
-
-* **party halves** (``mpc/protocols/party*.py``) — each function is
-  traced under ``party=0`` and ``party=1`` and the two movement traces
-  are run through a queue-based *duality simulation*: sends are
-  non-blocking (they enter the in-flight queue toward the peer),
-  receives consume the matching queued send, swaps pair with the peer's
-  swap. The simulation flags the wedge class it hits;
-* **joint protocols** (``comparison.py`` / ``beaver.py`` / ``linear.py``)
-  — single-process code whose ``channel`` accounting must still match
-  the dealer material it consumes;
+* **protocols** (``mpc/protocols``) — every function's ordered
+  communication trace is extracted with the :mod:`~repro.analysis.dataflow`
+  interpreter and cross-checked against :mod:`repro.mpc.costs`: one
+  consumed dealer-material item opens exactly one round of that method's
+  wire label (``costs.method_wire_labels()``), so a function that
+  consumes ``bit_triples`` three times must account three ``and-open``
+  openings. The cost model cannot drift from the code;
 * **dealer RPC** (``serve/dealer_service.py``) — the client stub and the
-  server loop are request-driven, so only *label-level* duality is
-  meaningful: every label the client sends must be received by the
-  server and vice versa, and the connection handshake must open with a
-  matched send/receive pair.
-
-The cost cross-check closes the loop with :mod:`repro.mpc.costs`: one
-consumed dealer-material item opens exactly one round of that method's
-wire label (``costs.method_wire_labels()``), so a function that consumes
-``bit_triples`` three times must account three ``and-open`` rounds — in
-both implementations. The cost model can no longer drift from the code.
+  server loop *are* two hand-written halves. They are request-driven, so
+  only *label-level* duality is meaningful: every label the client sends
+  must be received by the server and vice versa, and the connection
+  handshake must open with a matched send/receive pair.
 
 Rules:
-
-``schedule/missing-receive``
-    One half sends a label the other half never receives.
-
-``schedule/label-mismatch``
-    A receive (or swap) pairs with a peer message of a different label —
-    the deserializer on one side will read the wrong frame. On the
-    dealer RPC: a label sent/expected on one side with no counterpart.
-
-``schedule/deadlock``
-    Both halves block receiving with nothing in flight (or one half
-    receives after the peer's trace is exhausted) — the deployed
-    processes would hang, not crash.
-
-``schedule/round-drift``
-    The same label is sent and received in different round order, or the
-    two halves' accounting/tick/material counters disagree.
 
 ``schedule/cost-drift``
     Consumed dealer material does not match the opened rounds of its
@@ -58,8 +29,19 @@ Rules:
 
 ``schedule/unresolvable-trace``
     The interpreter cannot extract a faithful ordered trace (data-driven
-    loop over communication, non-party branch whose arms disagree).
+    loop over communication, a branch whose arms disagree).
     An unprovable schedule is a finding, not a silent skip.
+
+``schedule/missing-receive``
+    One side of the dealer RPC sends a label the other never receives.
+
+``schedule/label-mismatch``
+    One side of the dealer RPC expects a label the other never sends, or
+    the handshake opens with mismatched labels.
+
+``schedule/deadlock``
+    Both sides of the dealer handshake open by receiving — the deployed
+    processes would hang, not crash.
 """
 
 from __future__ import annotations
@@ -81,8 +63,7 @@ from .dataflow import (
 
 __all__ = [
     "NAME",
-    "PARTY_SCOPE",
-    "JOINT_SCOPE",
+    "PROTOCOL_SCOPE",
     "DEALER_SCOPE",
     "run",
     "extract_schedule",
@@ -91,18 +72,10 @@ __all__ = [
 
 NAME = "schedule"
 
-#: Per-party protocol halves: every function is a (party-0, party-1) pair.
-PARTY_SCOPE = ("mpc/protocols/party",)
-#: Joint (single-process) protocols: material/accounting symmetry only.
-JOINT_SCOPE = (
-    "mpc/protocols/comparison",
-    "mpc/protocols/beaver",
-    "mpc/protocols/linear",
-)
+#: The online protocols: consumed material vs. accounted openings.
+PROTOCOL_SCOPE = ("mpc/protocols",)
 #: The dealer RPC: label-set duality between client stub and server loop.
 DEALER_SCOPE = ("serve/dealer_service",)
-
-_SIMULATION_FUEL = 10_000
 
 
 def method_labels() -> dict[str, str]:
@@ -120,215 +93,19 @@ def _anchor(line: int) -> ast.AST:
     return node
 
 
-class _Emitter:
-    """emit() with pass-wide fingerprint dedup.
-
-    The same defect often surfaces under both party assumptions (an
-    unresolvable loop raises identically for party 0 and party 1);
-    fingerprint-level dedup keeps it one finding.
-    """
-
-    def __init__(self, findings: list[Finding]):
-        self.findings = findings
-        self._seen: set[tuple[str, str, str]] = set()
-
-    def __call__(
-        self, module: SourceModule, rule: str, node: ast.AST, message: str
-    ) -> None:
-        before = len(self.findings)
-        emit(self.findings, module, rule, node, message)
-        if len(self.findings) > before:
-            fingerprint = self.findings[-1].fingerprint
-            if fingerprint in self._seen:
-                self.findings.pop()
-            else:
-                self._seen.add(fingerprint)
-
-
 # ----------------------------------------------------------------------
-# the duality simulation
+# the cost cross-check
 # ----------------------------------------------------------------------
-def _simulate(
-    fn: FunctionInfo,
-    module: SourceModule,
-    moves0: list[CommEvent],
-    moves1: list[CommEvent],
-    report: _Emitter,
-) -> None:
-    """Run both halves' movement traces against each other.
-
-    Sends never block; a receive consumes the oldest in-flight send of
-    its label (out-of-order consumption is round drift); a swap is a
-    send half (eagerly in flight) plus a receive half. When neither side
-    can progress, the stuck pattern names the wedge.
-    """
-    node = _anchor(fn.node.lineno)
-    q01: list[CommEvent] = []  # party 0 -> party 1 in flight
-    q10: list[CommEvent] = []
-    i = j = 0
-    swap_sent: set[tuple[int, int]] = set()
-    deadlocked = False
-
-    def head(events: list[CommEvent], k: int) -> CommEvent | None:
-        return events[k] if k < len(events) else None
-
-    def try_recv(event: CommEvent, queue: list[CommEvent], receiver: int) -> bool:
-        for k, send in enumerate(queue):
-            if send.label == event.label:
-                if k > 0:
-                    report(
-                        module,
-                        "schedule/round-drift",
-                        node,
-                        f"{fn.qualname}: party {receiver} receives "
-                        f"{event.label!r} while {queue[0].label!r} is still "
-                        "in flight ahead of it — the halves order the same "
-                        "rounds differently",
-                    )
-                del queue[k]
-                return True
-        return False
-
-    for _fuel in range(_SIMULATION_FUEL):
-        moved = False
-        while (a := head(moves0, i)) is not None and a.kind == "send":
-            q01.append(a)
-            i += 1
-            moved = True
-        while (b := head(moves1, j)) is not None and b.kind == "send":
-            q10.append(b)
-            j += 1
-            moved = True
-        a, b = head(moves0, i), head(moves1, j)
-        if a is None and b is None:
-            break
-        # A swap's outgoing half is as non-blocking as a push.
-        if a is not None and a.kind == "swap" and (0, i) not in swap_sent:
-            q01.append(a)
-            swap_sent.add((0, i))
-            moved = True
-        if b is not None and b.kind == "swap" and (1, j) not in swap_sent:
-            q10.append(b)
-            swap_sent.add((1, j))
-            moved = True
-        progressed = False
-        if a is not None and try_recv(a, q10, receiver=0):
-            i += 1
-            progressed = True
-        elif b is not None and try_recv(b, q01, receiver=1):
-            j += 1
-            progressed = True
-        if progressed or moved:
-            continue
-        # Nobody can move: name the wedge and (for mismatches) pair the
-        # offending events off so one defect yields one finding.
-        if a is not None and b is not None and not q01 and not q10:
-            report(
-                module,
-                "schedule/deadlock",
-                node,
-                f"{fn.qualname}: party 0 blocks on "
-                f"{a.kind} {a.label!r} while party 1 blocks on "
-                f"{b.kind} {b.label!r} with nothing in flight — both sides "
-                "receive first",
-            )
-            deadlocked = True
-            break
-        if a is not None and q10:
-            report(
-                module,
-                "schedule/label-mismatch",
-                node,
-                f"{fn.qualname}: party 0 receives {a.label!r} but party 1's "
-                f"oldest unconsumed send is {q10[0].label!r}",
-            )
-            del q10[0]
-            i += 1
-            continue
-        if b is not None and q01:
-            report(
-                module,
-                "schedule/label-mismatch",
-                node,
-                f"{fn.qualname}: party 1 receives {b.label!r} but party 0's "
-                f"oldest unconsumed send is {q01[0].label!r}",
-            )
-            del q01[0]
-            j += 1
-            continue
-        # A receive with the peer's trace exhausted and nothing queued.
-        blocked = a if a is not None else b
-        waiter = 0 if a is not None else 1
-        report(
-            module,
-            "schedule/deadlock",
-            node,
-            f"{fn.qualname}: party {waiter} blocks on "
-            f"{blocked.kind} {blocked.label!r} after the peer's schedule is "
-            "exhausted — the receive can never complete",
-        )
-        deadlocked = True
-        break
-
-    if deadlocked:
-        return
-    for sender, queue in ((0, q01), (1, q10)):
-        leftover = Counter(event.label for event in queue)
-        for label, count in sorted(leftover.items()):
-            report(
-                module,
-                "schedule/missing-receive",
-                node,
-                f"{fn.qualname}: party {sender} sends {label!r} {count}x "
-                f"that party {1 - sender} never receives",
-            )
-
-
-# ----------------------------------------------------------------------
-# counter checks
-# ----------------------------------------------------------------------
-def _counter_text(counter: Counter) -> str:
-    return (
-        "{"
-        + ", ".join(f"{key}: {count}" for key, count in sorted(counter.items()))
-        + "}"
-    )
-
-
-def _check_counters(
-    fn: FunctionInfo,
-    module: SourceModule,
-    trace0: list[CommEvent],
-    trace1: list[CommEvent],
-    report: _Emitter,
-) -> None:
-    """The halves must account the same rounds and consume the same material."""
-    node = _anchor(fn.node.lineno)
-    for kinds, what in ((("acct", "tick"), "round accounting"), (("consume",), "dealer-material consumption")):
-        c0 = Counter(e.label for e in trace0 if e.kind in kinds)
-        c1 = Counter(e.label for e in trace1 if e.kind in kinds)
-        if c0 != c1:
-            report(
-                module,
-                "schedule/round-drift",
-                node,
-                f"{fn.qualname}: the halves' {what} disagrees — party 0 "
-                f"{_counter_text(c0)} vs party 1 {_counter_text(c1)}",
-            )
-
-
 def _check_costs(
     fn: FunctionInfo,
     module: SourceModule,
     trace: list[CommEvent],
     labels: dict[str, str],
-    report: _Emitter,
+    findings: list[Finding],
 ) -> None:
     """Consumed material items == opened rounds of the method's label.
 
-    Only checked for labels the function consumes material for: a half
-    that receives its material via parameters (``party_beaver_multiply``
-    takes the triple) is audited at the call sites that consume it.
+    Only checked for labels the function consumes material for.
     """
     node = _anchor(fn.node.lineno)
     expected = Counter(
@@ -337,7 +114,8 @@ def _check_costs(
     observed = Counter(e.label for e in trace if e.kind == "acct")
     for label, count in sorted(expected.items()):
         if observed.get(label, 0) != count:
-            report(
+            emit(
+                findings,
                 module,
                 "schedule/cost-drift",
                 node,
@@ -345,10 +123,6 @@ def _check_costs(
                 f"{label!r} but accounts {observed.get(label, 0)} — the "
                 "extracted schedule no longer matches costs._METHOD_TRAFFIC",
             )
-
-
-def _has_events(*traces: list[CommEvent]) -> bool:
-    return any(trace for trace in traces)
 
 
 # ----------------------------------------------------------------------
@@ -366,59 +140,18 @@ def _module_functions(
     return infos
 
 
-def _extract_pair(
-    fn: FunctionInfo,
-    index: ProjectIndex,
-    report: _Emitter | None,
-) -> tuple[list[CommEvent], list[CommEvent]] | None:
-    traces = []
-    for party in (0, 1):
-        try:
-            traces.append(TraceExtractor(index, party=party).trace(fn))
-        except UnresolvableTrace as exc:
-            if report is not None:
-                report(
-                    exc.module,
-                    "schedule/unresolvable-trace",
-                    exc.node,
-                    f"cannot statically extract the communication schedule "
-                    f"of {fn.qualname!r}: {exc.message}",
-                )
-            return None
-    return traces[0], traces[1]
-
-
-def _audit_party_module(
+def _audit_protocol_module(
     module: SourceModule,
     index: ProjectIndex,
     labels: dict[str, str],
-    report: _Emitter,
-) -> None:
-    for fn in _module_functions(module, index):
-        pair = _extract_pair(fn, index, report)
-        if pair is None:
-            continue
-        trace0, trace1 = pair
-        if not _has_events(trace0, trace1):
-            continue
-        moves0 = [e for e in trace0 if e.kind in MOVEMENT_KINDS]
-        moves1 = [e for e in trace1 if e.kind in MOVEMENT_KINDS]
-        _simulate(fn, module, moves0, moves1, report)
-        _check_counters(fn, module, trace0, trace1, report)
-        _check_costs(fn, module, trace0, labels, report)
-
-
-def _audit_joint_module(
-    module: SourceModule,
-    index: ProjectIndex,
-    labels: dict[str, str],
-    report: _Emitter,
+    findings: list[Finding],
 ) -> None:
     for fn in _module_functions(module, index):
         try:
-            trace = TraceExtractor(index, party=None).trace(fn)
+            trace = TraceExtractor(index).trace(fn)
         except UnresolvableTrace as exc:
-            report(
+            emit(
+                findings,
                 exc.module,
                 "schedule/unresolvable-trace",
                 exc.node,
@@ -427,7 +160,7 @@ def _audit_joint_module(
             )
             continue
         if trace:
-            _check_costs(fn, module, trace, labels, report)
+            _check_costs(fn, module, trace, labels, findings)
 
 
 def _class_events(
@@ -468,7 +201,7 @@ def _first_movement(
 
 
 def _audit_dealer_module(
-    module: SourceModule, index: ProjectIndex, report: _Emitter
+    module: SourceModule, index: ProjectIndex, findings: list[Finding]
 ) -> None:
     """Label-set duality between the RPC stub and the serving loop.
 
@@ -510,7 +243,7 @@ def _audit_dealer_module(
     anchor = _anchor(servers[0].lineno)
     for labels, rule, template in pairs:
         for label in sorted(labels):
-            report(module, rule, anchor, template.format(label=label))
+            emit(findings, module, rule, anchor, template.format(label=label))
 
     first_client = _first_movement(client_events, ("_connect", "connect"))
     first_server = _first_movement(
@@ -519,7 +252,8 @@ def _audit_dealer_module(
     if first_client is None or first_server is None:
         return
     if first_client.kind == "recv" and first_server.kind == "recv":
-        report(
+        emit(
+            findings,
             module,
             "schedule/deadlock",
             anchor,
@@ -531,7 +265,8 @@ def _audit_dealer_module(
         first_client.kind != first_server.kind
         and first_client.label != first_server.label
     ):
-        report(
+        emit(
+            findings,
             module,
             "schedule/label-mismatch",
             anchor,
@@ -548,78 +283,47 @@ def run(modules: list[SourceModule]) -> list[Finding]:
     index = build_index(modules)
     labels = method_labels()
     findings: list[Finding] = []
-    report = _Emitter(findings)
     for module in modules:
-        if module.in_scope(PARTY_SCOPE):
-            _audit_party_module(module, index, labels, report)
-        elif module.in_scope(JOINT_SCOPE):
-            _audit_joint_module(module, index, labels, report)
+        if module.in_scope(PROTOCOL_SCOPE):
+            _audit_protocol_module(module, index, labels, findings)
         if module.in_scope(DEALER_SCOPE):
-            _audit_dealer_module(module, index, report)
+            _audit_dealer_module(module, index, findings)
     return findings
+
+
+def _label_counts(labels) -> dict[str, int]:
+    return dict(sorted(Counter(labels).items()))
 
 
 def extract_schedule(modules: list[SourceModule]) -> dict:
     """The full extracted schedule as a JSON-serializable table.
 
-    CI uploads this as an artifact so the protocol schedule — per-half
+    CI uploads this as an artifact so the protocol schedule — per-function
     event sequences, per-label opening counts, dealer RPC label sets —
     stays reviewable PR over PR without rerunning the analyzer.
     """
     index = build_index(modules)
     labels = method_labels()
-    table: dict = {"party": {}, "joint": {}, "dealer": {}}
+    table: dict = {"protocols": {}, "dealer": {}}
     for module in modules:
-        if module.in_scope(PARTY_SCOPE):
-            for fn in _module_functions(module, index):
-                pair = _extract_pair(fn, index, report=None)
-                if pair is None:
-                    table["party"][fn.qualname] = {"error": "unresolvable"}
-                    continue
-                trace0, trace1 = pair
-                if not _has_events(trace0, trace1):
-                    continue
-                consumed = Counter(
-                    e.label for e in trace0 if e.kind == "consume"
-                )
-                table["party"][fn.qualname] = {
-                    "party0": [[e.kind, e.label] for e in trace0],
-                    "party1": [[e.kind, e.label] for e in trace1],
-                    "consumes": dict(sorted(consumed.items())),
-                    "opens": dict(
-                        sorted(
-                            Counter(
-                                e.label for e in trace0 if e.kind == "acct"
-                            ).items()
-                        )
-                    ),
-                    "expected_opens": dict(
-                        sorted(
-                            Counter(
-                                labels[e.label]
-                                for e in trace0
-                                if e.kind == "consume" and e.label in labels
-                            ).items()
-                        )
-                    ),
-                }
-        elif module.in_scope(JOINT_SCOPE):
+        if module.in_scope(PROTOCOL_SCOPE):
             for fn in _module_functions(module, index):
                 try:
-                    trace = TraceExtractor(index, party=None).trace(fn)
+                    trace = TraceExtractor(index).trace(fn)
                 except UnresolvableTrace:
-                    table["joint"][fn.qualname] = {"error": "unresolvable"}
+                    table["protocols"][fn.qualname] = {"error": "unresolvable"}
                     continue
                 if not trace:
                     continue
-                table["joint"][fn.qualname] = {
+                consumed = [e.label for e in trace if e.kind == "consume"]
+                table["protocols"][fn.qualname] = {
                     "events": [[e.kind, e.label] for e in trace],
-                    "opens": dict(
-                        sorted(
-                            Counter(
-                                e.label for e in trace if e.kind == "acct"
-                            ).items()
-                        )
+                    "consumes": _label_counts(consumed),
+                    "opens": _label_counts(
+                        e.label for e in trace if e.kind == "acct"
+                    ),
+                    "expected_opens": _label_counts(
+                        labels[method] for method in consumed if method in labels
                     ),
                 }
         if module.in_scope(DEALER_SCOPE):

@@ -9,27 +9,31 @@ runtime byte-identity tests exercise this on the paths they run; this
 pass checks it on *every* wire sink in the protocol layer.
 
 Model (function-local, provenance-based): for each payload expression
-handed to a movement sink (``push`` / ``push_deferred`` / ``swap`` /
-``swap_segments`` / ``push_segments``), walk its definition chain and
-require a *sanctioned* producer:
+handed to a wire sink — the placement's openings (``open_add`` /
+``open_xor`` / ``open_bits``), the raw movement calls (``push`` /
+``push_deferred`` / ``swap``) —
+walk its definition chain and require a *sanctioned* producer:
 
 * ``io.stage(...)`` — packed-word staging; by contract its input is a
-  pre-masked/share value (the staging primitives below enforce it);
-* a pooled frame (``alloc_words`` / ``alloc_frame`` / ``_pair_frame``)
+  pre-masked/share value;
+* an opening frame (``frame`` / ``alloc_words`` / ``alloc_frame``)
   whose every in-place write (``out=``, subscript store, ``np.copyto``)
   mixes in a mask operand — dealer-material attribute (``triple.a``,
   ``mask.r``, ``correlation.mask``) or a uniform ring draw
   (``random_ring`` / ``rng.integers``);
+* an expression that itself mixes in a mask operand
+  (``b ^ dabit.boolean``);
 * a share freshly split by ``share_additive`` / ``share_boolean`` /
-  ``share_boolean_words`` (one share alone is uniform);
-* a parameter of one of the *trusted movement primitives* — the
-  ``swap_ring`` family and ``party_open`` — whose documented contract is
-  "callers pass masked values" (their callers are audited in turn).
+  ``share_boolean_words`` (one share alone is uniform).
+
+``hand(label, shape, fill)`` is the one client-to-server sink: its
+``fill`` must be a lambda whose body writes ``out=`` its argument with a
+mask operand.
 
 Anything else — a bare parameter, an unmasked intermediate, an unknown
 call — is flagged: it may be exactly the secret the protocol exists to
-hide. Taint-preserving wrappers (``memoryview(...).cast``, ``_buffer``,
-``bytes``, ``pack_bits``, ``np.ascontiguousarray``) are looked through.
+hide. Taint-preserving wrappers (``memoryview(...).cast``, ``bytes``,
+``pack_bits``, ``np.ascontiguousarray``) are looked through.
 
 A second rule bans ``print`` / ``logging`` in the protocol layer
 outright: a debug print of a live share is the classic leak, and the
@@ -51,13 +55,22 @@ NAME = "secrecy"
 # — but the crypto-producer service (serve/dealer_service.py) *creates*
 # material and ships it as blobs, so its dealer-bound frames are audited
 # like protocol sinks.
-SCOPE = ("mpc/protocols/", "mpc/engine.py", "mpc/party.py", "serve/dealer_service.py")
+SCOPE = ("mpc/protocols", "mpc/engine.py", "mpc/party.py", "serve/dealer_service.py")
 
 # Payload-moving sink methods and the argument that is the payload.
 # send_blob is the dealer service's bundle sink: in scope its payload
 # must come from a sealed-bundle producer (see _SEALED_CALLS).
-_SINKS = {"push": 0, "push_deferred": 0, "swap": 0, "send_blob": 0}
-_SEGMENT_SINKS = {"push_segments": 0, "swap_segments": 0}
+_SINKS = {
+    "open_add": 0,
+    "open_xor": 0,
+    "open_bits": 0,
+    "push": 0,
+    "push_deferred": 0,
+    "swap": 0,
+    "send_blob": 0,
+}
+# The client-to-server message sink and the argument that writes it.
+_FILL_SINKS = {"hand": 2}
 
 # Producers whose result is cleared for the wire as-is.
 _STAGING_CALLS = {"stage"}
@@ -66,19 +79,12 @@ _STAGING_CALLS = {"stage"}
 # reply sealer that selects/blanks record fields for one requester.
 # These are the only sanctioned sources for a dealer-bound blob frame.
 _SEALED_CALLS = {"pack_party_bundle", "_seal_reply"}
-# Pooled-frame allocators: contents must be written via masked ops.
-_ALLOCATORS = {"alloc_words", "alloc_frame", "_pair_frame"}
+# Frame allocators: contents must be written via masked ops.
+_ALLOCATORS = {"frame", "alloc_words", "alloc_frame"}
 # Splitting a secret yields two individually-uniform shares.
 _SHARE_SPLITTERS = {"share_additive", "share_boolean", "share_boolean_words"}
 # Content-preserving wrappers the checker looks through.
-_WRAPPERS = {"_buffer", "memoryview", "bytes", "pack_bits", "ascontiguousarray"}
-# Movement primitives whose *parameters* are pre-masked by contract.
-_TRUSTED_PRIMITIVES = {
-    "swap_ring",
-    "swap_ring_pair",
-    "swap_bits",
-    "party_open",
-}
+_WRAPPERS = {"memoryview", "bytes", "pack_bits", "ascontiguousarray"}
 # Mask-producing calls: uniform draws that blind whatever they touch.
 _MASK_CALLS = {"random_ring", "integers", "next"}
 
@@ -156,6 +162,8 @@ def _unwrap(expr: ast.expr, facts: _FunctionFacts, depth: int = 0) -> ast.expr:
                 continue
             return expr
         if isinstance(expr, ast.Name) and expr.id in facts.assigns:
+            if _is_alloc_chain(facts.assigns[expr.id]):
+                return expr  # a named frame: its in-place writes get audited
             expr = facts.assigns[expr.id]
             continue
         return expr
@@ -260,6 +268,9 @@ def _check_payload(
 ) -> None:
     resolved = _unwrap(payload, facts)
 
+    if isinstance(resolved, ast.BinOp) and _is_mask_operand(resolved, facts):
+        return  # blinded in the expression itself (b ^ dabit.boolean)
+
     if isinstance(resolved, ast.Call):
         tail = _call_tail(resolved)
         if tail in _STAGING_CALLS:
@@ -306,16 +317,13 @@ def _check_payload(
                 _check_payload(resolved_def, facts, module, sink, findings)
                 return
         if name in facts.params:
-            if facts.fn.name in _TRUSTED_PRIMITIVES:
-                return  # contract: callers of the primitive pre-mask
             emit(
                 findings,
                 module,
                 "secrecy/unsanitized-sink",
                 sink,
                 f"parameter {name!r} of {facts.fn.name!r} flows to the wire "
-                "unmasked — only the trusted movement primitives may ship "
-                "caller values verbatim",
+                "unmasked",
             )
             return
     emit(
@@ -325,6 +333,35 @@ def _check_payload(
         sink,
         f"cannot establish sanitized provenance for wire payload in "
         f"{facts.fn.name!r}",
+    )
+
+
+def _check_fill(
+    fill: ast.expr,
+    facts: _FunctionFacts,
+    module: SourceModule,
+    sink: ast.Call,
+    findings: list[Finding],
+) -> None:
+    """``hand``'s writer: ``lambda out: np.op(..., mask operand, out=out)``."""
+    if isinstance(fill, ast.Lambda) and isinstance(fill.body, ast.Call):
+        write = fill.body
+        out = next((kw.value for kw in write.keywords if kw.arg == "out"), None)
+        params = [arg.arg for arg in fill.args.args]
+        if (
+            isinstance(out, ast.Name)
+            and params == [out.id]
+            and any(_is_mask_operand(arg, facts) for arg in write.args)
+        ):
+            return
+    emit(
+        findings,
+        module,
+        "secrecy/unsanitized-sink",
+        sink,
+        f"message handed to the server in {facts.fn.name!r} is not written "
+        "as `lambda out: op(..., <mask operand>, out=out)` — a raw "
+        "(unblinded) value would cross the process boundary",
     )
 
 
@@ -342,13 +379,14 @@ def _audit_function(
             continue
         if func.attr in _SINKS and node.args:
             _check_payload(node.args[_SINKS[func.attr]], facts, module, node, findings)
-        elif func.attr in _SEGMENT_SINKS and node.args:
-            segments = node.args[_SEGMENT_SINKS[func.attr]]
-            if isinstance(segments, (ast.Tuple, ast.List)):
-                for element in segments.elts:
-                    _check_payload(element, facts, module, node, findings)
-            else:
-                _check_payload(segments, facts, module, node, findings)
+        elif func.attr in _FILL_SINKS:
+            index = _FILL_SINKS[func.attr]
+            fill = next(
+                (kw.value for kw in node.keywords if kw.arg == "fill"),
+                node.args[index] if len(node.args) > index else None,
+            )
+            if fill is not None:
+                _check_fill(fill, facts, module, node, findings)
 
 
 def _audit_logging(module: SourceModule, findings: list[Finding]) -> None:

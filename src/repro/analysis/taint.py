@@ -18,9 +18,10 @@ hops, to the three places a secret most plausibly escapes in practice:
     wholesale; this rule follows the tainted value anywhere in scope.)
 
 ``taint/secret-to-wire``
-    A payload-moving send whose argument is secret-derived and not
-    produced by a sanctioned masking chain (``stage``, sealed bundles,
-    share splitters, pooled masked frames) — including values laundered
+    A payload-moving send or opening whose argument is secret-derived
+    and not produced by a sanctioned masking chain (``stage``, sealed
+    bundles, share splitters, masked frames and expressions) — including
+    values laundered
     through a helper's return value, which the per-function secrecy
     pass cannot see.
 
@@ -48,14 +49,13 @@ from __future__ import annotations
 import ast
 
 from .core import Finding, SourceModule, dotted_name, emit
-from .dataflow import FunctionInfo, ProjectIndex, build_index
+from .dataflow import CONSUME_METHODS, FunctionInfo, ProjectIndex, build_index
 from .secrecy import (
     SCOPE,
     _ALLOCATORS,
     _SEALED_CALLS,
     _SHARE_SPLITTERS,
     _STAGING_CALLS,
-    _TRUSTED_PRIMITIVES,
     _WRAPPERS,
     _is_alloc_chain,
 )
@@ -65,16 +65,15 @@ __all__ = ["NAME", "SCOPE", "run"]
 NAME = "taint"
 
 #: Calls whose result IS secret material: raw bundle blobs off the
-#: wire and the record/bundle unpackers. ``material.next("method")``
-#: (a dealer-material draw) and ``dealer.state()`` (the serialized rng
-#: state) are also sources but need shape checks — the builtin
-#: ``next(iterator)`` must not match — so they are handled in
-#: :meth:`_Analyzer._call_origins`.
+#: wire, the record/bundle unpackers and the dealer-material draws
+#: (``dealer.bit_triples(shape)``). ``dealer.state()`` (the serialized
+#: rng state) is also a source but needs a shape check, so it is handled
+#: in :meth:`_Analyzer._call_origins`.
 _SOURCE_CALLS = {
     "recv_blob",
     "_unpack_record",
     "unpack_party_bundle",
-}
+} | CONSUME_METHODS
 
 #: Parameter names that carry secret values by the repo's own naming
 #: conventions. Deliberately absent: ``fingerprint`` (a public program
@@ -132,11 +131,12 @@ _LOG_MODULES = {"logging", "logger", "log"}
 #: RPC control plane and is deliberately excluded — see the module
 #: docstring.
 _WIRE_SINKS = {
+    "open_add",
+    "open_xor",
+    "open_bits",
     "push",
     "push_deferred",
-    "push_segments",
     "swap",
-    "swap_segments",
     "send_blob",
 }
 
@@ -299,17 +299,6 @@ class _Analyzer:
         if tail in _SOURCE_CALLS:
             return {"*"}
         if isinstance(call.func, ast.Attribute):
-            # ``material.next("bit_triples")``: a dealer-material draw.
-            # The first-argument shape check keeps the builtin
-            # ``next(iterator)`` (a bare Name call) and unrelated
-            # ``.next()`` methods out.
-            if (
-                tail == "next"
-                and call.args
-                and isinstance(call.args[0], ast.Constant)
-                and isinstance(call.args[0].value, str)
-            ):
-                return {"*"}
             # ``dealer.state()``: the serialized rng state.
             if tail == "state" and not call.args and not call.keywords:
                 return {"*"}
@@ -364,6 +353,14 @@ class _Analyzer:
 
     def _is_sanctioned(self, expr: ast.expr, info: FunctionInfo) -> bool:
         resolved = self._unwrap(expr)
+        if isinstance(resolved, ast.BinOp):
+            # Blinded in the expression itself: a dealer-material read
+            # (``b ^ dabit.boolean``) is mixed in.
+            return any(
+                isinstance(side, ast.Attribute)
+                and side.attr not in _DECLASSIFIED_ATTRS
+                for side in (resolved.left, resolved.right)
+            )
         if not isinstance(resolved, ast.Call):
             return False
         tail = _call_tail(resolved)
@@ -581,7 +578,6 @@ class _Analyzer:
             tail in _WIRE_SINKS
             and isinstance(call.func, ast.Attribute)
             and call.args
-            and info.name not in _TRUSTED_PRIMITIVES
         ):
             payload = call.args[0]
             if not self._is_sanctioned(payload, info) and self._is_tainted(

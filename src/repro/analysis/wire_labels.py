@@ -30,7 +30,8 @@ Rules:
 
 Scope: everything except the transport implementations themselves
 (``mpc/transport.py``, ``mpc/shm.py``, ``mpc/chaos.py``) — they *define*
-the sinks and forward already-validated labels from frame headers.
+the sinks and forward already-validated labels from frame headers (or,
+for ``hand``, derive a buffer-pool key from one).
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ EXCLUDE = ("mpc/transport.py", "mpc/shm.py", "mpc/chaos.py")
 
 # sink name -> positional index of the label argument (after self).
 _SINKS = {
+    "frame": 0,
+    "open_add": 1,
+    "open_xor": 1,
+    "open_bits": 1,
+    "hand": 0,
     "push": 1,
     "push_deferred": 1,
-    "push_segments": 1,
     "swap": 1,
-    "swap_segments": 1,
     "stage": 1,
     "pull": 0,
     "tick_round": 0,

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from ..mpc import Channel, FixedPointConfig, TrustedDealer
-from ..mpc.preprocessing import MaterialRequest, ReplayDealer
+from ..mpc.preprocessing import RecordingDealer, ReplayDealer
 from ..mpc.protocols import (
     secure_drelu,
     secure_linear,
@@ -73,56 +73,13 @@ _ABS_SLACK_S = 2.5e-4
 # ----------------------------------------------------------------------
 # material helpers (representation-agnostic: byte-per-bit or packed words)
 # ----------------------------------------------------------------------
-class _CollectingDealer:
-    """Wraps a real dealer; keeps every (request, material) pair in order."""
-
-    def __init__(self, base: TrustedDealer):
-        self.base = base
-        self.items: list[tuple[MaterialRequest, object]] = []
-
-    def _record(self, method: str, shape, material, ring_fn=None):
-        self.items.append(
-            (MaterialRequest(method, tuple(shape), ring_fn=ring_fn), material)
-        )
-        return material
-
-    def beaver_triples(self, shape):
-        return self._record("beaver_triples", shape, self.base.beaver_triples(shape))
-
-    def bit_triples(self, shape):
-        return self._record("bit_triples", shape, self.base.bit_triples(shape))
-
-    def dabits(self, shape):
-        return self._record("dabits", shape, self.base.dabits(shape))
-
-    def comparison_masks(self, shape):
-        return self._record(
-            "comparison_masks", shape, self.base.comparison_masks(shape)
-        )
-
-    def linear_correlation(self, input_shape, ring_fn):
-        return self._record(
-            "linear_correlation",
-            input_shape,
-            self.base.linear_correlation(input_shape, ring_fn),
-            ring_fn=ring_fn,
-        )
-
-    def take(self) -> list[tuple[MaterialRequest, object]]:
-        items, self.items = self.items, []
-        return items
-
-
 def material_nbytes(material) -> int:
     """Total array bytes of one dealer material item (all parties' halves)."""
-    total = 0
-    for field in dataclasses.fields(material):
-        value = getattr(material, field.name)
-        if isinstance(value, tuple):
-            total += sum(int(np.asarray(part).nbytes) for part in value)
-        elif isinstance(value, np.ndarray):
-            total += int(value.nbytes)
-    return total
+    return sum(
+        int(value.nbytes)
+        for field in dataclasses.fields(material)
+        if (value := getattr(material, field.name)) is not None
+    )
 
 
 def _bundle_bytes_by_method(items) -> dict[str, int]:
@@ -200,7 +157,7 @@ def _op_report(name: str, elements: int, best_s: float, channel: Channel) -> dic
 
 
 def _collect_bundles(op, seed: int, repeats: int):
-    collector = _CollectingDealer(TrustedDealer(seed=seed))
+    collector = RecordingDealer(TrustedDealer(seed=seed))
     bundles = []
     for _ in range(repeats + 1):  # one extra bundle feeds the warmup run
         op(collector, Channel())
@@ -255,7 +212,7 @@ def bench_offline(elements: int = 8192) -> dict:
     rng = np.random.default_rng(7)
     values = rng.uniform(-4.0, 4.0, size=(elements,)).astype(np.float32)
     x = share_additive(CFG.encode(values), rng)
-    collector = _CollectingDealer(TrustedDealer(seed=9))
+    collector = RecordingDealer(TrustedDealer(seed=9))
     secure_relu(x, collector, Channel())
     by_method = _bundle_bytes_by_method(collector.items)
     total = sum(by_method.values())
@@ -543,8 +500,7 @@ def run_serve_from_args(args) -> int:
 
 def _boolean_words_packed() -> bool:
     """True when the dealer emits packed uint64 boolean material."""
-    probe = TrustedDealer(seed=0).bit_triples((1,))
-    return np.asarray(probe.a[0]).dtype == np.uint64
+    return TrustedDealer(seed=0).bit_triples((1,)).a.dtype == np.uint64
 
 
 def run_bench(

@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write the statically extracted protocol round-schedule "
-        "table (per-half traces, per-label opening counts, dealer RPC "
+        "table (per-primitive traces, per-label opening counts, dealer RPC "
         "label sets) as JSON",
     )
     return parser

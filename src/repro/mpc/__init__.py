@@ -8,21 +8,22 @@ Layers (bottom-up):
 * :mod:`repro.mpc.dealer` — trusted dealer (preprocessing stand-in);
 * :mod:`repro.mpc.network` — channel traffic accounting, LAN/WAN models;
 * :mod:`repro.mpc.protocols` — Beaver multiplication, masked-reveal
-  comparison, DReLU/ReLU/max, Delphi-style linear layers, truncation;
+  comparison, DReLU/ReLU/max, Delphi-style linear layers, truncation:
+  each written once over a party axis, placed by the channel it is given;
 * :mod:`repro.mpc.program` — the ``SecureProgram`` IR: a model prefix
   compiled once into typed ops with pre-folded BN, pre-encoded ring
   weights and traced shapes;
 * :mod:`repro.mpc.preprocessing` — offline pools of correlated
   randomness, generated per program ahead of the online phase, with
-  per-party bundle views for the two-process deployment;
+  per-party row views for the two-process deployment;
 * :mod:`repro.mpc.transport` — the real wire: length-prefixed frames,
   the socket :class:`PeerChannel`, thread loopback, LAN/WAN shaping;
-* :mod:`repro.mpc.engine` — online execution of a compiled program under
-  a pluggable protocol suite (:mod:`repro.mpc.backends`: trusted dealer,
-  functional Delphi, functional Cheetah);
-* :mod:`repro.mpc.party` — one party's half of the engine, executing
-  over a transport against the peer process
-  (:mod:`repro.mpc.protocols.party` holds the per-party protocol halves);
+* :mod:`repro.mpc.engine` — the one program executor, and its
+  both-parties-in-process entry point under a pluggable protocol suite
+  (:mod:`repro.mpc.backends`: trusted dealer, functional Delphi,
+  functional Cheetah);
+* :mod:`repro.mpc.party` — the same executor as one party over a
+  transport against the peer process, plus the weight-free manifest;
 * :mod:`repro.mpc.authenticated` — SPDZ-style MAC'd shares (the
   malicious-client extension);
 * :mod:`repro.mpc.costs` — calibrated Delphi/CrypTFlow2/Cheetah cost
@@ -69,7 +70,6 @@ from .network import LAN, WAN, Channel, NetworkModel, TrafficSnapshot
 from .party import PartyEngine, PartyExecutionResult, program_manifest
 from .preprocessing import (
     MaterialRequest,
-    PartyMaterialStream,
     PoolExhausted,
     PoolStats,
     PreprocessingPool,
@@ -132,7 +132,6 @@ __all__ = [
     "PoolStats",
     "ReplayDealer",
     "MaterialRequest",
-    "PartyMaterialStream",
     "split_bundle",
     "PartyEngine",
     "PartyExecutionResult",

@@ -25,7 +25,7 @@ from ...crypto.rlwe import (
     rlwe_keygen,
 )
 from ..network import Channel
-from .suite import ProtocolSuite, Shares, linear_map_matrix
+from .suite import ProtocolSuite, Shares, linear_map_matrix, require_joint
 
 __all__ = ["CheetahSuite"]
 
@@ -68,6 +68,7 @@ class CheetahSuite(ProtocolSuite):
 
     # ------------------------------------------------------------------
     def linear(self, shares: Shares, ring_fn, bias, channel: Channel) -> Shares:
+        require_joint(channel)
         ctx = self._context
         keys = self._keys
         rng = self._rng
@@ -126,10 +127,11 @@ class CheetahSuite(ProtocolSuite):
         if bias is not None:
             y_server = (y_server + bias).astype(np.uint64)
         self.linear_layers_run += 1
-        return y_client, y_server
+        return np.stack((y_client, y_server))
 
     # ------------------------------------------------------------------
     def relu(self, shares: Shares, channel: Channel) -> Shares:
+        require_joint(channel)
         if self._sessions is None:
             self._sessions = OtSessionPair.create(
                 self._rng, channel, security=self._ot_security
@@ -138,4 +140,4 @@ class CheetahSuite(ProtocolSuite):
             (shares[0].reshape(-1), shares[1].reshape(-1)), self._sessions, self._rng
         )
         self.relu_elements_run += int(np.prod(shares[0].shape))
-        return y0.reshape(shares[0].shape), y1.reshape(shares[1].shape)
+        return np.stack((y0.reshape(shares[0].shape), y1.reshape(shares[1].shape)))

@@ -25,7 +25,7 @@ import numpy as np
 from ...crypto.gc_protocol import GarbledReluProtocol
 from ...crypto.paillier import paillier_keygen
 from ..network import Channel
-from .suite import ProtocolSuite, Shares, linear_map_matrix
+from .suite import ProtocolSuite, Shares, linear_map_matrix, require_joint
 
 __all__ = ["DelphiSuite"]
 
@@ -71,6 +71,7 @@ class DelphiSuite(ProtocolSuite):
 
     # ------------------------------------------------------------------
     def linear(self, shares: Shares, ring_fn, bias, channel: Channel) -> Shares:
+        require_joint(channel)
         public = self._keys.public
         secret = self._keys.secret
         rng = self._rng
@@ -117,10 +118,11 @@ class DelphiSuite(ProtocolSuite):
         if bias is not None:
             y_server = (y_server + bias).astype(np.uint64)
         self.linear_layers_run += 1
-        return y_client, y_server
+        return np.stack((y_client, y_server))
 
     # ------------------------------------------------------------------
     def relu(self, shares: Shares, channel: Channel) -> Shares:
+        require_joint(channel)
         if self._relu_protocol is None:
             self._relu_protocol = GarbledReluProtocol(
                 self._rng, channel, bits=self._gc_bits, security=self._ot_security
@@ -128,4 +130,4 @@ class DelphiSuite(ProtocolSuite):
         flat = (shares[0].reshape(-1), shares[1].reshape(-1))
         y0, y1 = self._relu_protocol.run(flat)
         self.relu_elements_run += flat[0].size
-        return y0.reshape(shares[0].shape), y1.reshape(shares[1].shape)
+        return np.stack((y0.reshape(shares[0].shape), y1.reshape(shares[1].shape)))

@@ -4,22 +4,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dealer import TrustedDealer
 from ..network import Channel
 from ..protocols import secure_linear, secure_maximum, secure_relu
 
-__all__ = ["ProtocolSuite", "DealerSuite", "Shares", "linear_map_matrix"]
+__all__ = [
+    "ProtocolSuite",
+    "DealerSuite",
+    "Shares",
+    "PlacementError",
+    "require_joint",
+    "linear_map_matrix",
+]
 
-Shares = tuple[np.ndarray, np.ndarray]
+
+#: Party-stacked shares: row 0 the client's, row 1 the server's.
+Shares = np.ndarray
+
+
+class PlacementError(RuntimeError):
+    """A suite that needs both parties' rows was handed a one-party channel."""
+
+
+def require_joint(channel: Channel) -> None:
+    """Refuse a placement that does not hold both parties' rows."""
+    if len(channel.parties) != 2:
+        raise PlacementError(
+            "this protocol suite runs both parties in one address space; it "
+            f"cannot execute as party {channel.parties[0]} over a transport"
+        )
 
 
 class ProtocolSuite:
     """The three secure operations the engine composes layers from.
 
     A suite owns whatever preprocessing state its protocols need (dealer,
-    OT sessions, HE keys). Shares are ``(client, server)`` uint64 arrays
-    over Z_2^64; ``bias`` arrives pre-encoded at double fixed-point scale
-    (or ``None``).
+    OT sessions, HE keys). Shares are ``(party, ...)`` uint64 arrays over
+    Z_2^64 — row 0 the client's, row 1 the server's — and every method
+    returns such an array; ``bias`` arrives pre-encoded at double
+    fixed-point scale (or ``None``). ``channel`` is the placement (see
+    :class:`~repro.mpc.network.Channel`): the dealer suite runs on any,
+    the functional stacks need both rows and raise
+    :class:`PlacementError` otherwise.
     """
 
     name = "abstract"
@@ -48,15 +73,8 @@ class ProtocolSuite:
 
         Suites with a cheaper dedicated comparison may override this.
         """
-        diff = (
-            (left[0] - right[0]).astype(np.uint64),
-            (left[1] - right[1]).astype(np.uint64),
-        )
-        rectified = self.relu(diff, channel)
-        return (
-            (rectified[0] + right[0]).astype(np.uint64),
-            (rectified[1] + right[1]).astype(np.uint64),
-        )
+        right = np.asarray(right)
+        return self.relu(np.asarray(left) - right, channel) + right
 
 
 class DealerSuite(ProtocolSuite):
@@ -64,7 +82,7 @@ class DealerSuite(ProtocolSuite):
 
     name = "dealer"
 
-    def __init__(self, dealer: TrustedDealer):
+    def __init__(self, dealer):
         self.dealer = dealer
 
     def with_dealer(self, dealer) -> "DealerSuite":
@@ -74,9 +92,8 @@ class DealerSuite(ProtocolSuite):
         return secure_linear(shares, ring_fn, bias, self.dealer, channel)
 
     def relu(self, shares, channel):
-        flat = (shares[0].reshape(-1), shares[1].reshape(-1))
-        y = secure_relu(flat, self.dealer, channel)
-        return y[0].reshape(shares[0].shape), y[1].reshape(shares[1].shape)
+        flat = secure_relu(shares.reshape(len(shares), -1), self.dealer, channel)
+        return flat.reshape(shares.shape)
 
     def maximum(self, left, right, channel):
         return secure_maximum(left, right, self.dealer, channel)

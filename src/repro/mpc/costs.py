@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .engine import LayerTally
 from .network import NetworkModel
-from .protocols.comparison import SUFFIX_STEPS
+from .protocols import SUFFIX_STEPS
 
 __all__ = [
     "OpCost",

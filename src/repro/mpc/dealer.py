@@ -42,35 +42,40 @@ __all__ = [
 ]
 
 
+# Every shared field below is one ``(2, ...)`` array whose row ``p`` is
+# party ``p``'s half (``field[0]`` / ``field[1]`` and ``f0, f1 = field``
+# read as on a pair). The halves are stacked here, at generation time, so
+# the online phase never assembles or splits them; a party that holds only
+# its own half holds the same record with one-row ``(1, ...)`` fields.
 @dataclass
 class BeaverTriple:
-    """Per-party additive shares of (a, b, c) with c = a*b (mod 2^64)."""
+    """Additive shares of (a, b, c) with c = a*b (mod 2^64)."""
 
-    a: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
-    c: tuple[np.ndarray, np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
 @dataclass
 class BitTriple:
-    """Per-party XOR shares of (a, b, c) with c = a AND b.
+    """XOR shares of (a, b, c) with c = a AND b.
 
     Bitsliced: each array entry is a ``uint64`` word carrying the 63
     comparison-bit lanes of one ring element (lane 63 is zero), so one
     triple word covers a whole element's AND gates for one circuit round.
     """
 
-    a: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
-    c: tuple[np.ndarray, np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
 @dataclass
 class DaBit:
     """A random bit shared both ways: XOR shares and arithmetic shares."""
 
-    boolean: tuple[np.ndarray, np.ndarray]
-    arithmetic: tuple[np.ndarray, np.ndarray]
+    boolean: np.ndarray
+    arithmetic: np.ndarray
 
 
 @dataclass
@@ -84,9 +89,9 @@ class ComparisonMask:
     it is a single bit per element).
     """
 
-    r_shares: tuple[np.ndarray, np.ndarray]
-    low_bits: tuple[np.ndarray, np.ndarray]  # packed words, shape (...,)
-    msb: tuple[np.ndarray, np.ndarray]
+    r: np.ndarray
+    low_bits: np.ndarray  # packed words
+    msb: np.ndarray
 
 
 @dataclass
@@ -96,12 +101,13 @@ class LinearCorrelation:
     The client receives the input mask ``m`` and its offline share
     ``f(m) - s``; the server receives ``s``. Online the client reveals
     ``x0 - m`` (uniform), the server evaluates ``f`` on
-    ``(x0 - m) + x1`` and adds ``s``.
+    ``(x0 - m) + x1`` and adds ``s``. Asymmetric, so not party-stacked:
+    a party's own half leaves the other party's fields ``None``.
     """
 
-    mask: np.ndarray
-    client_offset: np.ndarray
-    server_offset: np.ndarray
+    mask: np.ndarray | None = None
+    client_offset: np.ndarray | None = None
+    server_offset: np.ndarray | None = None
 
 
 class TrustedDealer:
@@ -187,7 +193,7 @@ class TrustedDealer:
         msb = ((r >> np.uint64(63)) & np.uint64(1)).astype(np.uint8)
         self.comparison_masks_issued += int(np.prod(shape))
         return ComparisonMask(
-            r_shares=share_additive(r, rng),
+            r=share_additive(r, rng),
             low_bits=share_boolean_words(low, rng),
             msb=share_boolean(msb, rng),
         )

@@ -11,6 +11,9 @@ into an end-to-end latency estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, ClassVar
+
+import numpy as np
 
 __all__ = ["NetworkModel", "LAN", "WAN", "Channel", "TrafficSnapshot"]
 
@@ -94,6 +97,17 @@ class Channel:
     so results and serving metrics can attribute traffic to protocol steps
     (``input-share``, ``masked-reveal``, ``beaver-open``, ...).
 
+    A channel is also the protocols' *placement*: the online primitives are
+    written once, over arrays with a leading party axis, and reach the
+    other party only through :meth:`frame` / :meth:`row` /
+    :meth:`open_add` / :meth:`open_xor` / :meth:`open_bits` / :meth:`hand`.
+    This class is the placement where both parties share one address
+    space: arrays carry both rows, an opening combines them locally and
+    nothing moves. :class:`~repro.mpc.transport.Transport` is the
+    placement of a single party: one row, and the same calls move real
+    bytes to the peer. Either way every message is accounted here, on the
+    same call.
+
     ``eq=False``: a channel (and every :class:`~repro.mpc.transport.Transport`
     derived from it) is a stateful *identity* — two channels that happen to
     hold equal counters are not the same link. Identity equality keeps the
@@ -110,6 +124,57 @@ class Channel:
     by_label: dict[str, TrafficSnapshot] = field(default_factory=dict)
     _round_log: list[str] = field(default_factory=list)
 
+    #: The parties whose rows live in this address space, in row order.
+    parties: ClassVar[tuple[int, ...]] = (0, 1)
+
+    # -- placement: both rows local ------------------------------------
+    def row(self, party: int) -> int | None:
+        """Index of ``party``'s row on the party axis (None: not held here)."""
+        return party
+
+    def frame(self, label: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Writable ``(rows, *shape)`` uint64 scratch for one opening."""
+        return np.empty((2, *shape), dtype=np.uint64)
+
+    def open_add(self, frame: np.ndarray, label: str) -> np.ndarray:
+        """Open additively shared words to both parties (one round)."""
+        self.exchange(frame[0].nbytes, label)
+        return frame[0] + frame[1]
+
+    def open_xor(self, frame: np.ndarray, label: str) -> np.ndarray:
+        """Open XOR-shared words to both parties (one round)."""
+        self.exchange(frame[0].nbytes, label)
+        return frame[0] ^ frame[1]
+
+    def open_bits(self, bits: np.ndarray, label: str) -> np.ndarray:
+        """Open XOR-shared 0/1 bytes; they travel packed 8 per byte."""
+        self.exchange(max(1, (bits[0].size + 7) // 8), label)
+        return bits[0] ^ bits[1]
+
+    def hand(
+        self,
+        label: str,
+        shape: tuple[int, ...],
+        fill: Callable[[np.ndarray], object],
+    ) -> np.ndarray | None:
+        """One client-to-server message of uint64 words.
+
+        ``fill(out)`` writes the client's message into ``out`` and runs
+        only where the client's row lives; the message is returned where
+        the server's row lives (``None`` elsewhere). Accounts the bytes;
+        the caller ticks the round. A transport may hold the message back
+        to share the frame of the client's next opening: a caller with
+        nothing more to send follows up with :meth:`flush_deferred`.
+        """
+        message = np.empty(shape, dtype=np.uint64)
+        fill(message)
+        self.send(0, message.nbytes, label)
+        return message
+
+    def flush_deferred(self) -> None:
+        """Nothing is ever queued when no bytes move."""
+
+    # -- accounting ----------------------------------------------------
     def send(self, sender: int, num_bytes: int, label: str = "") -> None:
         if sender not in (0, 1):
             raise ValueError(f"sender must be 0 (client) or 1 (server), got {sender}")

@@ -1,12 +1,12 @@
-"""One party's half of the secure engine (the two-process split).
+"""One party of the secure engine over a transport (the two-process split).
 
-:class:`~repro.mpc.engine.SecureInferenceEngine` orchestrates *both*
-parties inside one process — convenient and fast, but every "networked"
-number it produces is an accounting formula. :class:`PartyEngine` is the
-same op-stream executor split down the party axis: it holds **one**
-share, runs the per-party protocols of :mod:`repro.mpc.protocols.party`,
-and moves real bytes through a :class:`~repro.mpc.transport.Transport`
-(thread loopback or TCP :class:`~repro.mpc.transport.PeerChannel`).
+:class:`~repro.mpc.engine.SecureInferenceEngine` runs *both* parties
+inside one process — convenient and fast, but every "networked" number it
+produces is an accounting formula. :class:`PartyEngine` runs the same
+:class:`~repro.mpc.engine.ProgramExecutor` as **one** party: its shares
+carry a single row, and the placement it hands the executor is a
+:class:`~repro.mpc.transport.Transport` (thread loopback or TCP
+:class:`~repro.mpc.transport.PeerChannel`) that moves real bytes.
 
 The split preserves the trust boundaries of the deployment:
 
@@ -17,28 +17,29 @@ The split preserves the trust boundaries of the deployment:
 * the **server** (party 1) executes the compiled
   :class:`~repro.mpc.program.SecureProgram` with its encoded weights and
   never sees the client's input or any non-uniform message.
-* the **dealer material** arrives as per-party
-  :class:`~repro.mpc.preprocessing.PartyMaterialStream` halves — the
-  offline bundles of PR 1, split and (for the client) shipped over the
-  wire before the online phase starts.
+* the **dealer material** arrives as each party's own rows of the offline
+  bundles (:func:`~repro.mpc.preprocessing.split_bundle`), for the client
+  shipped over the wire before the online phase starts, and is consumed
+  through the same :class:`~repro.mpc.preprocessing.ReplayDealer`.
 
-Because every party-side computation and every accounted message mirrors
-the joint engine line-for-line, a two-party run produces byte-identical
-output shares and byte-identical channel counters to
-``SecureInferenceEngine.run`` under the same seeds — the loopback
-equivalence tests pin this.
+There is no second implementation to keep in step: a two-party run
+produces byte-identical output shares and channel counters to
+``SecureInferenceEngine.run`` under the same seeds because it executes the
+same code (the placement-equivalence tests pin it all the same).
 """
 
 from __future__ import annotations
 
-import time
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.functional import im2col
+from .backends.suite import DealerSuite
+from .engine import ProgramExecutor
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
-from .preprocessing import PartyMaterialStream
+from .preprocessing import ReplayDealer
 from .program import (
     AddOp,
     AvgPoolOp,
@@ -51,15 +52,7 @@ from .program import (
     ReluOp,
     SaveOp,
     SecureProgram,
-    deferred_reveal_flags,
     frame_plan,
-)
-from .protocols.party import (
-    party_multiply_public_constant,
-    party_secure_linear,
-    party_secure_maximum,
-    party_secure_relu,
-    party_truncate,
 )
 from .transport import Transport
 
@@ -126,9 +119,6 @@ def program_fingerprint(program: SecureProgram) -> str:
     crypto-producer service and a serving process establish they are
     provisioning material for the same program.
     """
-    import hashlib
-    import json
-
     canonical = json.dumps(program_manifest(program), sort_keys=True)
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -216,7 +206,7 @@ class PartyExecutionResult:
 
 
 class PartyEngine:
-    """Run one party's half of a compiled program over a transport.
+    """Run one party of a compiled program over a transport.
 
     Parameters
     ----------
@@ -249,10 +239,7 @@ class PartyEngine:
         self.output_shape = tuple(output_shape)
         self.config = config
         self._share_rng = np.random.default_rng(share_seed)
-        # Static per-program analysis: which linear reveals fuse into the
-        # next masked reveal's frame, and which batch sizes have had
-        # their frame sizes presized into the transport's buffer pool.
-        self._defer_flags = deferred_reveal_flags(ops)
+        self._executor = ProgramExecutor(ops, self.input_shape, config)
 
     @classmethod
     def from_program(
@@ -301,21 +288,22 @@ class PartyEngine:
     def run(
         self,
         io: Transport,
-        material: PartyMaterialStream,
+        material: ReplayDealer,
         x: np.ndarray | None = None,
         batch: int | None = None,
     ) -> PartyExecutionResult:
-        """Execute this party's half of the online phase.
+        """Execute this party's side of the online phase.
 
         The client passes the input batch ``x`` (float NCHW); the server
-        passes the expected ``batch`` size. Mirrors
-        ``SecureInferenceEngine.run`` step for step — including the
-        channel accounting of every message.
+        passes the expected ``batch`` size. ``material`` replays this
+        party's rows of one offline bundle.
         """
         if io.party != self.party:
             raise ValueError(
                 f"engine is party {self.party} but transport is party {io.party}"
             )
+        # All frame sizes are static per (program, batch): pay the pool
+        # growth before the first round, once per transport and batch.
         pool = io.ensure_pool()
         n = x.shape[0] if x is not None else batch
         if n is not None and n not in pool.presized:
@@ -323,150 +311,8 @@ class PartyEngine:
                 frame_plan(self.ops, n, self.input_shape, self.output_shape)
             )
             pool.presized.add(n)
-        share = self._input_share(io, x, batch)
-        registers: dict[str, np.ndarray] = {}
-        tallies: list[LayerTally] = []
-        for op, defer in zip(self.ops, self._defer_flags):
-            before = io.snapshot()
-            start = time.perf_counter()
-            share, tally = self._execute(op, share, registers, material, io, defer)
-            if tally is not None:
-                tally.compute_s = time.perf_counter() - start
-                tally.traffic = io.diff(before)
-                tallies.append(tally)
-        io.flush_deferred()  # safety net: the last linear never defers
+        shares = self._executor.share_input(io, self._share_rng, x=x, batch=batch)
+        shares, tallies = self._executor.run(shares, DealerSuite(material), io)
         return PartyExecutionResult(
-            share=share, tallies=tallies, transport=io, config=self.config
+            share=shares[0], tallies=tallies, transport=io, config=self.config
         )
-
-    def _input_share(
-        self, io: Transport, x: np.ndarray | None, batch: int | None
-    ) -> np.ndarray:
-        if self.party == 0:
-            if x is None:
-                raise ValueError("the client party needs the input batch x")
-            if x.ndim != 4:
-                raise ValueError(f"expected NCHW input, got shape {x.shape}")
-            if tuple(x.shape[1:]) != self.input_shape:
-                raise ValueError(
-                    f"expected per-sample shape {self.input_shape}, "
-                    f"got {tuple(x.shape[1:])}"
-                )
-            encoded = self.config.encode(x)
-            # Identical rng draw to share_additive, with the outgoing
-            # share computed straight into a pooled frame (the old
-            # ascontiguousarray(...).tobytes() staging copy is gone).
-            own = FixedPointConfig.random_ring(self._share_rng, encoded.shape)
-            outgoing = io.alloc_words("input-share", encoded.size).reshape(
-                encoded.shape
-            )
-            np.subtract(encoded, own, out=outgoing)
-            io.push(memoryview(outgoing).cast("B"), "input-share")
-            io.send(0, outgoing.nbytes, label="input-share")
-            io.tick_round("input-share")
-            return own
-        if batch is None:
-            raise ValueError("the server party needs the expected batch size")
-        payload = io.pull("input-share")
-        share = np.frombuffer(payload, dtype=np.uint64).reshape(
-            batch, *self.input_shape
-        )
-        io.send(0, share.nbytes, label="input-share")
-        io.tick_round("input-share")
-        return share
-
-    # ------------------------------------------------------------------
-    # per-op handlers (the party-split image of SecureInferenceEngine)
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        op: ProgramOp,
-        share: np.ndarray,
-        registers: dict[str, np.ndarray],
-        material: PartyMaterialStream,
-        io: Transport,
-        defer: bool = False,
-    ) -> tuple[np.ndarray, LayerTally | None]:
-        if isinstance(op, (ConvOp, LinearOp)):
-            if op.slot != "main":
-                registers[op.slot] = self._linear_like(
-                    op, registers[op.slot], material, io, defer
-                )
-                return share, op.tally(share.shape[0])
-            return self._linear_like(op, share, material, io, defer), op.tally(
-                share.shape[0]
-            )
-        if isinstance(op, ReluOp):
-            flat = party_secure_relu(io, share.reshape(-1), material)
-            return flat.reshape(share.shape), op.tally(share.shape[0])
-        if isinstance(op, MaxPoolOp):
-            return self._maxpool(op, share, material, io), op.tally(share.shape[0])
-        if isinstance(op, AvgPoolOp):
-            return self._avgpool(op, share), op.tally(share.shape[0])
-        if isinstance(op, FlattenOp):
-            return share.reshape(share.shape[0], -1), op.tally(share.shape[0])
-        if isinstance(op, SaveOp):
-            registers[op.slot] = share
-            return share, None
-        if isinstance(op, AddOp):
-            other = registers.pop(op.slot)
-            return (share + other).astype(np.uint64), None
-        raise ValueError(f"unsupported program op: {op!r}")
-
-    def _linear_like(
-        self,
-        op: ConvOp | LinearOp,
-        share: np.ndarray,
-        material: PartyMaterialStream,
-        io: Transport,
-        defer: bool = False,
-    ) -> np.ndarray:
-        correlation = material.next("linear_correlation")
-        if self.party == 0:
-            y = party_secure_linear(io, share, correlation, defer=defer)
-        else:
-            n = share.shape[0]
-            # A broadcast *view* — the add below produces the same bytes
-            # without materializing a per-request bias tensor.
-            bias_full = np.broadcast_to(
-                op.bias_ring.reshape(1, *([-1] + [1] * (len(op.out_shape) - 1))),
-                (n, *op.out_shape),
-            )
-            y = party_secure_linear(
-                io,
-                share,
-                correlation,
-                ring_linear_fn=op.ring_fn(),
-                bias_2f=bias_full,
-            )
-        return party_truncate(y, self.party, self.config.frac_bits)
-
-    def _maxpool(
-        self,
-        op: MaxPoolOp,
-        share: np.ndarray,
-        material: PartyMaterialStream,
-        io: Transport,
-    ) -> np.ndarray:
-        k, stride = op.kernel_size, op.stride
-        n, c, h, w = share.shape
-        cols, out_h, out_w = im2col(share.reshape(n * c, 1, h, w), k, k, stride)
-        # The same pairwise tournament as the joint engine, on one share.
-        candidates = [cols[:, i, :] for i in range(k * k)]
-        while len(candidates) > 1:
-            half = len(candidates) // 2
-            left = np.stack(candidates[:half])
-            right = np.stack(candidates[half : 2 * half])
-            merged = party_secure_maximum(io, left, right, material)
-            candidates = [merged[i] for i in range(half)] + candidates[2 * half :]
-        return candidates[0].reshape(n, c, out_h, out_w)
-
-    def _avgpool(self, op: AvgPoolOp, share: np.ndarray) -> np.ndarray:
-        k, stride = op.kernel_size, op.stride
-        n, c, h, w = share.shape
-        cols, out_h, out_w = im2col(share.reshape(n * c, 1, h, w), k, k, stride)
-        summed = cols.sum(axis=1, dtype=np.uint64)
-        inv = self.config.encode(np.array(1.0 / (k * k)))
-        scaled = party_multiply_public_constant(summed, inv)
-        truncated = party_truncate(scaled, self.party, self.config.frac_bits)
-        return truncated.reshape(n, c, out_h, out_w)

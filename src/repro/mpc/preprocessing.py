@@ -16,9 +16,11 @@ real:
   :class:`~repro.mpc.dealer.LinearCorrelation` /
   :class:`~repro.mpc.dealer.ComparisonMask` / triple material, eagerly or
   in a background thread.
-* :class:`ReplayDealer` serves one bundle back in consumption order. The
-  online ``SecureInferenceEngine.run(x, material=bundle)`` then performs
-  zero dealer generation — its own dealer counters do not move.
+* :class:`ReplayDealer` serves one bundle back in consumption order —
+  the one material consumer of both placements: a whole bundle for the
+  in-process engine, one party's row view (:func:`split_bundle`, or a
+  blob through :func:`unpack_party_bundle`) for a party over a
+  transport. The online phase then performs zero dealer generation.
 
 Determinism: a pool seeded like the engine's inline dealer generates the
 byte-identical material stream the engine would have generated lazily, so
@@ -33,7 +35,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -47,7 +49,7 @@ from .dealer import (
     TrustedDealer,
 )
 from .program import AvgPoolOp, ConvOp, LinearOp, MaxPoolOp, ReluOp, SecureProgram
-from .protocols import comparison
+from .protocols import SUFFIX_STEPS
 
 __all__ = [
     "MaterialRequest",
@@ -58,10 +60,7 @@ __all__ = [
     "PoolStats",
     "PreprocessingPool",
     "material_plan",
-    "PartyItem",
-    "PartyMaterialStream",
     "fuse_bundles",
-    "party_view",
     "split_bundle",
     "join_party_bundle",
     "pack_party_bundle",
@@ -77,6 +76,12 @@ class MaterialRequest:
     shape: tuple[int, ...]
     ring_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def draw(self, dealer):
+        """Generate this request's material from ``dealer``."""
+        if self.method == "linear_correlation":
+            return dealer.linear_correlation(self.shape, self.ring_fn)
+        return getattr(dealer, self.method)(self.shape)
+
 
 class MaterialMismatch(RuntimeError):
     """A replayed bundle was asked for material it does not hold next."""
@@ -87,33 +92,42 @@ class PoolExhausted(RuntimeError):
 
 
 class RecordingDealer:
-    """Wraps a real dealer and records every request, in order."""
+    """Wraps a real dealer; keeps every (request, material) pair, in order."""
 
     def __init__(self, base: TrustedDealer):
         self.base = base
-        self.trace: list[MaterialRequest] = []
+        self.items: list[tuple[MaterialRequest, object]] = []
+
+    @property
+    def trace(self) -> list[MaterialRequest]:
+        """The requests alone, in order."""
+        return [request for request, _ in self.items]
+
+    def take(self) -> list[tuple[MaterialRequest, object]]:
+        """Hand over (and forget) everything recorded so far: one bundle."""
+        items, self.items = self.items, []
+        return items
+
+    def _record(self, method: str, shape, ring_fn=None):
+        request = MaterialRequest(method, tuple(shape), ring_fn=ring_fn)
+        material = request.draw(self.base)
+        self.items.append((request, material))
+        return material
 
     def beaver_triples(self, shape):
-        self.trace.append(MaterialRequest("beaver_triples", tuple(shape)))
-        return self.base.beaver_triples(shape)
+        return self._record("beaver_triples", shape)
 
     def bit_triples(self, shape):
-        self.trace.append(MaterialRequest("bit_triples", tuple(shape)))
-        return self.base.bit_triples(shape)
+        return self._record("bit_triples", shape)
 
     def dabits(self, shape):
-        self.trace.append(MaterialRequest("dabits", tuple(shape)))
-        return self.base.dabits(shape)
+        return self._record("dabits", shape)
 
     def comparison_masks(self, shape):
-        self.trace.append(MaterialRequest("comparison_masks", tuple(shape)))
-        return self.base.comparison_masks(shape)
+        return self._record("comparison_masks", shape)
 
     def linear_correlation(self, input_shape, ring_fn):
-        self.trace.append(
-            MaterialRequest("linear_correlation", tuple(input_shape), ring_fn=ring_fn)
-        )
-        return self.base.linear_correlation(input_shape, ring_fn)
+        return self._record("linear_correlation", input_shape, ring_fn)
 
 
 class ReplayDealer:
@@ -122,7 +136,10 @@ class ReplayDealer:
     Duck-types the :class:`~repro.mpc.dealer.TrustedDealer` interface the
     protocols call, but *generates nothing*: every method pops the next
     (request, material) pair and validates that the online protocol asked
-    for exactly what the offline phase produced.
+    for exactly the method **and** shape the offline phase produced — on
+    every placement, so a wrong-batch or wrong-program bundle is a
+    :class:`MaterialMismatch` at its first item on both parties, never a
+    broadcasting error on one and a timeout on the other.
     """
 
     def __init__(self, items: list[tuple[MaterialRequest, object]]):
@@ -133,14 +150,17 @@ class ReplayDealer:
     def remaining(self) -> int:
         return len(self._items)
 
-    def _next(self, method: str, shape: tuple[int, ...]):
+    def _next(self, method: str, shape):
+        shape = tuple(shape)
         if not self._items:
             raise MaterialMismatch(
                 f"bundle exhausted: online phase requested {method}{shape} "
                 "but no material is left"
             )
         request, material = self._items.popleft()
-        if request.method != method or request.shape != shape:
+        # shape None: a lone server half of a linear correlation (its
+        # only array has the *output* shape) — see unpack_party_bundle.
+        if request.method != method or request.shape not in (shape, None):
             raise MaterialMismatch(
                 f"online phase requested {method}{shape} but the bundle holds "
                 f"{request.method}{request.shape} — program/batch mismatch"
@@ -149,32 +169,32 @@ class ReplayDealer:
         return material
 
     def beaver_triples(self, shape):
-        return self._next("beaver_triples", tuple(shape))
+        return self._next("beaver_triples", shape)
 
     def bit_triples(self, shape):
-        return self._next("bit_triples", tuple(shape))
+        return self._next("bit_triples", shape)
 
     def dabits(self, shape):
-        return self._next("dabits", tuple(shape))
+        return self._next("dabits", shape)
 
     def comparison_masks(self, shape):
-        return self._next("comparison_masks", tuple(shape))
+        return self._next("comparison_masks", shape)
 
     def linear_correlation(self, input_shape, ring_fn):
-        return self._next("linear_correlation", tuple(input_shape))
+        return self._next("linear_correlation", input_shape)
 
 
 def _relu_requests(shape: tuple[int, ...], out: list[MaterialRequest]) -> None:
     """The dealer requests one ``secure_relu`` over ``shape`` consumes.
 
-    Mirrors :mod:`repro.mpc.protocols.comparison`: one comparison mask,
-    the bitsliced 63-lane suffix-AND circuit (6 doubling rounds + the
+    As :func:`repro.mpc.protocols.secure_relu` draws them: one comparison
+    mask, the bitsliced 63-lane suffix-AND circuit (6 doubling rounds + the
     final strict AND, each one batched ``bit_triples`` call over one
     packed ``uint64`` word per element), one daBit batch for B2A and one
     Beaver triple batch for the multiplexing multiply.
     """
     out.append(MaterialRequest("comparison_masks", shape))
-    for _ in range(len(comparison.SUFFIX_STEPS)):  # suffix-AND by doubling
+    for _ in SUFFIX_STEPS:  # suffix-AND by doubling
         out.append(MaterialRequest("bit_triples", shape))
     out.append(MaterialRequest("bit_triples", shape))  # strict AND
     out.append(MaterialRequest("dabits", shape))
@@ -341,16 +361,7 @@ class PreprocessingPool:
     # ------------------------------------------------------------------
     def _generate(self, trace: list[MaterialRequest]) -> list[tuple[MaterialRequest, object]]:
         """One bundle's dealer generation. Callers hold ``_generation_lock``."""
-        bundle = []
-        for request in trace:
-            if request.method == "linear_correlation":
-                material = self._dealer.linear_correlation(
-                    request.shape, request.ring_fn
-                )
-            else:
-                material = getattr(self._dealer, request.method)(request.shape)
-            bundle.append((request, material))
-        return bundle
+        return [(request, request.draw(self._dealer)) for request in trace]
 
     def refill(self, bundles: int = 1) -> None:
         """Generate ``bundles`` fresh bundles (the offline phase).
@@ -481,14 +492,13 @@ class PreprocessingPool:
 # ----------------------------------------------------------------------
 # cross-session batch fusion
 # ----------------------------------------------------------------------
-def _fuse_pair(
-    parts: list[tuple[np.ndarray, np.ndarray]], axis: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-row (share0, share1) pairs along ``axis``."""
-    return (
-        np.concatenate([part[0] for part in parts], axis=axis),
-        np.concatenate([part[1] for part in parts], axis=axis),
-    )
+_MATERIAL_TYPES = {
+    "beaver_triples": BeaverTriple,
+    "bit_triples": BitTriple,
+    "dabits": DaBit,
+    "comparison_masks": ComparisonMask,
+    "linear_correlation": LinearCorrelation,
+}
 
 
 def fuse_bundles(
@@ -545,156 +555,78 @@ def fuse_bundles(
                 f"cannot fuse {base.method}{base.shape} into {request.shape}: "
                 "expected exactly one batch axis to widen"
             )
-        axis = differing[0]
         materials = [material for _, material in rows]
-        first = materials[0]
-        if isinstance(first, (BeaverTriple, BitTriple)):
-            material = type(first)(
-                a=_fuse_pair([m.a for m in materials], axis),
-                b=_fuse_pair([m.b for m in materials], axis),
-                c=_fuse_pair([m.c for m in materials], axis),
-            )
-        elif isinstance(first, DaBit):
-            material = DaBit(
-                boolean=_fuse_pair([m.boolean for m in materials], axis),
-                arithmetic=_fuse_pair([m.arithmetic for m in materials], axis),
-            )
-        elif isinstance(first, ComparisonMask):
-            material = ComparisonMask(
-                r_shares=_fuse_pair([m.r_shares for m in materials], axis),
-                low_bits=_fuse_pair([m.low_bits for m in materials], axis),
-                msb=_fuse_pair([m.msb for m in materials], axis),
-            )
-        elif isinstance(first, LinearCorrelation):
-            material = LinearCorrelation(
-                mask=np.concatenate([m.mask for m in materials], axis=axis),
-                client_offset=np.concatenate(
-                    [m.client_offset for m in materials], axis=axis
-                ),
-                server_offset=np.concatenate(
-                    [m.server_offset for m in materials], axis=axis
+        kind = type(materials[0])
+        if kind is not _MATERIAL_TYPES.get(base.method):
+            raise MaterialMismatch(f"unknown dealer material: {materials[0]!r}")
+        # Party-stacked fields carry the party axis in front of the
+        # request's axes.
+        axis = differing[0] + (kind is not LinearCorrelation)
+        fused.append(
+            (
+                request,
+                kind(
+                    **{
+                        f.name: np.concatenate(
+                            [getattr(m, f.name) for m in materials], axis=axis
+                        )
+                        for f in fields(kind)
+                    }
                 ),
             )
-        else:
-            raise MaterialMismatch(f"unknown dealer material: {first!r}")
-        fused.append((request, material))
+        )
     return fused
 
 
 # ----------------------------------------------------------------------
-# per-party material views (the two-process split)
+# one party's rows (the two-process split)
 # ----------------------------------------------------------------------
 # In the two-process deployment neither party may hold the other's halves
 # of the correlated randomness: the dealer (co-located with the server's
-# offline phase, like Delphi's preprocessing) splits every bundle and
-# ships the client its half as an opaque blob before the online phase.
-@dataclass
-class PartyItem:
-    """One party's halves of a single piece of dealer material.
-
-    Field access is forwarded to the underlying array dict so protocol
-    code reads ``item.a`` / ``item.mask`` just like the joint dataclasses.
-    """
-
-    method: str
-    arrays: dict[str, np.ndarray]
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        arrays = self.__dict__.get("arrays") or {}
-        if name in arrays:
-            return arrays[name]
-        raise AttributeError(name)
-
-
-def party_view(request: MaterialRequest, material, party: int) -> PartyItem:
-    """This party's view of one generated material item."""
-    if party not in (0, 1):
-        raise ValueError(f"party must be 0 or 1, got {party}")
-    if isinstance(material, (BeaverTriple, BitTriple)):
-        arrays = {
-            "a": material.a[party],
-            "b": material.b[party],
-            "c": material.c[party],
-        }
-    elif isinstance(material, DaBit):
-        arrays = {
-            "boolean": material.boolean[party],
-            "arithmetic": material.arithmetic[party],
-        }
-    elif isinstance(material, ComparisonMask):
-        arrays = {
-            "r": material.r_shares[party],
-            "low_bits": material.low_bits[party],
-            "msb": material.msb[party],
-        }
-    elif isinstance(material, LinearCorrelation):
-        # Asymmetric: the client holds the input mask and its offline
-        # output offset; the server holds only its random offset (it
-        # evaluates the linear map itself, online).
-        if party == 0:
-            arrays = {
-                "mask": material.mask,
-                "client_offset": material.client_offset,
-            }
-        else:
-            arrays = {"server_offset": material.server_offset}
-    else:
-        raise TypeError(f"unknown dealer material: {material!r}")
-    return PartyItem(method=request.method, arrays=arrays)
-
-
+# offline phase, like Delphi's preprocessing) takes each party's rows of
+# every bundle and ships the client its rows as an opaque blob before the
+# online phase. A party's bundle is the same list of (request, material)
+# pairs with one-row fields, consumed by the same ReplayDealer.
 def split_bundle(
     bundle: list[tuple[MaterialRequest, object]], party: int
-) -> list["PartyItem"]:
-    """One party's halves of a whole preprocessing bundle, in order."""
-    return [party_view(request, material, party) for request, material in bundle]
-
-
-def _join_item(item0: "PartyItem", item1: "PartyItem"):
-    """Reassemble one joint material record from its two party views."""
-    if item0.method != item1.method:
-        raise MaterialMismatch(
-            f"party bundles disagree: {item0.method} vs {item1.method}"
-        )
-    method = item0.method
-    if method in ("beaver_triples", "bit_triples"):
-        cls = BeaverTriple if method == "beaver_triples" else BitTriple
-        material = cls(
-            a=(item0.a, item1.a), b=(item0.b, item1.b), c=(item0.c, item1.c)
-        )
-        shape = tuple(item0.a.shape)
-    elif method == "dabits":
-        material = DaBit(
-            boolean=(item0.boolean, item1.boolean),
-            arithmetic=(item0.arithmetic, item1.arithmetic),
-        )
-        shape = tuple(item0.boolean.shape)
-    elif method == "comparison_masks":
-        material = ComparisonMask(
-            r_shares=(item0.r, item1.r),
-            low_bits=(item0.low_bits, item1.low_bits),
-            msb=(item0.msb, item1.msb),
-        )
-        shape = tuple(item0.r.shape)
-    elif method == "linear_correlation":
-        material = LinearCorrelation(
-            mask=item0.mask,
-            client_offset=item0.client_offset,
-            server_offset=item1.server_offset,
-        )
-        shape = tuple(item0.mask.shape)
-    else:
-        raise MaterialMismatch(f"unknown material method {method!r}")
-    return MaterialRequest(method, shape), material
+) -> list[tuple[MaterialRequest, object]]:
+    """One party's rows of a whole preprocessing bundle — views, no copy."""
+    if party not in (0, 1):
+        raise ValueError(f"party must be 0 or 1, got {party}")
+    rows = []
+    for request, material in bundle:
+        if isinstance(material, LinearCorrelation):
+            # Asymmetric: the client holds the input mask and its offline
+            # output offset; the server holds only its random offset (it
+            # evaluates the linear map itself, online).
+            row = (
+                LinearCorrelation(
+                    mask=material.mask, client_offset=material.client_offset
+                )
+                if party == 0
+                else LinearCorrelation(server_offset=material.server_offset)
+            )
+        elif type(material) in _MATERIAL_TYPES.values():
+            row = type(material)(
+                **{
+                    f.name: getattr(material, f.name)[party : party + 1]
+                    for f in fields(material)
+                }
+            )
+        else:
+            raise TypeError(f"unknown dealer material: {material!r}")
+        rows.append((request, row))
+    return rows
 
 
 def join_party_bundle(
-    items0: list["PartyItem"], items1: list["PartyItem"]
+    items0: list[tuple[MaterialRequest, object]],
+    items1: list[tuple[MaterialRequest, object]],
 ) -> list[tuple[MaterialRequest, object]]:
     """Inverse of :func:`split_bundle`: rebuild the joint bundle.
 
-    The crypto-producer service ships a serving process both party-split
-    halves of each bundle; rejoining them yields a bundle indistinguishable
+    The crypto-producer service ships a serving process both parties'
+    rows of each bundle; restacking them yields a bundle indistinguishable
     from local :class:`TrustedDealer` generation (``ring_fn`` is not
     reconstructed — it is a generation-time input, never consumed on the
     replay path). The serving pool can therefore split/retain/restore the
@@ -704,16 +636,58 @@ def join_party_bundle(
         raise MaterialMismatch(
             f"party bundles disagree in length: {len(items0)} vs {len(items1)}"
         )
-    return [_join_item(a, b) for a, b in zip(items0, items1)]
+    joined = []
+    for (request, rows0), (other, rows1) in zip(items0, items1):
+        if request.method != other.method:
+            raise MaterialMismatch(
+                f"party bundles disagree: {request.method} vs {other.method}"
+            )
+        if isinstance(rows0, LinearCorrelation):
+            material = LinearCorrelation(
+                mask=rows0.mask,
+                client_offset=rows0.client_offset,
+                server_offset=rows1.server_offset,
+            )
+        else:
+            material = type(rows0)(
+                **{
+                    f.name: np.concatenate(
+                        (getattr(rows0, f.name), getattr(rows1, f.name))
+                    )
+                    for f in fields(rows0)
+                }
+            )
+        joined.append((MaterialRequest(request.method, request.shape), material))
+    return joined
 
 
-def pack_party_bundle(items: list[PartyItem]) -> bytes:
-    """Serialise a per-party bundle for the wire (npz container, no pickle)."""
-    manifest = [{"method": item.method, "keys": list(item.arrays)} for item in items]
+def _wire_arrays(material) -> dict[str, np.ndarray]:
+    """The arrays of one party's row view as they travel: no party axis."""
+    held = {f.name: getattr(material, f.name) for f in fields(material)}
+    if isinstance(material, LinearCorrelation):
+        held = {key: array for key, array in held.items() if array is not None}
+        joint = len(held) == 3
+    else:
+        joint = any(len(array) != 1 for array in held.values())
+        held = {key: array[0] for key, array in held.items()}
+    if joint:
+        # Packing both parties' rows would hand one party the other's
+        # halves of the correlated randomness.
+        raise ValueError(
+            "pack_party_bundle takes one party's rows (split_bundle), not a "
+            "joint bundle"
+        )
+    return held
+
+
+def pack_party_bundle(items: list[tuple[MaterialRequest, object]]) -> bytes:
+    """Serialise one party's bundle for the wire (npz container, no pickle)."""
+    per_item = [(request.method, _wire_arrays(material)) for request, material in items]
+    manifest = [{"method": method, "keys": list(held)} for method, held in per_item]
     arrays = {
         f"{index}.{key}": array
-        for index, item in enumerate(items)
-        for key, array in item.arrays.items()
+        for index, (_, held) in enumerate(per_item)
+        for key, array in held.items()
     }
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
@@ -723,46 +697,29 @@ def pack_party_bundle(items: list[PartyItem]) -> bytes:
     return buffer.getvalue()
 
 
-def unpack_party_bundle(data: bytes) -> list[PartyItem]:
-    """Inverse of :func:`pack_party_bundle`."""
+def unpack_party_bundle(data: bytes) -> list[tuple[MaterialRequest, object]]:
+    """Inverse of :func:`pack_party_bundle`.
+
+    The request shapes are read back off the arrays. A server half of a
+    linear correlation carries only its output-shaped offset, so its
+    request shape is ``None`` (unknown; :class:`ReplayDealer` then checks
+    the method alone) — a serving process never runs from a lone server
+    half, it holds the joint bundle.
+    """
+    items = []
     with np.load(io.BytesIO(data), allow_pickle=False) as archive:
         manifest = json.loads(archive["manifest"].tobytes().decode("utf-8"))
-        return [
-            PartyItem(
-                method=entry["method"],
-                arrays={key: archive[f"{index}.{key}"] for key in entry["keys"]},
-            )
-            for index, entry in enumerate(manifest)
-        ]
-
-
-class PartyMaterialStream:
-    """Serves one party's bundle halves in consumption order.
-
-    The two-process analogue of :class:`ReplayDealer`: the party
-    protocols pop items as they execute and the stream validates that the
-    online phase asks for exactly what the offline phase shipped.
-    """
-
-    def __init__(self, items: list[PartyItem]):
-        self._items = deque(items)
-        self.consumed = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._items)
-
-    def next(self, method: str) -> PartyItem:
-        if not self._items:
-            raise MaterialMismatch(
-                f"party bundle exhausted: online phase requested {method} "
-                "but no material is left"
-            )
-        item = self._items.popleft()
-        if item.method != method:
-            raise MaterialMismatch(
-                f"online phase requested {method} but the party bundle holds "
-                f"{item.method} — program/batch mismatch"
-            )
-        self.consumed += 1
-        return item
+        for index, entry in enumerate(manifest):
+            kind = _MATERIAL_TYPES.get(entry["method"])
+            if kind is None:
+                raise MaterialMismatch(
+                    f"unknown material method {entry['method']!r}"
+                )
+            held = {key: archive[f"{index}.{key}"] for key in entry["keys"]}
+            if kind is LinearCorrelation:
+                shape = held["mask"].shape if "mask" in held else None
+            else:
+                shape = next(iter(held.values())).shape
+                held = {key: array[None] for key, array in held.items()}
+            items.append((MaterialRequest(entry["method"], shape), kind(**held)))
+    return items

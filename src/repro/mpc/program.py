@@ -346,8 +346,10 @@ def frame_plan(
     All payload sizes are static per (program, batch), so a transport's
     :class:`~repro.mpc.transport.BufferPool` can allocate every ring
     before the first round (``pool.presize(frame_plan(...))``) instead of
-    growing during it. Deferred linear reveals are listed under their
-    ``@slot`` staging keys, mirroring ``party_secure_linear``.
+    growing during it. Handed messages (the input share, linear masked
+    inputs) are listed under the ``@slot`` staging keys
+    :meth:`~repro.mpc.transport.Transport.hand` queues them under: the
+    slot counts same-label messages waiting for the same carrier frame.
     """
     plan: dict[str, set[int]] = {}
 
@@ -363,15 +365,17 @@ def frame_plan(
         add("b2a-open", max(1, (elements + 7) // 8))
         add("beaver-open", 16 * elements)
 
-    add("input-share", 8 * batch * int(np.prod(input_shape)))
+    # A message that travels alone is received under its bare wire label.
+    for key in ("input-share@0", "input-share"):
+        add(key, 8 * batch * int(np.prod(input_shape)))
     add("noised-reveal", 8 * batch * int(np.prod(output_shape)))
     flags = deferred_reveal_flags(ops)
     slot = 0
     for op, deferred in zip(ops, flags):
         if isinstance(op, (ConvOp, LinearOp)):
             nbytes = 8 * batch * int(np.prod(op.in_shape))
+            add(f"linear-masked-input@{slot}", nbytes)
             if deferred:
-                add(f"linear-masked-input@{slot}", nbytes)
                 slot += 1
             else:
                 add("linear-masked-input", nbytes)

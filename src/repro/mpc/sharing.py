@@ -47,14 +47,18 @@ _BIT_POSITIONS = np.arange(64, dtype=np.uint64)
 _WORD_DTYPE = np.dtype("<u8")
 
 
-def share_additive(
-    secret: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a uint64 array into two uniformly random additive shares."""
+def share_additive(secret: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Split a uint64 array into two uniformly random additive shares.
+
+    The result is one ``(2, ...)`` array — row ``p`` is party ``p``'s
+    share — so ``shares[0]`` / ``shares[1]`` and ``s0, s1 = shares`` read
+    as they would on a pair.
+    """
     secret = np.asarray(secret, dtype=np.uint64)
-    share0 = FixedPointConfig.random_ring(rng, secret.shape)
-    share1 = (secret - share0).astype(np.uint64)
-    return share0, share1
+    shares = np.empty((2, *secret.shape), dtype=np.uint64)
+    shares[0] = FixedPointConfig.random_ring(rng, secret.shape)
+    np.subtract(secret, shares[0], out=shares[1:])
+    return shares
 
 
 def reconstruct_additive(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
@@ -64,14 +68,13 @@ def reconstruct_additive(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
     )
 
 
-def share_boolean(
-    bits: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 0/1 uint8 array into two XOR shares."""
+def share_boolean(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Split a 0/1 uint8 array into two XOR shares (a ``(2, ...)`` array)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    share0 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-    share1 = (bits ^ share0).astype(np.uint8)
-    return share0, share1
+    shares = np.empty((2, *bits.shape), dtype=np.uint8)
+    shares[0] = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    np.bitwise_xor(bits, shares[0], out=shares[1:])
+    return shares
 
 
 def reconstruct_boolean(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
@@ -81,10 +84,8 @@ def reconstruct_boolean(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
     )
 
 
-def share_boolean_words(
-    bits: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """XOR-share a ``(..., k)`` bit-plane array as packed uint64 words.
+def share_boolean_words(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """XOR-share a ``(..., k)`` bit-plane array as ``(2, ...)`` packed words.
 
     Draws exactly the random bits :func:`share_boolean` would draw for the
     same bit-plane shape (one ``rng.integers`` call over ``bits.shape``),
@@ -94,7 +95,10 @@ def share_boolean_words(
     """
     bits = np.asarray(bits, dtype=np.uint8)
     share0 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-    return pack_bit_words(share0), pack_bit_words((bits ^ share0).astype(np.uint8))
+    shares = np.empty((2, *bits.shape[:-1]), dtype=np.uint64)
+    shares[0] = pack_bit_words(share0)
+    shares[1] = pack_bit_words(np.bitwise_xor(bits, share0, out=share0))
+    return shares
 
 
 def reconstruct_boolean_words(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:

@@ -53,6 +53,7 @@ on the same run.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import socket
 import struct
@@ -467,11 +468,12 @@ class LinkShaper:
 class Transport(Channel):
     """A :class:`Channel` that actually moves bytes between the parties.
 
-    ``Channel`` itself is the in-process implementation of the accounting
-    interface — it is what the joint engine uses when both parties live in
-    one address space and no bytes need to move. A ``Transport`` keeps
-    the identical counters (the party protocols account every message
-    exactly like the joint protocols do) and adds the movement API:
+    ``Channel`` itself is the in-process placement — both parties' rows
+    in one address space, every message accounted and none moved. A
+    ``Transport`` is the placement of one party: it keeps the identical
+    counters, implements the same ``frame`` / ``row`` / ``open_*`` /
+    ``hand`` calls the protocols are written against for a single row,
+    and underneath them adds the movement API:
 
     * :meth:`push` / :meth:`pull` — one-directional raw protocol messages;
     * :meth:`swap` — a simultaneous exchange (both parties send, then
@@ -489,6 +491,7 @@ class Transport(Channel):
         if party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {party}")
         self.party = party
+        self.parties = (party,)
         self.shaper = shaper
         self.stats = WireStats()
         self.pool: BufferPool | None = None
@@ -550,6 +553,65 @@ class Transport(Channel):
         if contiguous is not array:
             self._count_copied(label, contiguous.nbytes)
         return memoryview(contiguous).cast("B")
+
+    # -- placement: one row, the peer across the wire --------------------
+    # The protocols' only receive seam. Every opening and every handed
+    # message is length-checked against the shape the protocol expects:
+    # ``pull`` checks kind and label, never length, and a short or
+    # over-long frame must not reach the share arithmetic.
+    def row(self, party: int) -> int | None:
+        return 0 if party == self.party else None
+
+    def frame(self, label: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A pooled ``(1, *shape)`` frame the opening is computed into."""
+        return self.alloc_words(label, math.prod(shape)).reshape(1, *shape)
+
+    def _received(self, payload, label: str, expected: int, shape) -> None:
+        if len(payload) != expected:
+            raise TransportError(
+                f"party {self.party} expected {expected} bytes of {label!r} "
+                f"for shape {tuple(shape)} but received {len(payload)}"
+            )
+
+    def _swap_words(self, frame: np.ndarray, label: str) -> np.ndarray:
+        payload = self.swap(self.stage(frame, label), label)
+        self.exchange(frame.nbytes, label)
+        self._received(payload, label, frame.nbytes, frame.shape[1:])
+        return np.frombuffer(payload, dtype=np.uint64).reshape(frame.shape[1:])
+
+    def open_add(self, frame: np.ndarray, label: str) -> np.ndarray:
+        return frame[0] + self._swap_words(frame, label)
+
+    def open_xor(self, frame: np.ndarray, label: str) -> np.ndarray:
+        return frame[0] ^ self._swap_words(frame, label)
+
+    def open_bits(self, bits: np.ndarray, label: str) -> np.ndarray:
+        packed = pack_bits(bits)
+        payload = self.swap(packed, label)
+        self.exchange(len(packed), label)
+        self._received(payload, label, len(packed), bits.shape[1:])
+        return bits[0] ^ unpack_bits(payload, bits[0].size, bits.shape[1:])
+
+    def hand(self, label: str, shape: tuple[int, ...], fill) -> np.ndarray | None:
+        """The client queues the message (it leaves with its next push, or
+        at :meth:`flush_deferred`, sharing that frame); the server pulls.
+
+        Queued same-label messages stage under distinct ``@slot`` pool
+        keys so they never share a buffer ring.
+        """
+        count = math.prod(shape)
+        received = None
+        if self.party == 0:
+            key = f"{label}@{self.deferred_count(label)}"
+            message = self.alloc_words(key, count).reshape(shape)
+            fill(message)
+            self.push_deferred(memoryview(message).cast("B"), label)
+        else:
+            payload = self.pull(label)
+            self._received(payload, label, 8 * count, shape)
+            received = np.frombuffer(payload, dtype=np.uint64).reshape(shape)
+        self.send(0, 8 * count, label)
+        return received
 
     # -- shared bookkeeping ---------------------------------------------
     def _count_sent(self, kind: int, label: str, nbytes: int) -> None:
@@ -626,19 +688,6 @@ class Transport(Channel):
             return
         self._send_frame(FRAME_RAW, label, data)
 
-    def push_segments(self, segments, label: str) -> None:
-        """Send one raw message made of several buffers (one frame).
-
-        The peer receives a single contiguous payload; the sender never
-        concatenates the buffers on transports with scatter writes. Used
-        by the party protocols to ship a Beaver ``(d, e)`` pair per round
-        without copying the tensors into one array first.
-        """
-        if self._deferred:
-            self._flush_with([(label, list(segments))])
-            return
-        self._send_frame_segments(FRAME_RAW, label, segments)
-
     def push_deferred(self, data, label: str) -> None:
         """Queue a raw message to ride in the next outgoing frame.
 
@@ -712,11 +761,6 @@ class Transport(Channel):
     def swap(self, data: bytes, label: str) -> bytes:
         """Simultaneous exchange: send ours, receive theirs (one round)."""
         self.push(data, label)
-        return self.pull(label)
-
-    def swap_segments(self, segments, label: str) -> bytes:
-        """Segmented :meth:`swap`: send several buffers, get one payload."""
-        self.push_segments(segments, label)
         return self.pull(label)
 
     # -- control messages -----------------------------------------------

@@ -305,13 +305,7 @@ class DealerServer:
         record is served (store-then-serve is the idempotency argument).
         """
         dealer = stream.dealer
-        bundle = []
-        for request in trace:
-            if request.method == "linear_correlation":
-                material = dealer.linear_correlation(request.shape, request.ring_fn)
-            else:
-                material = getattr(dealer, request.method)(request.shape)
-            bundle.append((request, material))
+        bundle = [(request, request.draw(dealer)) for request in trace]
         record = _pack_record(
             pack_party_bundle(split_bundle(bundle, 0)),
             pack_party_bundle(split_bundle(bundle, 1)),

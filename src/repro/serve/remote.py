@@ -86,9 +86,9 @@ from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from ..mpc.network import NetworkModel, TrafficSnapshot
 from ..mpc.party import PartyEngine, program_fingerprint, program_manifest
 from ..mpc.preprocessing import (
-    PartyMaterialStream,
     PoolExhausted,
     PreprocessingPool,
+    ReplayDealer,
     pack_party_bundle,
     split_bundle,
     unpack_party_bundle,
@@ -1189,7 +1189,7 @@ class RemoteServer:
             if record is not None:
                 record.shipped = True
             transport.send_blob(blob, "bundle")
-            material = PartyMaterialStream(split_bundle(bundle, 1))
+            material = ReplayDealer(split_bundle(bundle, 1))
             offline_s = time.perf_counter() - offline_start
             self._run_request(
                 transport, batch, stats, pool, material, offline_s
@@ -1212,7 +1212,7 @@ class RemoteServer:
         batch: int,
         stats: SessionStats,
         pool: PreprocessingPool,
-        material: PartyMaterialStream,
+        material: ReplayDealer,
         offline_s: float,
     ) -> None:
         # Online: our half of the protocol, then reveal + clear phase.
@@ -1606,7 +1606,7 @@ class RemoteClient:
                 f"({payload.get('detail')})"
             )
         blob = payload
-        material = PartyMaterialStream(unpack_party_bundle(blob))
+        material = ReplayDealer(unpack_party_bundle(blob))
 
         before = transport.snapshot()
         raw_before = transport.stats.raw_payload_total

@@ -350,10 +350,7 @@ class C2PIServer:
                 share_additive(config.encode(request.image[None]), lane.share_rng)
                 for request, lane in zip(requests, lanes)
             ]
-            input_shares = (
-                np.concatenate([shares[0] for shares in row_shares]),
-                np.concatenate([shares[1] for shares in row_shares]),
-            )
+            input_shares = np.concatenate(row_shares, axis=1)
             images = np.stack([request.image for request in requests])
             fused = fuse_bundles(bundles, material_plan(self.program, len(requests)))
             start = time.perf_counter()

@@ -3,14 +3,21 @@
 import numpy as np
 
 
-def leak_raw_share(io, x):
-    # The local share goes out with no masking chain at all.
-    io.push(memoryview(x).cast("B"), "beaver-open")
+def leak_raw_share(channel, x):
+    # The local share is opened with no masking chain at all.
+    return channel.open_add(x, "beaver-open")
 
 
-def leak_via_swap(io, x, triple):
-    d = x + triple.a  # plain expression, not written into a pooled frame
-    return io.swap(bytes(d), "beaver-open")
+def leak_unmasked_frame(channel, x, triple):
+    # A pooled frame — but what is written into it carries no mask.
+    opening = channel.frame("beaver-open", x.shape[1:])
+    np.multiply(x, 2, out=opening)
+    return channel.open_add(opening, "beaver-open")
+
+
+def leak_handed_input(channel, x):
+    # The client's raw share handed to the server.
+    return channel.hand("linear-masked-input", x.shape[1:], lambda out: np.copyto(out, x[0]))
 
 
 def leak_to_log(io, x):

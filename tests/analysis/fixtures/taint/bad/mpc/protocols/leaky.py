@@ -12,7 +12,7 @@ def _launder(value):
     return value
 
 
-def ship_raw(io, x):
-    # The secret rides a helper's return value onto the wire — invisible
-    # to any per-function pass.
-    io.push(_launder(x), "open")
+def ship_raw(channel, x):
+    # The secret rides a helper's return value into an opening —
+    # invisible to any per-function pass.
+    return channel.open_add(_launder(x), "open")

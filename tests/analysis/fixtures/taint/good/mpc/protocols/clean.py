@@ -1,6 +1,6 @@
 """Known-good taint flows: declassified metadata and sanctioned sends."""
 
-__all__ = ["check_shape", "ship", "ship_direct"]
+__all__ = ["check_shape", "ship", "ship_direct", "open_masked"]
 
 
 def check_shape(x):
@@ -20,3 +20,10 @@ def ship(io, x):
 
 def ship_direct(io, x):
     io.push(io.stage(x, "open"), "open")
+
+
+def open_masked(channel, b, dealer):
+    # A dealer draw is a source, but the opened expression mixes it in as
+    # the mask — blinded, hence sanctioned.
+    dabit = dealer.dabits(b.shape[1:])
+    return channel.open_bits(b ^ dabit.boolean, "b2a-open")

@@ -52,7 +52,6 @@ EXPECTED_BAD = {
         "schedule/missing-receive",
         "schedule/label-mismatch",
         "schedule/deadlock",
-        "schedule/round-drift",
         "schedule/cost-drift",
         "schedule/unresolvable-trace",
     },

@@ -1,5 +1,5 @@
 """The schedule pass, tested three ways: every rule fires exactly once
-on the known-bad halves, the real tree's extracted schedule matches the
+on the known-bad fixtures, the real tree's extracted schedule matches the
 cost model's own method lists, and the exported schedule table is the
 shape the CI artifact expects."""
 
@@ -18,12 +18,11 @@ def test_bad_fixture_fires_each_rule_exactly_once():
     report = run_audit(FIXTURES / "bad", passes=(schedule,))
     fired = Counter(finding.rule for finding in report.findings)
     assert fired == {
+        "schedule/cost-drift": 1,
+        "schedule/unresolvable-trace": 1,
         "schedule/missing-receive": 1,
         "schedule/label-mismatch": 1,
         "schedule/deadlock": 1,
-        "schedule/round-drift": 1,
-        "schedule/cost-drift": 1,
-        "schedule/unresolvable-trace": 1,
     }, report.findings
 
 
@@ -32,34 +31,30 @@ def test_good_fixture_is_silent():
     assert not report.findings, [f.render() for f in report.findings]
 
 
-def test_real_tree_proves_duality():
+def test_real_tree_is_clean():
     report = run_audit(default_root(), passes=(schedule,))
     assert not report.findings, [f.render() for f in report.findings]
 
 
 def test_relu_schedule_matches_cost_model():
-    """The extracted per-label opening counts of the party-half ReLU are
-    exactly the cost model's own method list mapped through the traffic
-    table — ``_METHOD_TRAFFIC`` cannot drift from the implementation."""
+    """The extracted per-label opening counts of the ReLU are exactly the
+    cost model's own method list mapped through the traffic table —
+    ``_METHOD_TRAFFIC`` cannot drift from the implementation."""
     table = extract_schedule(load_modules(default_root()))
     labels = method_wire_labels()
     expected = Counter(labels[m] for m in _relu_methods())
-    for name in ("party_secure_relu", "secure_relu"):
-        section = "party" if name.startswith("party_") else "joint"
-        entry = table[section][name]
-        assert entry["opens"] == dict(expected), (name, entry["opens"])
+    entry = table["protocols"]["secure_relu"]
+    assert entry["opens"] == dict(expected), entry["opens"]
+    assert entry["consumes"] == dict(Counter(_relu_methods()))
 
 
-def test_party_halves_trace_symmetrically():
+def test_every_primitive_resolves():
     table = extract_schedule(load_modules(default_root()))
-    for name, entry in table["party"].items():
+    assert {"beaver_multiply", "boolean_and", "secure_linear"} <= set(
+        table["protocols"]
+    )
+    for name, entry in table["protocols"].items():
         assert "error" not in entry, f"{name}: unresolvable"
-        # Non-movement kinds must agree exactly; movements are dual by
-        # the pass itself (test_real_tree_proves_duality).
-        for kind in ("consume", "acct", "tick"):
-            half0 = [e for e in entry["party0"] if e[0] == kind]
-            half1 = [e for e in entry["party1"] if e[0] == kind]
-            assert half0 == half1, (name, kind)
 
 
 def test_dealer_rpc_label_sets_are_dual():
@@ -75,6 +70,6 @@ def test_expected_opens_never_exceed_observed():
     """Every label a function consumes material for is actually opened —
     the acceptance criterion, asserted over the whole extracted table."""
     table = extract_schedule(load_modules(default_root()))
-    for entry in table["party"].values():
+    for entry in table["protocols"].values():
         for label, count in entry.get("expected_opens", {}).items():
             assert entry["opens"].get(label) == count, entry

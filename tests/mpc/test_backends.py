@@ -6,8 +6,10 @@ import pytest
 from repro import nn
 from repro.models.layered import LayeredModel
 from repro.mpc.backends import CheetahSuite, DealerSuite, DelphiSuite, linear_map_matrix
+from repro.mpc.backends.suite import PlacementError
 from repro.mpc.engine import SecureInferenceEngine
 from repro.mpc.network import Channel
+from repro.mpc.transport import QueueTransport
 
 
 def _tiny_model(seed=0):
@@ -54,6 +56,31 @@ class TestLinearMapMatrix:
 
         matrix = linear_map_matrix(ring_fn, (2, 4, 4))
         assert matrix.shape == (3 * 4 * 4, 2 * 4 * 4)
+
+
+class TestFunctionalSuitesNeedBothRows:
+    """The functional stacks run both parties in one address space: handed
+    one party's transport they refuse with a typed error, before any
+    cryptography runs."""
+
+    @pytest.mark.parametrize(
+        "make_suite",
+        [
+            lambda: DelphiSuite(np.random.default_rng(1), key_bits=256, ot_security=40),
+            lambda: CheetahSuite(np.random.default_rng(2), ring_dim=64, ot_security=40),
+        ],
+        ids=["delphi", "cheetah"],
+    )
+    def test_one_row_placement_is_a_typed_error(self, make_suite):
+        suite = make_suite()
+        one_row = np.zeros((1, 1, 4), np.uint64)
+        for io in QueueTransport.pair():
+            with pytest.raises(PlacementError, match="both parties"):
+                suite.relu(one_row, io)
+            with pytest.raises(PlacementError, match="both parties"):
+                suite.linear(one_row, lambda v: v, None, io)
+            with pytest.raises(PlacementError, match="both parties"):
+                suite.maximum(one_row, one_row, io)
 
 
 @pytest.mark.slow

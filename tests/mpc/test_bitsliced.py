@@ -18,11 +18,13 @@ Four pillars of the uint64 packing refactor are pinned here:
 
 import hashlib
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from placements import run_parties, run_placements
 
 from repro.mpc import Channel, FixedPointConfig, TrustedDealer
 from repro.mpc.costs import (
@@ -36,8 +38,9 @@ from repro.mpc.costs import (
 )
 from repro.mpc.party import PartyEngine, program_manifest
 from repro.mpc.preprocessing import (
-    PartyMaterialStream,
     PreprocessingPool,
+    RecordingDealer,
+    ReplayDealer,
     pack_party_bundle,
     split_bundle,
     unpack_party_bundle,
@@ -48,8 +51,8 @@ from repro.mpc.protocols import (
     secure_drelu,
     secure_msb,
     secure_relu,
+    word_parity,
 )
-from repro.mpc.protocols.comparison import word_parity
 from repro.mpc.sharing import (
     COMPARISON_BITS,
     LOW63_MASK,
@@ -61,7 +64,6 @@ from repro.mpc.sharing import (
     share_boolean_words,
     unpack_bit_words,
 )
-from repro.mpc.transport import QueueTransport
 
 CFG = FixedPointConfig(frac_bits=12)
 
@@ -157,8 +159,10 @@ class TestAgainstNaiveReference:
         r = (grid_r.reshape(-1) & LOW63_MASK).astype(np.uint64)
         rng = np.random.default_rng(0)
         r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
-        lt = public_less_than_shared(
-            z, r_words, TrustedDealer(seed=0), Channel()
+        lt, _ = run_placements(
+            lambda rows, dealer, channel: public_less_than_shared(
+                z, rows(r_words), dealer, channel
+            )
         )
         np.testing.assert_array_equal(
             reconstruct_boolean(*lt), reference_less_than(z, r)
@@ -174,8 +178,11 @@ class TestAgainstNaiveReference:
         z = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
         r = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
         r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
-        lt = public_less_than_shared(
-            z, r_words, TrustedDealer(seed=seed), Channel()
+        lt, _ = run_placements(
+            lambda rows, dealer, channel: public_less_than_shared(
+                z, rows(r_words), dealer, channel
+            ),
+            seed,
         )
         np.testing.assert_array_equal(
             reconstruct_boolean(*lt), reference_less_than(z, r)
@@ -187,8 +194,10 @@ class TestAgainstNaiveReference:
         """Sign extraction at 0, +-1, 2^62, 2^63-1 and -2^63 exactly."""
         rng = np.random.default_rng(seed)
         values = RING_BOUNDARY_VALUES
-        msb = secure_msb(
-            share_additive(values, rng), TrustedDealer(seed=seed), Channel()
+        shares = share_additive(values, rng)
+        msb, _ = run_placements(
+            lambda rows, dealer, channel: secure_msb(rows(shares), dealer, channel),
+            seed,
         )
         np.testing.assert_array_equal(
             reconstruct_boolean(*msb),
@@ -198,8 +207,10 @@ class TestAgainstNaiveReference:
     def test_relu_at_ring_boundaries(self):
         rng = np.random.default_rng(9)
         values = RING_BOUNDARY_VALUES
-        ys = secure_relu(
-            share_additive(values, rng), TrustedDealer(seed=9), Channel()
+        shares = share_additive(values, rng)
+        ys, _ = run_placements(
+            lambda rows, dealer, channel: secure_relu(rows(shares), dealer, channel),
+            seed=9,
         )
         signed = values.astype(np.int64)
         expected = np.where(signed >= 0, values, np.uint64(0)).astype(np.uint64)
@@ -344,14 +355,14 @@ class TestCostModelMatchesReality:
 
     def test_relu_offline_material_bytes_exact(self):
         """The modeled material footprint equals the generated arrays."""
-        from repro.bench.protocols import _CollectingDealer, material_nbytes
+        from repro.bench.protocols import material_nbytes
 
         n = 513
         rng = np.random.default_rng(2)
         x = share_additive(
             CFG.encode(rng.uniform(-4, 4, size=(n,)).astype(np.float32)), rng
         )
-        collector = _CollectingDealer(TrustedDealer(seed=2))
+        collector = RecordingDealer(TrustedDealer(seed=2))
         secure_relu(x, collector, Channel())
         measured: dict = {}
         for request, material in collector.items:
@@ -373,28 +384,18 @@ class TestCostModelMatchesReality:
         bundle = pool.acquire_bundle()
         predicted = dealer_label_traffic(pool.requirements())
 
-        client_io, server_io = QueueTransport.pair()
         client = PartyEngine.from_manifest(
             program_manifest(program), share_seed=4
         )
         server = PartyEngine.from_program(program, party=1)
-        out = {}
-
-        def server_side():
-            out["server"] = server.run(
-                server_io, PartyMaterialStream(split_bundle(bundle, 1)), batch=1
-            )
-
-        thread = threading.Thread(target=server_side)
-        thread.start()
-        out["client"] = client.run(
-            client_io,
-            PartyMaterialStream(split_bundle(bundle, 0)),
-            x=resnet_image,
+        out, _ = run_parties(
+            lambda io: client.run(
+                io, ReplayDealer(split_bundle(bundle, 0)), x=resnet_image
+            ),
+            lambda io: server.run(io, ReplayDealer(split_bundle(bundle, 1)), batch=1),
         )
-        thread.join()
 
-        transport = out["client"].transport
+        transport = out[0].transport
         for label, expected in predicted.items():
             accounted = transport.by_label[label].total_bytes
             measured = transport.stats.raw_by_label[label]
@@ -421,49 +422,41 @@ class TestCostModelMatchesReality:
 
 
 class TestPackedBundleSerialization:
-    def test_party_halves_roundtrip_with_word_dtypes(self, resnet_victim):
+    def test_party_rows_roundtrip_with_word_dtypes(self, resnet_victim):
         program = compile_program(resnet_victim, 3.5)
         pool = PreprocessingPool(program, batch=1, dealer_seed=6)
         items = split_bundle(pool.acquire_bundle(), 0)
         restored = unpack_party_bundle(pack_party_bundle(items))
-        assert [item.method for item in restored] == [
-            item.method for item in items
+        assert [(r.method, r.shape) for r, _ in restored] == [
+            (r.method, r.shape) for r, _ in items
         ]
-        for ours, theirs in zip(restored, items):
-            for key in theirs.arrays:
-                assert ours.arrays[key].dtype == theirs.arrays[key].dtype
-                np.testing.assert_array_equal(ours.arrays[key], theirs.arrays[key])
-        # Packed boolean halves: triple words and mask words are uint64.
-        bit_items = [item for item in restored if item.method == "bit_triples"]
+        for (_, ours), (_, theirs) in zip(restored, items):
+            for field in fields(theirs):
+                original = getattr(theirs, field.name)
+                if original is None:  # the server's field of a linear layer
+                    continue
+                assert getattr(ours, field.name).dtype == original.dtype
+                np.testing.assert_array_equal(getattr(ours, field.name), original)
+        # Packed boolean rows: triple words and mask words are uint64.
+        bit_items = [m for r, m in restored if r.method == "bit_triples"]
         assert bit_items and all(
-            item.arrays[key].dtype == np.uint64
-            for item in bit_items
-            for key in ("a", "b", "c")
+            getattr(m, key).dtype == np.uint64 for m in bit_items for key in "abc"
         )
-        mask_items = [
-            item for item in restored if item.method == "comparison_masks"
-        ]
-        assert mask_items and all(
-            item.arrays["low_bits"].dtype == np.uint64 for item in mask_items
-        )
+        mask_items = [m for r, m in restored if r.method == "comparison_masks"]
+        assert mask_items and all(m.low_bits.dtype == np.uint64 for m in mask_items)
 
-    def test_packed_halves_are_smaller_than_byte_per_bit(self, resnet_victim):
-        """>= 4x offline shrink: one party's bit-triple half costs 8 bytes
+    def test_packed_rows_are_smaller_than_byte_per_bit(self, resnet_victim):
+        """>= 4x offline shrink: one party's bit-triple rows cost 8 bytes
         per element per array versus 63 in the seed layout."""
         program = compile_program(resnet_victim, 3.5)
         pool = PreprocessingPool(program, batch=1, dealer_seed=8)
-        items = split_bundle(pool.acquire_bundle(), 0)
-        packed_bits = sum(
-            array.nbytes
-            for item in items
-            if item.method == "bit_triples"
-            for array in item.arrays.values()
-        )
-        elements = sum(
-            item.arrays["a"].size
-            for item in items
-            if item.method == "bit_triples"
-        )
+        triples = [
+            m
+            for r, m in split_bundle(pool.acquire_bundle(), 0)
+            if r.method == "bit_triples"
+        ]
+        packed_bits = sum(getattr(m, key).nbytes for m in triples for key in "abc")
+        elements = sum(m.a.size for m in triples)
         assert packed_bits == elements * 3 * WORD_BYTES
         byte_per_bit_baseline = elements * 3 * COMPARISON_BITS
         assert byte_per_bit_baseline >= 4 * packed_bits

@@ -6,22 +6,20 @@ payload is staged in (and delivered into) a reusable
 ``WireStats.frames_pooled`` / ``WireStats.bytes_copied``. These tests
 pin the pool mechanics (rotation, presizing, counting) and the
 end-to-end regression: a full resnet20 two-party pass with **zero**
-copied raw bytes on either side, byte-identical to the joint engine.
+copied raw bytes on either side (that the pooled pass is byte-identical to
+the in-process placement is pinned by ``tests/mpc/test_party.py``).
 """
 
 import threading
 
 import numpy as np
 import pytest
+from placements import run_parties
 
 from repro.models import resnet20
-from repro.mpc import SecureInferenceEngine, compile_program
+from repro.mpc import compile_program
 from repro.mpc.party import PartyEngine, program_manifest
-from repro.mpc.preprocessing import (
-    PartyMaterialStream,
-    PreprocessingPool,
-    split_bundle,
-)
+from repro.mpc.preprocessing import PreprocessingPool, ReplayDealer, split_bundle
 from repro.mpc.program import frame_plan
 from repro.mpc.transport import FRAME_RAW, BufferPool, QueueTransport
 
@@ -133,25 +131,13 @@ def two_party_run(program):
     image = np.random.default_rng(7).random((1, 3, 32, 32), dtype=np.float32)
     pool = PreprocessingPool(program, batch=1, dealer_seed=11)
     bundle = pool.acquire_bundle()
-    client_io, server_io = QueueTransport.pair()
     client = PartyEngine.from_manifest(program_manifest(program), share_seed=5)
     server = PartyEngine.from_program(program, party=1)
-    out = {}
-
-    def server_side():
-        out["server"] = server.run(
-            server_io, PartyMaterialStream(split_bundle(bundle, 1)), batch=1
-        )
-
-    thread = threading.Thread(target=server_side)
-    thread.start()
-    out["client"] = client.run(
-        client_io, PartyMaterialStream(split_bundle(bundle, 0)), x=image
+    _, ios = run_parties(
+        lambda io: client.run(io, ReplayDealer(split_bundle(bundle, 0)), x=image),
+        lambda io: server.run(io, ReplayDealer(split_bundle(bundle, 1)), batch=1),
     )
-    thread.join()
-    out["image"] = image
-    out["ios"] = (client_io, server_io)
-    return out
+    return {"ios": ios}
 
 
 class TestResnetAllocationRegression:
@@ -181,16 +167,3 @@ class TestResnetAllocationRegression:
                     assert nbytes in plan[label], (
                         f"unplanned size {nbytes} for {label!r}"
                     )
-
-    def test_pooled_run_matches_joint_engine_bytes(self, program, two_party_run):
-        pool = PreprocessingPool(program, batch=1, dealer_seed=11)
-        pool.refill(1)
-        joint = SecureInferenceEngine.from_program(
-            program, dealer_seed=11, share_seed=5
-        ).run(two_party_run["image"], material=pool.acquire())
-        np.testing.assert_array_equal(
-            two_party_run["client"].share, joint.shares[0]
-        )
-        np.testing.assert_array_equal(
-            two_party_run["server"].share, joint.shares[1]
-        )

@@ -43,7 +43,7 @@ class TestDealer:
     def test_comparison_mask_bits_match_mask(self):
         dealer = TrustedDealer(seed=3)
         mask = dealer.comparison_masks((64,))
-        r = reconstruct_additive(*mask.r_shares)
+        r = reconstruct_additive(*mask.r)
         low = reconstruct_boolean_words(*mask.low_bits)  # packed low-63 word
         msb = reconstruct_boolean(*mask.msb)
         recomposed = (low | (msb.astype(np.uint64) << np.uint64(63))).astype(

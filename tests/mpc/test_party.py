@@ -1,139 +1,169 @@
-"""The party-split engine must reproduce the joint engine byte for byte.
+"""Placement equivalence: one executor, three placements, the same bytes.
 
-These tests run the client and server halves as two threads over the
-loopback transport and pin the core deployment invariants:
+The protocols and the program executor exist once; the channel they are
+handed decides whether both parties' rows live in this process or one
+party talks to its peer over a transport. These tests run the same
+program, input and offline bundle under every placement — in-process
+(:class:`Channel`), two threads over :class:`QueueTransport`, two threads
+over TCP :class:`PeerChannel` — and pin:
 
-* output shares identical to ``SecureInferenceEngine.run`` under the
-  same seeds and preprocessing material;
+* output shares identical, row for row;
 * channel accounting (bytes, rounds, messages, per-label breakdown)
-  identical on both parties and to the joint run;
-* measured socket payload equal to the channel accounting;
+  identical on every party of every placement;
+* measured raw wire payload equal to the channel accounting;
+* a wrong-batch bundle is a typed ``MaterialMismatch`` on every party of
+  every placement, at its first item;
 * the client executes a weight-free program reconstructed from the
   handshake manifest — no weights ever reach party 0.
 """
 
-import threading
+import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from placements import labels, run_parties
 
-from repro.models import resnet20, vgg16
+from repro import nn
+from repro.models import resnet20
+from repro.models.layered import LayeredModel
 from repro.mpc import SecureInferenceEngine, compile_program
+from repro.mpc.network import Channel
 from repro.mpc.party import PartyEngine, ops_from_manifest, program_manifest
 from repro.mpc.preprocessing import (
-    PartyMaterialStream,
+    MaterialMismatch,
     PreprocessingPool,
+    ReplayDealer,
+    fuse_bundles,
+    material_plan,
     pack_party_bundle,
     split_bundle,
     unpack_party_bundle,
 )
 from repro.mpc.program import ConvOp, LinearOp
+from repro.mpc.sharing import reconstruct_additive
 from repro.mpc.transport import QueueTransport
 
+PLACEMENTS = ("in-process", "queue", "tcp")
+
+
+def _pool_victim(pool: nn.Module) -> LayeredModel:
+    rng = np.random.default_rng(3)
+    modules = [
+        nn.Conv2d(1, 3, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        pool,
+        nn.Conv2d(3, 2, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.Flatten(),
+        nn.Linear(2 * 4 * 4, 4, rng=rng),
+    ]
+    return LayeredModel(modules, name="tiny", input_shape=(1, 8, 8)).eval()
+
 
 @pytest.fixture(scope="module")
-def victim():
-    return vgg16(width_mult=0.125, rng=np.random.default_rng(0)).eval()
+def programs():
+    resnet = resnet20(width_mult=0.25, rng=np.random.default_rng(1)).eval()
+    maxpool = _pool_victim(nn.MaxPool2d(2))
+    avgpool = _pool_victim(nn.AvgPool2d(2))
+    return {
+        "resnet20@3.5": compile_program(resnet, 3.5),
+        "max-pool": compile_program(maxpool, maxpool.layer_ids[-1]),
+        "avg-pool": compile_program(avgpool, avgpool.layer_ids[-1]),
+    }
 
 
 @pytest.fixture(scope="module")
-def program(victim):
-    return compile_program(victim, 2.5)
+def program(programs):
+    return programs["resnet20@3.5"]
 
 
-def run_two_party(program, image, dealer_seed=11, share_seed=5, ship_bundle=False):
-    """Execute the program as two party threads over loopback queues."""
-    pool = PreprocessingPool(program, batch=image.shape[0], dealer_seed=dealer_seed)
-    bundle = pool.acquire_bundle()
-    client_half = split_bundle(bundle, 0)
-    if ship_bundle:  # exercise the wire serialisation too
-        client_half = unpack_party_bundle(pack_party_bundle(client_half))
-    client_io, server_io = QueueTransport.pair()
+def _bundle(program, batch: int, dealer_seed: int = 11):
+    """One offline bundle; batch > 1 is fused from batch-1 bundles, the
+    way the serving layer builds it."""
+    pool = PreprocessingPool(program, batch=1, dealer_seed=dealer_seed)
+    bundles = [pool.acquire_bundle() for _ in range(batch)]
+    return fuse_bundles(bundles, material_plan(program, batch))
+
+
+def _images(program, batch: int) -> np.ndarray:
+    return np.random.default_rng(7).random(
+        (batch, *program.input_shape), dtype=np.float32
+    )
+
+
+@dataclass
+class Run:
+    shares: np.ndarray  # (2, ...): row p is party p's output share
+    channels: list[Channel]  # every party's accounting
+    tallies: list
+
+
+def run_placement(program, images, bundle, placement: str, share_seed: int = 5) -> Run:
+    """Execute ``program`` on ``images`` with ``bundle`` under one placement."""
+    if placement == "in-process":
+        engine = SecureInferenceEngine.from_program(program, share_seed=share_seed)
+        result = engine.run(images, material=ReplayDealer(bundle))
+        return Run(result.shares, [result.channel], result.tallies)
+    # The client's rows cross the wire as a blob, exactly as deployed.
+    client_rows = unpack_party_bundle(pack_party_bundle(split_bundle(bundle, 0)))
     client = PartyEngine.from_manifest(program_manifest(program), share_seed=share_seed)
     server = PartyEngine.from_program(program, party=1)
-    out = {}
-
-    def server_side():
-        out["server"] = server.run(
-            server_io,
-            PartyMaterialStream(split_bundle(bundle, 1)),
-            batch=image.shape[0],
-        )
-
-    thread = threading.Thread(target=server_side)
-    thread.start()
-    out["client"] = client.run(
-        client_io, PartyMaterialStream(client_half), x=image
+    out, ios = run_parties(
+        lambda io: client.run(io, ReplayDealer(client_rows), x=images),
+        lambda io: server.run(
+            io, ReplayDealer(split_bundle(bundle, 1)), batch=images.shape[0]
+        ),
+        placement,
     )
-    thread.join()
-    return out["client"], out["server"]
+    return Run(np.stack([out[0].share, out[1].share]), list(ios), out[0].tallies)
 
 
-def joint_reference(program, image, dealer_seed=11, share_seed=5):
-    pool = PreprocessingPool(program, batch=image.shape[0], dealer_seed=dealer_seed)
-    pool.refill(1)
-    engine = SecureInferenceEngine.from_program(
-        program, dealer_seed=dealer_seed, share_seed=share_seed
-    )
-    return engine.run(image, material=pool.acquire())
+class TestPlacementEquivalence:
+    @pytest.mark.parametrize("batch", (1, 2))
+    @pytest.mark.parametrize("victim", ("resnet20@3.5", "max-pool", "avg-pool"))
+    def test_shares_accounting_and_wire_are_identical(self, programs, victim, batch):
+        program = programs[victim]
+        images, bundle = _images(program, batch), _bundle(program, batch)
+        reference = run_placement(program, images, bundle, "in-process")
+        (joint,) = reference.channels
+        assert reference.shares.shape == (2, batch, *program.output_shape)
+        for placement in PLACEMENTS[1:]:
+            run = run_placement(program, images, bundle, placement)
+            np.testing.assert_array_equal(run.shares, reference.shares)
+            for party in run.channels:
+                assert labels(party) == labels(joint), placement
+                assert party.total_bytes == joint.total_bytes
+                assert party.rounds == joint.rounds
+                assert party.messages == joint.messages
+                # Raw wire payload == channel bytes, per direction.
+                assert party.stats.raw_payload_total == party.total_bytes
+            client = run.channels[0]
+            assert client.stats.raw_payload_sent == client.bytes_client_to_server
+            assert client.stats.raw_payload_received == client.bytes_server_to_client
 
-
-class TestLoopbackEquivalence:
-    def test_vgg_byte_identical_shares_and_accounting(self, program):
-        image = np.random.default_rng(7).random((1, 3, 32, 32), dtype=np.float32)
-        joint = joint_reference(program, image)
-        client, server = run_two_party(program, image, ship_bundle=True)
-
-        np.testing.assert_array_equal(client.share, joint.shares[0])
-        np.testing.assert_array_equal(server.share, joint.shares[1])
-        for party in (client.transport, server.transport):
-            assert party.total_bytes == joint.channel.total_bytes
-            assert party.rounds == joint.channel.rounds
-            assert party.messages == joint.channel.messages
-        # Per-label breakdown matches the joint accounting exactly.
-        joint_labels = {
-            label: (s.total_bytes, s.rounds, s.messages)
-            for label, s in joint.channel.label_breakdown().items()
-        }
-        client_labels = {
-            label: (s.total_bytes, s.rounds, s.messages)
-            for label, s in client.transport.label_breakdown().items()
-        }
-        assert client_labels == joint_labels
-
-    def test_measured_payload_equals_accounting(self, program):
-        image = np.random.default_rng(8).random((1, 3, 32, 32), dtype=np.float32)
-        client, server = run_two_party(program, image)
-        for party in (client, server):
-            stats = party.transport.stats
-            assert stats.raw_payload_total == party.transport.total_bytes
-        # Directional accounting matches what each side physically sent.
-        client_stats = client.transport.stats
-        assert client_stats.raw_payload_sent == (
-            client.transport.bytes_client_to_server
-        )
-        assert client_stats.raw_payload_received == (
-            client.transport.bytes_server_to_client
-        )
-
-    def test_resnet_residual_path_batched(self):
-        model = resnet20(width_mult=0.25, rng=np.random.default_rng(1)).eval()
-        program = compile_program(model, 3.5)
-        batch = np.random.default_rng(9).random((2, 3, 32, 32), dtype=np.float32)
-        joint = joint_reference(program, batch, dealer_seed=3, share_seed=4)
-        client, server = run_two_party(program, batch, dealer_seed=3, share_seed=4)
-        np.testing.assert_array_equal(client.share, joint.shares[0])
-        np.testing.assert_array_equal(server.share, joint.shares[1])
-        assert client.transport.rounds == joint.channel.rounds
-
-    def test_tally_stream_matches_joint(self, program):
-        image = np.random.default_rng(10).random((1, 3, 32, 32), dtype=np.float32)
-        joint = joint_reference(program, image)
-        client, _ = run_two_party(program, image)
-        assert [t.kind for t in client.tallies] == [t.kind for t in joint.tallies]
-        for ours, theirs in zip(client.tallies, joint.tallies):
+    def test_tally_stream_matches(self, program):
+        images, bundle = _images(program, 1), _bundle(program, 1)
+        joint = run_placement(program, images, bundle, "in-process")
+        party = run_placement(program, images, bundle, "queue")
+        assert [t.kind for t in party.tallies] == [t.kind for t in joint.tallies]
+        for ours, theirs in zip(party.tallies, joint.tallies):
             assert ours.traffic.total_bytes == theirs.traffic.total_bytes
             assert ours.traffic.rounds == theirs.traffic.rounds
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_wrong_batch_bundle_is_a_typed_mismatch_on_every_party(
+        self, program, placement
+    ):
+        """A batch-2 bundle fed to a batch-1 run fails at the first item
+        with ``MaterialMismatch`` — on the client *and* the server, not as
+        a numpy broadcasting error on one and a peer timeout on the other."""
+        with pytest.raises(MaterialMismatch, match="program/batch mismatch") as info:
+            run_placement(program, _images(program, 1), _bundle(program, 2), placement)
+        if placement != "in-process":
+            failures = info.value.failures
+            assert sorted(failures) == [0, 1]
+            assert all(isinstance(exc, MaterialMismatch) for exc in failures.values())
 
 
 class TestManifest:
@@ -150,16 +180,14 @@ class TestManifest:
                 assert op.bias_ring is None
 
     def test_manifest_roundtrips_through_json(self, program):
-        import json
-
         manifest = json.loads(json.dumps(program_manifest(program)))
         ops = ops_from_manifest(manifest)
         assert [tuple(op.out_shape) for op in ops] == [
             tuple(op.out_shape) for op in program.ops
         ]
 
-    def test_server_party_requires_encoded_program(self, victim):
-        shapes_only = compile_program(victim, 2.5, encode_weights=False)
+    def test_server_party_requires_encoded_program(self, program):
+        shapes_only = compile_program(program.model, 3.5, encode_weights=False)
         with pytest.raises(ValueError, match="encoded"):
             PartyEngine.from_program(shapes_only, party=1)
 
@@ -169,13 +197,19 @@ class TestPartyEngineValidation:
         client_io, _ = QueueTransport.pair()
         engine = PartyEngine.from_manifest(program_manifest(program))
         with pytest.raises(ValueError, match="input batch"):
-            engine.run(client_io, PartyMaterialStream([]))
+            engine.run(client_io, ReplayDealer([]))
+
+    def test_server_requires_batch(self, program):
+        _, server_io = QueueTransport.pair()
+        engine = PartyEngine.from_program(program, party=1)
+        with pytest.raises(ValueError, match="batch size"):
+            engine.run(server_io, ReplayDealer([]))
 
     def test_party_transport_mismatch(self, program):
         _, server_io = QueueTransport.pair()
         engine = PartyEngine.from_manifest(program_manifest(program))
         with pytest.raises(ValueError, match="party"):
-            engine.run(server_io, PartyMaterialStream([]), x=np.zeros((1, 3, 32, 32), np.float32))
+            engine.run(server_io, ReplayDealer([]), x=np.zeros((1, 3, 32, 32), np.float32))
 
     def test_wrong_shape_rejected(self, program):
         client_io, _ = QueueTransport.pair()
@@ -183,47 +217,77 @@ class TestPartyEngineValidation:
         with pytest.raises(ValueError, match="per-sample shape"):
             engine.run(
                 client_io,
-                PartyMaterialStream([]),
+                ReplayDealer([]),
                 x=np.zeros((1, 1, 8, 8), np.float32),
             )
 
 
 class TestPartyBundles:
-    def test_split_is_complementary(self, program):
-        from repro.mpc.sharing import reconstruct_additive
-
-        pool = PreprocessingPool(program, batch=1, dealer_seed=2)
-        bundle = pool.acquire_bundle()
-        client_half = split_bundle(bundle, 0)
-        server_half = split_bundle(bundle, 1)
-        assert len(client_half) == len(server_half) == len(bundle)
-        # Beaver triples recombine to a * b = c across the two halves.
-        for c_item, s_item in zip(client_half, server_half):
-            if c_item.method != "beaver_triples":
+    def test_split_is_a_complementary_row_view(self, program):
+        bundle = _bundle(program, 1, dealer_seed=2)
+        client_rows = split_bundle(bundle, 0)
+        server_rows = split_bundle(bundle, 1)
+        assert len(client_rows) == len(server_rows) == len(bundle)
+        for (request, joint), (_, rows0), (_, rows1) in zip(
+            bundle, client_rows, server_rows
+        ):
+            if request.method != "beaver_triples":
                 continue
-            a = reconstruct_additive(c_item.a, s_item.a)
-            b = reconstruct_additive(c_item.b, s_item.b)
-            c = reconstruct_additive(c_item.c, s_item.c)
-            np.testing.assert_array_equal(c, (a * b).astype(np.uint64))
+            # Views of the joint rows, no copy...
+            assert rows0.a.shape == (1, *request.shape)
+            assert np.shares_memory(rows0.a, joint.a)
+            assert np.shares_memory(rows1.c, joint.c)
+            # ...that recombine to a * b = c across the two parties.
+            a = reconstruct_additive(rows0.a[0], rows1.a[0])
+            b = reconstruct_additive(rows0.b[0], rows1.b[0])
+            c = reconstruct_additive(rows0.c[0], rows1.c[0])
+            np.testing.assert_array_equal(c, a * b)
             break
+        else:  # pragma: no cover - the program has ReLUs
+            pytest.fail("no beaver triple in the bundle")
+
+    def test_linear_correlation_rows_hold_only_their_owner_fields(self, program):
+        bundle = _bundle(program, 1, dealer_seed=2)
+        (_, client), (_, server) = split_bundle(bundle, 0)[0], split_bundle(bundle, 1)[0]
+        assert client.server_offset is None
+        assert server.mask is None and server.client_offset is None
 
     def test_pack_unpack_roundtrip(self, program):
-        pool = PreprocessingPool(program, batch=1, dealer_seed=2)
-        items = split_bundle(pool.acquire_bundle(), 0)
-        restored = unpack_party_bundle(pack_party_bundle(items))
-        assert [item.method for item in restored] == [item.method for item in items]
-        for ours, theirs in zip(restored, items):
-            assert set(ours.arrays) == set(theirs.arrays)
-            for key in ours.arrays:
-                np.testing.assert_array_equal(ours.arrays[key], theirs.arrays[key])
+        for party in (0, 1):
+            rows = split_bundle(_bundle(program, 1, dealer_seed=2), party)
+            restored = unpack_party_bundle(pack_party_bundle(rows))
+            assert len(restored) == len(rows)
+            for (request, ours), (original, theirs) in zip(restored, rows):
+                assert request.method == original.method
+                assert type(ours) is type(theirs)
+                for key, array in vars(theirs).items():
+                    if array is None:
+                        assert getattr(ours, key) is None
+                    else:
+                        assert getattr(ours, key).dtype == array.dtype
+                        np.testing.assert_array_equal(getattr(ours, key), array)
+                # A lone server half cannot name a linear layer's input shape.
+                lone = party == 1 and request.method == "linear_correlation"
+                assert request.shape == (None if lone else original.shape)
 
-    def test_stream_validates_order(self, program):
-        from repro.mpc.preprocessing import MaterialMismatch
+    def test_pack_refuses_a_joint_bundle(self, program):
+        """Packing both parties' rows would ship one party the other's halves."""
+        bundle = _bundle(program, 1, dealer_seed=2)
+        with pytest.raises(ValueError, match="one party's rows"):
+            pack_party_bundle(bundle)
+        relu_item = next(item for item in bundle if item[0].method == "dabits")
+        with pytest.raises(ValueError, match="one party's rows"):
+            pack_party_bundle([relu_item])
 
-        pool = PreprocessingPool(program, batch=1, dealer_seed=2)
-        stream = PartyMaterialStream(split_bundle(pool.acquire_bundle(), 0))
+    def test_replay_validates_method_and_shape(self, program):
+        rows = split_bundle(_bundle(program, 1, dealer_seed=2), 0)
         with pytest.raises(MaterialMismatch):
-            stream.next("beaver_triples")  # a vgg program starts with a conv
-        assert PartyMaterialStream([]).remaining == 0
+            ReplayDealer(rows).beaver_triples((1, 3, 32, 32))  # starts with a conv
         with pytest.raises(MaterialMismatch):
-            PartyMaterialStream([]).next("dabits")
+            ReplayDealer(rows).linear_correlation((2, 3, 32, 32), None)  # batch
+        replay = ReplayDealer(rows)
+        assert replay.linear_correlation((1, 3, 32, 32), None) is rows[0][1]
+        assert (replay.consumed, replay.remaining) == (1, len(rows) - 1)
+        assert ReplayDealer([]).remaining == 0
+        with pytest.raises(MaterialMismatch, match="exhausted"):
+            ReplayDealer([]).dabits((4,))

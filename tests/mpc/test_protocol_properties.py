@@ -3,15 +3,18 @@
 These complement tests/mpc/test_protocols.py by driving whole-layer ops
 (max-pool windows, avg-pool, ReLU grids) with randomly shaped inputs, and
 by checking protocol-level invariants (traffic monotonicity, share
-freshness).
+freshness). The protocol-algebra properties run under both placements
+(``run_placements``): both rows in-process, and two one-row parties over
+a loopback transport, which must agree bit for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from placements import run_placements
 
 from repro import nn
-from repro.mpc import Channel, FixedPointConfig, SecureInferenceEngine, TrustedDealer
+from repro.mpc import FixedPointConfig, SecureInferenceEngine
 from repro.mpc.protocols import secure_maximum, secure_relu
 from repro.mpc.sharing import reconstruct_additive, share_additive
 from repro.models.layered import LayeredModel
@@ -80,44 +83,55 @@ class TestProtocolAlgebra:
     @settings(max_examples=10, deadline=None)
     def test_relu_plus_negated_relu_is_identity(self, seed):
         """relu(x) - relu(-x) == x, evaluated entirely under MPC."""
-        dealer = TrustedDealer(seed=seed)
-        channel = Channel()
         rng = np.random.default_rng(seed)
         values = rng.uniform(-10, 10, (64,)).astype(np.float32)
         xs = share_additive(CFG.encode(values), rng)
-        neg = (FixedPointConfig.neg(xs[0]), FixedPointConfig.neg(xs[1]))
-        pos_part = secure_relu(xs, dealer, channel)
-        neg_part = secure_relu(neg, dealer, channel)
-        recomposed = (
-            (pos_part[0] - neg_part[0]).astype(np.uint64),
-            (pos_part[1] - neg_part[1]).astype(np.uint64),
-        )
+
+        def recompose(rows, dealer, channel):
+            x = rows(xs)
+            return secure_relu(x, dealer, channel) - secure_relu(
+                FixedPointConfig.neg(x), dealer, channel
+            )
+
+        recomposed, _ = run_placements(recompose, seed)
         decoded = CFG.decode(reconstruct_additive(*recomposed))
         np.testing.assert_allclose(decoded, values, atol=4e-3)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_max_is_commutative(self, seed):
-        dealer = TrustedDealer(seed=seed)
-        channel = Channel()
         rng = np.random.default_rng(seed)
         a_vals = rng.uniform(-5, 5, (32,)).astype(np.float32)
         b_vals = rng.uniform(-5, 5, (32,)).astype(np.float32)
         a = share_additive(CFG.encode(a_vals), rng)
         b = share_additive(CFG.encode(b_vals), rng)
-        ab = CFG.decode(reconstruct_additive(*secure_maximum(a, b, dealer, channel)))
-        ba = CFG.decode(reconstruct_additive(*secure_maximum(b, a, dealer, channel)))
+
+        def both_orders(rows, dealer, channel):
+            return np.stack(
+                [
+                    secure_maximum(rows(a), rows(b), dealer, channel),
+                    secure_maximum(rows(b), rows(a), dealer, channel),
+                ],
+                axis=1,
+            )
+
+        result, _ = run_placements(both_orders, seed)
+        ab, ba = CFG.decode(reconstruct_additive(*result))
         np.testing.assert_allclose(ab, ba, atol=4e-3)
+        np.testing.assert_allclose(ab, np.maximum(a_vals, b_vals), atol=4e-3)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_max_idempotent(self, seed):
-        dealer = TrustedDealer(seed=seed)
-        channel = Channel()
         rng = np.random.default_rng(seed)
         values = rng.uniform(-5, 5, (32,)).astype(np.float32)
         a = share_additive(CFG.encode(values), rng)
-        result = CFG.decode(
-            reconstruct_additive(*secure_maximum(a, a, dealer, channel))
+        result, _ = run_placements(
+            lambda rows, dealer, channel: secure_maximum(
+                rows(a), rows(a), dealer, channel
+            ),
+            seed,
         )
-        np.testing.assert_allclose(result, values, atol=4e-3)
+        np.testing.assert_allclose(
+            CFG.decode(reconstruct_additive(*result)), values, atol=4e-3
+        )

@@ -26,7 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.mpc.chaos import ChaosController, ChaosTrace, FaultSpec
+from repro.mpc.chaos import ChaosController, ChaosLink, ChaosTrace, FaultSpec
 from repro.mpc.transport import TransportError
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.remote import RemoteClient, RemoteServer
@@ -266,6 +266,91 @@ class TestConcurrentConformance:
             {f"session='c{i}'/batch=1": REQUESTS for i in range(clients)},
         )
         assert metrics["requests_served"] >= clients * REQUESTS
+
+
+class _ResizedFrame(ChaosLink):
+    """A client link whose first raw ``label`` message leaves ``delta``
+    bytes longer (zero-padded) or shorter than the protocol computed it —
+    a well-formed frame (valid CRC, right label), wrong length."""
+
+    def __init__(self, inner, label, delta):
+        super().__init__(inner, ChaosController([]))
+        self.label, self.delta, self.fired = label, delta, False
+
+    def _resize(self, data, label):
+        if label != self.label or self.fired:
+            return data
+        self.fired = True
+        data = bytes(data)
+        return data + bytes(self.delta) if self.delta > 0 else data[: self.delta]
+
+    def push(self, data, label):
+        super().push(self._resize(data, label), label)
+
+    def push_deferred(self, data, label):
+        super().push_deferred(self._resize(data, label), label)
+
+
+class TestFrameLength:
+    """``pull`` checks a frame's kind and label, never its length: the
+    protocols' one receive seam does, so a short frame is not a bare numpy
+    error and an over-long one is not silently truncated."""
+
+    @pytest.mark.parametrize("delta", (8, -8), ids=("over-long", "short"))
+    @pytest.mark.parametrize("label", ("and-open", "linear-masked-input"))
+    def test_wrong_length_frame_is_rejected_and_the_session_reaped(
+        self, victim, images, baselines, label, delta
+    ):
+        server, thread = _start(victim)
+        barrier = threading.Barrier(2)
+        links, results, errors = [], {}, []
+
+        def wrap(transport):
+            links.append(_ResizedFrame(transport, label, delta))
+            return links[-1]
+
+        def bystander():
+            try:
+                client = RemoteClient(
+                    "127.0.0.1", server.port, noise_magnitude=0.1, seed=31,
+                    session="bystander", timeout=CLIENT_TIMEOUT,
+                )
+                barrier.wait(timeout=30.0)
+                results["bystander"] = [
+                    client.infer(batch).logits.tobytes() for batch in images
+                ]
+                client.close()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        try:
+            worker = threading.Thread(target=bystander)
+            worker.start()
+            hostile = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=32,
+                session="hostile", timeout=CLIENT_TIMEOUT, transport_wrapper=wrap,
+            )
+            barrier.wait(timeout=30.0)
+            with pytest.raises(TransportError):
+                hostile.infer(images[0])
+            hostile.close()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        assert not errors
+        assert links[0].fired
+        # The server named the label and both sizes in a typed error...
+        (reaped,) = [s for s in metrics["sessions"] if s["session"] == "hostile"]
+        assert reaped["error"].startswith("TransportError: party 1 expected ")
+        assert f"bytes of {label!r}" in reaped["error"]
+        assert "but received" in reaped["error"]
+        assert metrics["sessions_reaped"] == 1
+        # ...and the bystander never noticed.
+        assert results["bystander"] == baselines("bystander", 31)
 
 
 class TestChaosTraceReplay:

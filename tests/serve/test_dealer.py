@@ -199,12 +199,12 @@ def _assert_records_equal(record, reference):
         items = unpack_party_bundle(blob)
         items_ref = unpack_party_bundle(blob_ref)
         assert len(items) == len(items_ref)
-        for item, item_ref in zip(items, items_ref):
-            assert item.method == item_ref.method
-            assert sorted(item.arrays) == sorted(item_ref.arrays)
-            for key, array_ref in item_ref.arrays.items():
-                assert np.array_equal(item.arrays[key], array_ref), (
-                    item.method, key,
+        for (request, rows), (request_ref, rows_ref) in zip(items, items_ref):
+            assert request == request_ref
+            assert type(rows) is type(rows_ref)
+            for key, array_ref in vars(rows_ref).items():
+                assert np.array_equal(getattr(rows, key), array_ref), (
+                    request.method, key,
                 )
 
 
