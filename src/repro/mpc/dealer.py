@@ -27,6 +27,7 @@ from .fixedpoint import FixedPointConfig
 from .sharing import (
     COMPARISON_BITS,
     bit_decompose,
+    random_bits,
     share_additive,
     share_boolean,
     share_boolean_words,
@@ -165,9 +166,9 @@ class TrustedDealer:
         """
         rng = self._rng
         bit_shape = (*tuple(shape), COMPARISON_BITS)
-        a = rng.integers(0, 2, size=bit_shape, dtype=np.uint8)
-        b = rng.integers(0, 2, size=bit_shape, dtype=np.uint8)
-        c = (a & b).astype(np.uint8)
+        a = random_bits(rng, bit_shape)
+        b = random_bits(rng, bit_shape)
+        c = a & b
         self.bit_triples_issued += int(np.prod(shape)) * COMPARISON_BITS
         return BitTriple(
             a=share_boolean_words(a, rng),
@@ -178,7 +179,7 @@ class TrustedDealer:
     def dabits(self, shape) -> DaBit:
         """Random bits shared in both GF(2) and Z_2^64 (for B2A)."""
         rng = self._rng
-        bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        bits = random_bits(rng, shape)
         self.dabits_issued += int(np.prod(shape))
         return DaBit(
             boolean=share_boolean(bits, rng),

@@ -17,6 +17,8 @@ distributed and independent of the secret.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fixedpoint import FixedPointConfig
@@ -26,6 +28,7 @@ __all__ = [
     "LOW63_MASK",
     "share_additive",
     "reconstruct_additive",
+    "random_bits",
     "share_boolean",
     "reconstruct_boolean",
     "share_boolean_words",
@@ -68,11 +71,29 @@ def reconstruct_additive(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
     )
 
 
+def random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform 0/1 ``uint8`` bits: ``rng.integers(0, 2, size=shape, dtype=np.uint8)``.
+
+    The same values from the same draws, and the generator is left in the
+    same state. numpy fills a bounded ``uint8`` draw one byte at a time —
+    the bytes of successive 32-bit outputs, low byte first, of which the
+    range [0, 2) keeps the top bit and rejects nothing — so one call for
+    the 32-bit outputs and one shift read the same stream about three
+    times as fast. The dealer spends most of its time in this draw;
+    ``tests/mpc/test_bitsliced.py`` pins the equality.
+    """
+    count = math.prod(shape)
+    raw = rng.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
+    octets = raw.astype("<u4", copy=False).view(np.uint8)[:count]
+    octets >>= 7
+    return octets.reshape(shape)
+
+
 def share_boolean(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Split a 0/1 uint8 array into two XOR shares (a ``(2, ...)`` array)."""
     bits = np.asarray(bits, dtype=np.uint8)
     shares = np.empty((2, *bits.shape), dtype=np.uint8)
-    shares[0] = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    shares[0] = random_bits(rng, bits.shape)
     np.bitwise_xor(bits, shares[0], out=shares[1:])
     return shares
 
@@ -88,13 +109,13 @@ def share_boolean_words(bits: np.ndarray, rng: np.random.Generator) -> np.ndarra
     """XOR-share a ``(..., k)`` bit-plane array as ``(2, ...)`` packed words.
 
     Draws exactly the random bits :func:`share_boolean` would draw for the
-    same bit-plane shape (one ``rng.integers`` call over ``bits.shape``),
+    same bit-plane shape (one :func:`random_bits` call over ``bits.shape``),
     so a dealer switching to packed emission consumes its random stream
     identically — this is what keeps packed runs byte-identical to the
     byte-per-bit seed implementation.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    share0 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    share0 = random_bits(rng, bits.shape)
     shares = np.empty((2, *bits.shape[:-1]), dtype=np.uint64)
     shares[0] = pack_bit_words(share0)
     shares[1] = pack_bit_words(np.bitwise_xor(bits, share0, out=share0))
@@ -128,13 +149,15 @@ def pack_bit_words(bits: np.ndarray) -> np.ndarray:
     k = bits.shape[-1]
     if k > 64:
         raise ValueError(f"cannot pack {k} bits into a uint64 word")
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    if packed.shape[-1] < 8:  # pad to a full 8-byte word, in place
-        padded = np.zeros((*packed.shape[:-1], 8), dtype=np.uint8)
-        padded[..., : packed.shape[-1]] = packed
-        packed = padded
-    words = np.ascontiguousarray(packed).view(_WORD_DTYPE).reshape(bits.shape[:-1])
-    return words.astype(np.uint64, copy=False)
+    shape = bits.shape[:-1]
+    if k < 64:
+        # Widen every row to a full word first: packing one flat run of
+        # 64-lane rows is far cheaper than packing k-lane rows one by one.
+        lanes = np.zeros((*shape, 64), dtype=np.uint8)
+        lanes[..., :k] = bits
+        bits = lanes
+    words = np.packbits(bits.reshape(-1), bitorder="little").view(_WORD_DTYPE)
+    return words.reshape(shape).astype(np.uint64, copy=False)
 
 
 def unpack_bit_words(words: np.ndarray, bits: int) -> np.ndarray:

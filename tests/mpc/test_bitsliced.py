@@ -58,6 +58,7 @@ from repro.mpc.sharing import (
     LOW63_MASK,
     bit_decompose,
     pack_bit_words,
+    random_bits,
     reconstruct_additive,
     reconstruct_boolean,
     share_additive,
@@ -225,6 +226,28 @@ class TestDealerDrawEquivalence:
     made, then pack — this is what keeps every arithmetic draw (and hence
     every truncation rounding, and hence the logits) byte-identical.
     """
+
+    @given(
+        st.integers(0, 2**31),
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_random_bits_reads_the_bounded_uint8_stream(self, seed, shapes):
+        """Same bits as ``rng.integers(0, 2, dtype=uint8)`` for every size
+        (also not a multiple of four, also empty), and the generator ends
+        in the same state — checked with a 32-bit and a 64-bit draw in
+        between, which see numpy's buffered half of a 64-bit output."""
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for shape in shapes:
+            got = random_bits(ours, shape)
+            want = reference.integers(0, 2, size=shape, dtype=np.uint8)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            for dtype in (np.uint32, np.uint64):
+                assert ours.integers(0, 1000, dtype=dtype) == reference.integers(
+                    0, 1000, dtype=dtype
+                )
+        assert ours.bit_generator.state == reference.bit_generator.state
 
     def test_bit_triples_draw_bit_planes(self):
         triple = TrustedDealer(seed=123).bit_triples((5,))
