@@ -74,11 +74,12 @@ _FILL_SINKS = {"hand": 2}
 
 # Producers whose result is cleared for the wire as-is.
 _STAGING_CALLS = {"stage"}
-# Sealed-bundle producers: per-party material serialized by
-# pack_party_bundle (each half is individually uniform), and the dealer
-# reply sealer that selects/blanks record fields for one requester.
-# These are the only sanctioned sources for a dealer-bound blob frame.
-_SEALED_CALLS = {"pack_party_bundle", "_seal_reply"}
+# Sealed-bundle producers: per-party material laid out by
+# party_bundle_segments / pack_party_bundle (each half is individually
+# uniform; both refuse a joint bundle), and the dealer reply sealer that
+# selects/blanks record fields for one requester. These are the only
+# sanctioned sources for a dealer-bound blob frame.
+_SEALED_CALLS = {"party_bundle_segments", "pack_party_bundle", "_seal_reply"}
 # Frame allocators: contents must be written via masked ops.
 _ALLOCATORS = {"frame", "alloc_words", "alloc_frame"}
 # Splitting a secret yields two individually-uniform shares.

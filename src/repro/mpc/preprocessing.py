@@ -30,8 +30,9 @@ the equivalence tests).
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import struct
 import threading
 import time
 from collections import deque
@@ -63,6 +64,7 @@ __all__ = [
     "fuse_bundles",
     "split_bundle",
     "join_party_bundle",
+    "party_bundle_segments",
     "pack_party_bundle",
     "unpack_party_bundle",
 ]
@@ -643,10 +645,12 @@ def join_party_bundle(
                 f"party bundles disagree: {request.method} vs {other.method}"
             )
         if isinstance(rows0, LinearCorrelation):
+            # Copies, like the restacked fields below: the halves may be
+            # views of a receive buffer, which a pooled bundle must not pin.
             material = LinearCorrelation(
-                mask=rows0.mask,
-                client_offset=rows0.client_offset,
-                server_offset=rows1.server_offset,
+                mask=rows0.mask.copy(),
+                client_offset=rows0.client_offset.copy(),
+                server_offset=rows1.server_offset.copy(),
             )
         else:
             material = type(rows0)(
@@ -680,25 +684,101 @@ def _wire_arrays(material) -> dict[str, np.ndarray]:
     return held
 
 
+# ----------------------------------------------------------------------
+# the container one party's rows are stored and shipped in
+# ----------------------------------------------------------------------
+#     <4sIQ     magic | version | manifest length m
+#     m bytes   JSON manifest, space-padded so the bodies start 8-aligned
+#     bodies    raw little-endian C-order array bytes, each 8-aligned
+#
+# The manifest is ``{"items": [{"method", "arrays": [[key, dtype code,
+# shape, offset], ...]}, ...], "bytes": total body length}``; offsets
+# count from the first body byte. Nothing in it depends on when or where
+# it was written, so the same material always packs to the same bytes,
+# and every array is read back as a view of the buffer it arrived in.
+_CONTAINER = struct.Struct("<4sIQ")
+_CONTAINER_MAGIC = b"C2PB"
+_CONTAINER_VERSION = 1
+_ALIGN = 8
+_WIRE_DTYPES = {code: np.dtype(code) for code in ("<u8", "|u1")}
+
+
+def party_bundle_segments(items: list[tuple[MaterialRequest, object]]) -> list:
+    """One party's bundle in container form, as the buffers that make it up.
+
+    The first segment is the header and manifest; the rest are views of
+    the material's own arrays (plus alignment padding), so a carrier that
+    scatters segments (a framed socket, a file) never copies the bodies.
+    """
+    entries, bodies, offset = [], [], 0
+    for request, material in items:
+        arrays = []
+        for key, array in _wire_arrays(material).items():
+            code = array.dtype.newbyteorder("<").str
+            if code not in _WIRE_DTYPES:
+                raise TypeError(
+                    f"dealer material of dtype {array.dtype} has no container code"
+                )
+            arrays.append([key, code, list(array.shape), offset])
+            if array.size:
+                body = np.ascontiguousarray(array, dtype=_WIRE_DTYPES[code])
+                bodies.append(memoryview(body).cast("B"))
+                offset += body.nbytes
+                pad = -offset % _ALIGN
+                if pad:
+                    bodies.append(bytes(pad))
+                    offset += pad
+        entries.append({"method": request.method, "arrays": arrays})
+    manifest = json.dumps(
+        {"items": entries, "bytes": offset}, separators=(",", ":")
+    ).encode("utf-8")
+    manifest += b" " * (-(_CONTAINER.size + len(manifest)) % _ALIGN)
+    head = _CONTAINER.pack(_CONTAINER_MAGIC, _CONTAINER_VERSION, len(manifest))
+    return [head + manifest, *bodies]
+
+
 def pack_party_bundle(items: list[tuple[MaterialRequest, object]]) -> bytes:
-    """Serialise one party's bundle for the wire (npz container, no pickle)."""
-    per_item = [(request.method, _wire_arrays(material)) for request, material in items]
-    manifest = [{"method": method, "keys": list(held)} for method, held in per_item]
-    arrays = {
-        f"{index}.{key}": array
-        for index, (_, held) in enumerate(per_item)
-        for key, array in held.items()
-    }
-    arrays["manifest"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+    """Serialise one party's bundle: the container above, as one string."""
+    return b"".join(party_bundle_segments(items))
 
 
-def unpack_party_bundle(data: bytes) -> list[tuple[MaterialRequest, object]]:
-    """Inverse of :func:`pack_party_bundle`.
+def _malformed(why: str) -> MaterialMismatch:
+    return MaterialMismatch(f"malformed party bundle: {why}")
+
+
+def _array_view(body: memoryview, spec) -> tuple[str, np.ndarray]:
+    """One manifest array entry as a view of ``body``, or a typed refusal."""
+    if not (isinstance(spec, list) and len(spec) == 4):
+        raise _malformed("an array entry is not [key, dtype, shape, offset]")
+    key, code, shape, offset = spec
+    if not isinstance(key, str):
+        raise _malformed("an array key is not a string")
+    dtype = _WIRE_DTYPES.get(code) if isinstance(code, str) else None
+    if dtype is None:
+        raise _malformed(f"array {key!r} has unknown dtype code {code!r}")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and 0 <= dim <= body.nbytes for dim in shape
+    ):
+        raise _malformed(f"array {key!r} declares an impossible shape")
+    if type(offset) is not int or offset < 0 or offset % _ALIGN:
+        raise _malformed(f"array {key!r} declares a bad offset")
+    count = math.prod(shape)
+    if offset + count * dtype.itemsize > body.nbytes:
+        raise _malformed(f"array {key!r} overruns the container")
+    try:
+        array = np.frombuffer(body, dtype, count, offset).reshape(shape)
+    except ValueError as exc:  # dimensions no array can have
+        raise _malformed(f"array {key!r} declares an impossible shape") from exc
+    return key, array
+
+
+def unpack_party_bundle(data) -> list[tuple[MaterialRequest, object]]:
+    """Inverse of :func:`pack_party_bundle`, in place.
+
+    ``data`` is any bytes-like object; the arrays handed back are
+    **read-only views** of it — nothing is copied, and nothing is ever
+    allocated from a length the container merely declares. Anything that
+    is not a well-formed container is a :class:`MaterialMismatch`.
 
     The request shapes are read back off the arrays. A server half of a
     linear correlation carries only its output-shaped offset, so its
@@ -706,20 +786,45 @@ def unpack_party_bundle(data: bytes) -> list[tuple[MaterialRequest, object]]:
     the method alone) — a serving process never runs from a lone server
     half, it holds the joint bundle.
     """
+    view = memoryview(data).toreadonly().cast("B")
+    if view.nbytes < _CONTAINER.size:
+        raise _malformed("shorter than its header")
+    magic, version, manifest_len = _CONTAINER.unpack_from(view)
+    if magic != _CONTAINER_MAGIC:
+        raise MaterialMismatch(f"bad magic {magic!r}: not a party bundle")
+    if version != _CONTAINER_VERSION:
+        raise MaterialMismatch(f"unknown party bundle version {version}")
+    start = _CONTAINER.size + manifest_len
+    if start > view.nbytes:
+        raise _malformed("the manifest overruns the container")
+    try:
+        manifest = json.loads(str(view[_CONTAINER.size : start], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise _malformed("the manifest is not JSON") from exc
+    body = view[start:]
+    entries = manifest.get("items") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or manifest.get("bytes") != body.nbytes:
+        raise _malformed("the manifest does not describe these bytes")
     items = []
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        manifest = json.loads(archive["manifest"].tobytes().decode("utf-8"))
-        for index, entry in enumerate(manifest):
-            kind = _MATERIAL_TYPES.get(entry["method"])
-            if kind is None:
-                raise MaterialMismatch(
-                    f"unknown material method {entry['method']!r}"
-                )
-            held = {key: archive[f"{index}.{key}"] for key in entry["keys"]}
-            if kind is LinearCorrelation:
-                shape = held["mask"].shape if "mask" in held else None
-            else:
-                shape = next(iter(held.values())).shape
-                held = {key: array[None] for key, array in held.items()}
-            items.append((MaterialRequest(entry["method"], shape), kind(**held)))
+    for entry in entries:
+        specs = entry.get("arrays") if isinstance(entry, dict) else None
+        if not isinstance(specs, list):
+            raise _malformed("an item lists no arrays")
+        method = entry.get("method")
+        kind = _MATERIAL_TYPES.get(method) if isinstance(method, str) else None
+        if kind is None:
+            raise MaterialMismatch(f"unknown material method {method!r}")
+        held = dict(_array_view(body, spec) for spec in specs)
+        if kind is LinearCorrelation:
+            whole = held.keys() in ({"mask", "client_offset"}, {"server_offset"})
+            shape = held["mask"].shape if "mask" in held else None
+        else:
+            shape = next(iter(held.values())).shape if held else None
+            whole = held.keys() == {f.name for f in fields(kind)} and all(
+                array.shape == shape for array in held.values()
+            )
+            held = {key: array[None] for key, array in held.items()}
+        if not whole or len(held) != len(specs):
+            raise _malformed(f"{method} does not hold one party's fields")
+        items.append((MaterialRequest(method, shape), kind(**held)))
     return items

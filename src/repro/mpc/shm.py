@@ -61,6 +61,7 @@ import zlib
 from multiprocessing import resource_tracker, shared_memory
 
 from .transport import (
+    FRAME_BLOB,
     FRAME_RAW,
     FRAME_RAW_BATCH,
     Transport,
@@ -68,6 +69,7 @@ from .transport import (
     _HEADER,
     _MAGIC,
     _VERSION,
+    _bad_header,
 )
 
 __all__ = ["ShmRing", "ShmChannel", "DEFAULT_RING_BYTES"]
@@ -330,12 +332,15 @@ class ShmChannel(Transport):
         with self._write_lock:
             self.tx.write(data, deadline, self._abort)
 
-    def _read_exact(self, count: int, deadline: float | None) -> bytes:
+    def _read_buffer(self, count: int, deadline: float | None) -> memoryview:
         out = memoryview(bytearray(count))
         if not self.rx.read_into(out, deadline, self._abort):
             self.peer_gone.set()
             raise TransportError("peer closed the shared-memory link")
-        return bytes(out)
+        return out
+
+    def _read_exact(self, count: int, deadline: float | None) -> bytes:
+        return bytes(self._read_buffer(count, deadline))
 
     def _recv_frame(self) -> tuple[int, str, bytes]:
         deadline = (
@@ -347,10 +352,9 @@ class ShmChannel(Transport):
                 magic, version, kind, label_len, payload_len, _sent_at, crc = (
                     _HEADER.unpack(header)
                 )
-                if magic != _MAGIC or version != _VERSION:
-                    raise TransportError(
-                        f"bad frame header (magic={magic!r}, version={version})"
-                    )
+                refusal = _bad_header(magic, version, payload_len)
+                if refusal is not None:
+                    raise TransportError(refusal)
                 label = (
                     self._read_exact(label_len, deadline).decode(
                         "utf-8", errors="replace"
@@ -371,6 +375,10 @@ class ShmChannel(Transport):
                         raise TransportError(
                             "peer closed the shared-memory link mid-frame"
                         )
+                elif kind == FRAME_BLOB and payload_len:
+                    # As on the socket: a bundle stays in the one buffer
+                    # it was read into.
+                    payload = self._read_buffer(payload_len, deadline)
                 else:
                     payload = (
                         self._read_exact(payload_len, deadline)

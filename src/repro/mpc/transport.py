@@ -73,6 +73,7 @@ __all__ = [
     "FRAME_TENSOR",
     "FRAME_BLOB",
     "FRAME_RAW_BATCH",
+    "MAX_FRAME_BYTES",
     "TransportError",
     "WireStats",
     "BufferPool",
@@ -93,6 +94,12 @@ __all__ = [
 _HEADER = struct.Struct("!4sBBHQdI")
 _MAGIC = b"C2PI"
 _VERSION = 2
+# The largest payload a frame header may declare. Every read path checks
+# it before allocating the receive buffer: the length is the peer's u64.
+# The largest frames are dealer records (5.7 MB for resnet20 w=0.25 at
+# batch 1, linear in batch and ReLU count); 1 GiB leaves them two orders
+# of magnitude and still refuses anything a header can lie about.
+MAX_FRAME_BYTES = 1 << 30
 
 FRAME_RAW = 0  # online protocol payload (counted against Channel accounting)
 FRAME_JSON = 1  # control messages (handshake, requests, metrics)
@@ -187,6 +194,18 @@ def split_batch(payload) -> list[tuple[str, memoryview]]:
         parts.append((label, view[offset : offset + part_len]))
         offset += part_len
     return parts
+
+
+def _bad_header(magic: bytes, version: int, payload_len: int) -> str | None:
+    """Why a frame header is refused (before anything is allocated for it)."""
+    if magic != _MAGIC or version != _VERSION:
+        return f"bad frame header (magic={magic!r}, version={version})"
+    if payload_len > MAX_FRAME_BYTES:
+        return (
+            f"frame header declares {payload_len} payload bytes, over the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return None
 
 
 def _frame_crc(segments) -> int:
@@ -781,12 +800,18 @@ class Transport(Channel):
     def recv_tensor(self, label: str | None = None) -> np.ndarray:
         return unpack_array(self._expect(FRAME_TENSOR, label)[1])
 
-    def send_blob(self, data: bytes, label: str = "blob") -> None:
+    def send_blob(self, data, label: str = "blob") -> None:
+        """One blob frame; ``data`` is one buffer or a list of buffers
+        that are its payload laid end to end (scattered, never joined,
+        where the carrier can)."""
         if self._deferred:
             self.flush_deferred()
-        self._send_frame(FRAME_BLOB, label, data)
+        segments = data if isinstance(data, (list, tuple)) else (data,)
+        self._send_frame_segments(FRAME_BLOB, label, segments)
 
-    def recv_blob(self, label: str | None = None) -> bytes:
+    def recv_blob(self, label: str | None = None):
+        """The payload of the next blob frame: ``bytes``, or a view of
+        the one buffer a socket frame was received into."""
         return self._expect(FRAME_BLOB, label)[1]
 
     def recv_reply(self, label: str | None = None):
@@ -796,7 +821,8 @@ class Transport(Channel):
         payload (a sealed bundle blob) or a typed refusal (a JSON busy
         object) without the two parties falling out of lock-step: the
         label pins the slot, the frame kind disambiguates the outcome.
-        Returns ``("blob", bytes)`` or ``("obj", dict)``.
+        Returns ``("blob", payload)`` (as :meth:`recv_blob`) or
+        ``("obj", dict)``.
         """
         kind, got_label, payload = self._next_frame()
         if label is not None and got_label != label:
@@ -1118,13 +1144,10 @@ class PeerChannel(Transport):
             magic, version, kind, label_len, payload_len, sent_at, crc = (
                 _HEADER.unpack(header)
             )
-            if magic != _MAGIC or version != _VERSION:
+            refusal = _bad_header(magic, version, payload_len)
+            if refusal is not None:
                 mid_frame = False  # diagnosed: don't also report a torn stream
-                self._inbox.put(
-                    TransportError(
-                        f"bad frame header (magic={magic!r}, version={version})"
-                    )
-                )
+                self._inbox.put(TransportError(refusal))
                 break
             label_bytes = self._read_exact(label_len) if label_len else b""
             if label_bytes is None:
@@ -1139,6 +1162,12 @@ class PeerChannel(Transport):
                 # Raw rounds land directly in a pooled, writable buffer:
                 # no intermediate bytes object, no downstream .copy().
                 payload = pool.recv_frame(label, payload_len)
+                if not self._read_into(payload):
+                    payload = None
+            elif kind == FRAME_BLOB and payload_len:
+                # A multi-megabyte bundle lands in the one buffer its
+                # consumer reads the material out of, in place.
+                payload = memoryview(bytearray(payload_len))
                 if not self._read_into(payload):
                     payload = None
             else:
@@ -1241,7 +1270,8 @@ class FrameAssembler:
 
     Payload staging mirrors the reader thread: raw protocol frames land
     directly in the owner's :class:`BufferPool` ring when one is
-    attached; control frames materialize as ``bytes``.
+    attached, a blob is delivered as the buffer it was assembled in, and
+    the other control frames materialize as ``bytes``.
     """
 
     _HEADER_SIZE = _HEADER.size
@@ -1291,15 +1321,11 @@ class FrameAssembler:
                     _HEADER.unpack(bytes(self._head))
                 )
                 self.mid_frame = True
-                if magic != _MAGIC or version != _VERSION:
+                refusal = _bad_header(magic, version, payload_len)
+                if refusal is not None:
                     self.mid_frame = False  # diagnosed: not a torn stream
                     self.failed = True
-                    out.append(
-                        TransportError(
-                            f"bad frame header (magic={magic!r}, "
-                            f"version={version})"
-                        )
-                    )
+                    out.append(TransportError(refusal))
                     return out
                 self._kind = kind
                 self._label_len = label_len
@@ -1388,7 +1414,8 @@ class FrameAssembler:
     def _finish_frame(self):
         self.mid_frame = False
         self._state = "header"
-        payload = self._dest if self._dest_pooled else bytes(self._dest)
+        in_place = self._dest_pooled or self._kind == FRAME_BLOB
+        payload = self._dest if in_place else bytes(self._dest)
         self._dest = None
         if zlib.crc32(payload) != self._crc:
             return TransportError(

@@ -66,7 +66,7 @@ from ..mpc.preprocessing import (
     PreprocessingPool,
     join_party_bundle,
     material_plan,
-    pack_party_bundle,
+    party_bundle_segments,
     split_bundle,
     unpack_party_bundle,
 )
@@ -87,11 +87,14 @@ __all__ = [
 
 DEALER_PROTOCOL = 1
 
-# One stored/shipped record: both party halves plus the dealer rng state
-# *after* generating the bundle. len0/len1/len_state header, then the
-# three byte strings. Party-split replies blank the fields the requesting
-# party must not see (state pins the whole stream — joint-mode only).
-_RECORD_HEADER = struct.Struct("!III")
+# One stored/shipped record: both party halves (each a party-bundle
+# container, see mpc/preprocessing.py) plus the dealer rng state *after*
+# generating the bundle. len0/len1/len_state header, then the three byte
+# strings; the header is 24 bytes and a container a multiple of 8, so
+# both halves sit 8-aligned in the record and are read where they lie.
+# Party-split replies blank the fields the requesting party must not see
+# (state pins the whole stream — joint-mode only).
+_RECORD_HEADER = struct.Struct("!QQQ")
 
 
 class DealerBusy(RuntimeError):
@@ -112,41 +115,45 @@ def stream_key(fingerprint: str, batch: int, session_seed: int) -> str:
     return f"{fingerprint}:{batch}:{session_seed}"
 
 
-def _pack_record(blob0: bytes, blob1: bytes, state: bytes) -> bytes:
-    return (
-        _RECORD_HEADER.pack(len(blob0), len(blob1), len(state))
-        + blob0
-        + blob1
-        + state
-    )
+def _record_segments(half0: list, half1: list, state: bytes) -> list:
+    """A record as the buffers that make it up; each half is a list of
+    buffers (empty for a blanked half)."""
+    sizes = [sum(memoryview(part).nbytes for part in half) for half in (half0, half1)]
+    return [_RECORD_HEADER.pack(*sizes, len(state)), *half0, *half1, state]
 
 
-def _unpack_record(record: bytes) -> tuple[bytes, bytes, bytes]:
-    len0, len1, len_state = _RECORD_HEADER.unpack_from(record)
+def _unpack_record(record) -> tuple[memoryview, memoryview, memoryview]:
+    """``(blob0, blob1, state)`` as views of ``record`` — nothing is copied."""
+    view = memoryview(record).cast("B")
     offset = _RECORD_HEADER.size
-    if len(record) != offset + len0 + len1 + len_state:
+    if view.nbytes < offset:
+        raise DealerError("malformed dealer record: shorter than its header")
+    len0, len1, len_state = _RECORD_HEADER.unpack_from(view)
+    if view.nbytes != offset + len0 + len1 + len_state:
         raise DealerError("malformed dealer record: length mismatch")
-    blob0 = record[offset : offset + len0]
-    blob1 = record[offset + len0 : offset + len0 + len1]
-    state = record[offset + len0 + len1 :]
+    blob0 = view[offset : offset + len0]
+    blob1 = view[offset + len0 : offset + len0 + len1]
+    state = view[offset + len0 + len1 :]
     return blob0, blob1, state
 
 
-def _seal_reply(record: bytes, party: int | None) -> bytes:
-    """The wire form of a stored record for one requester.
+def _seal_reply(record: bytes, party: int | None) -> list:
+    """The wire form of a stored record for one requester, as the
+    segments of its blob frame.
 
     ``party=None`` (the server-forwarded topology) ships the record
     verbatim — which is what makes a re-served bundle byte-identical
     across dealer restarts. A single-party request gets only its own
-    sealed half, and never the rng state: the state determines every
-    party's future material, so it travels joint-mode only.
+    sealed half (a view of the record, not a copy), and never the rng
+    state: the state determines every party's future material, so it
+    travels joint-mode only.
     """
     if party is None:
-        return record
+        return [record]
     blob0, blob1, _state = _unpack_record(record)
     if party == 0:
-        return _pack_record(blob0, b"", b"")
-    return _pack_record(b"", blob1, b"")
+        return _record_segments([blob0], [], b"")
+    return _record_segments([], [blob1], b"")
 
 
 class _Stream:
@@ -277,9 +284,7 @@ class DealerServer:
                 if last is not None:
                     record = self.store.get(key, last)
                     _blob0, _blob1, state = _unpack_record(record)
-                    stream.dealer.restore_state(
-                        json.loads(state.decode("utf-8"))
-                    )
+                    stream.dealer.restore_state(json.loads(bytes(state)))
                     stream.next_seq = last + 1
             self._streams[(batch, session_seed)] = stream
             return stream
@@ -306,10 +311,15 @@ class DealerServer:
         """
         dealer = stream.dealer
         bundle = [(request, request.draw(dealer)) for request in trace]
-        record = _pack_record(
-            pack_party_bundle(split_bundle(bundle, 0)),
-            pack_party_bundle(split_bundle(bundle, 1)),
-            json.dumps(dealer.state()).encode("utf-8"),
+        # The one copy a generated bundle takes: its arrays, scattered
+        # through the dealer's heap, into the record that is stored and
+        # served.
+        record = b"".join(
+            _record_segments(
+                party_bundle_segments(split_bundle(bundle, 0)),
+                party_bundle_segments(split_bundle(bundle, 1)),
+                json.dumps(dealer.state()).encode("utf-8"),
+            )
         )
         if self.store is not None:
             self.store.put(stream.key, stream.next_seq, record)
@@ -583,8 +593,9 @@ class DealerClient:
         seq: int,
         party: int | None = None,
         deadline: float | None = None,
-    ) -> bytes:
-        """The sealed record for one stream position (see module doc)."""
+    ):
+        """The sealed record for one stream position (see module doc), in
+        the buffer its frame was received into."""
         request = {
             "cmd": "bundle",
             "batch": batch,
@@ -714,7 +725,7 @@ class DealerBackedPool(PreprocessingPool):
         if state:
             # Mirror the remote stream position: a later inline fallback
             # must continue exactly where the dealer's rng stands.
-            self._dealer.restore_state(json.loads(state.decode("utf-8")))
+            self._dealer.restore_state(json.loads(bytes(state)))
         self._next_seq = seq + 1
         return bundle, True
 

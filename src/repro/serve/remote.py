@@ -86,10 +86,11 @@ from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from ..mpc.network import NetworkModel, TrafficSnapshot
 from ..mpc.party import PartyEngine, program_fingerprint, program_manifest
 from ..mpc.preprocessing import (
+    MaterialMismatch,
     PoolExhausted,
     PreprocessingPool,
     ReplayDealer,
-    pack_party_bundle,
+    party_bundle_segments,
     split_bundle,
     unpack_party_bundle,
 )
@@ -1179,16 +1180,18 @@ class RemoteServer:
             return False
         shipped = False
         try:
-            # Serialize before flagging: np.savez materialises the whole
-            # multi-MB blob — the one fallible step before any byte can
-            # leave the server, and the window in which a failed bundle
-            # is still restorable. Once send_blob is attempted, a partial
-            # write is indistinguishable from none: shipped means "maybe".
-            blob = pack_party_bundle(split_bundle(bundle, 0))
+            # Lay the container out before flagging: writing the manifest
+            # over views of the client's rows is the one fallible step
+            # before any byte can leave the server, and the window in
+            # which a failed bundle is still restorable. Once send_blob is
+            # attempted, a partial write is indistinguishable from none:
+            # shipped means "maybe". The rows go out as the frame's
+            # segments, straight from the bundle's own arrays.
+            segments = party_bundle_segments(split_bundle(bundle, 0))
             shipped = True
             if record is not None:
                 record.shipped = True
-            transport.send_blob(blob, "bundle")
+            transport.send_blob(segments, "bundle")
             material = ReplayDealer(split_bundle(bundle, 1))
             offline_s = time.perf_counter() - offline_start
             self._run_request(
@@ -1566,6 +1569,16 @@ class RemoteClient:
                     )
                 continue
             except ServerBusy:
+                raise
+            except MaterialMismatch:
+                # The bundle is not one this request can run from, and a
+                # retry would be handed the same bytes. The request is
+                # half done on the server: hang up, so the server reaps
+                # the session now instead of waiting out its timeout, and
+                # burn the key like any other terminal failure.
+                self.transport.close()
+                self.transport = None
+                self._next_request = key + 1
                 raise
             except TransportError as exc:
                 last = exc

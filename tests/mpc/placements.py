@@ -15,7 +15,13 @@ import threading
 import numpy as np
 
 from repro.mpc import Channel, TrustedDealer
-from repro.mpc.preprocessing import RecordingDealer, ReplayDealer, split_bundle
+from repro.mpc.preprocessing import (
+    RecordingDealer,
+    ReplayDealer,
+    pack_party_bundle,
+    split_bundle,
+    unpack_party_bundle,
+)
 from repro.mpc.transport import PeerChannel, QueueTransport
 
 
@@ -87,7 +93,10 @@ def run_placements(op, seed: int = 0):
     everything in-process, ``array[p : p + 1]`` for party ``p``. The
     two-party run replays the material the in-process run drew, over a
     thread loopback; its stacked result, per-label accounting and raw wire
-    payload must equal the in-process ones. Returns the in-process
+    payload must equal the in-process ones. Each party's rows reach it the
+    way a deployed party's do — unpacked in place from a receive buffer,
+    read-only — so every oracle built on this also shows that no protocol
+    writes the dealer's material. Returns the in-process
     ``(result, channel)`` for the caller's own oracle.
     """
     recorder = RecordingDealer(TrustedDealer(seed=seed))
@@ -96,8 +105,11 @@ def run_placements(op, seed: int = 0):
     bundle = recorder.take()
 
     def party(p):
+        received = bytearray(pack_party_bundle(split_bundle(bundle, p)))
         return lambda io: op(
-            lambda array: array[p : p + 1], ReplayDealer(split_bundle(bundle, p)), io
+            lambda array: array[p : p + 1],
+            ReplayDealer(unpack_party_bundle(received)),
+            io,
         )
 
     out, ios = run_parties(party(0), party(1))

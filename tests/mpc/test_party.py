@@ -106,7 +106,9 @@ def run_placement(program, images, bundle, placement: str, share_seed: int = 5) 
         result = engine.run(images, material=ReplayDealer(bundle))
         return Run(result.shares, [result.channel], result.tallies)
     # The client's rows cross the wire as a blob, exactly as deployed.
-    client_rows = unpack_party_bundle(pack_party_bundle(split_bundle(bundle, 0)))
+    client_rows = unpack_party_bundle(
+        bytearray(pack_party_bundle(split_bundle(bundle, 0)))  # a receive buffer
+    )
     client = PartyEngine.from_manifest(program_manifest(program), share_seed=share_seed)
     server = PartyEngine.from_program(program, party=1)
     out, ios = run_parties(
@@ -141,6 +143,19 @@ class TestPlacementEquivalence:
             client = run.channels[0]
             assert client.stats.raw_payload_sent == client.bytes_client_to_server
             assert client.stats.raw_payload_received == client.bytes_server_to_client
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_no_placement_writes_the_material(self, program, placement):
+        """Retries replay a bundle, so nothing may write it: the same
+        shares come out when every array of the bundle is read-only (the
+        client's rows already are — they are views of the blob)."""
+        images, bundle = _images(program, 1), _bundle(program, 1)
+        reference = run_placement(program, images, bundle, placement)
+        for _, material in bundle:
+            for array in vars(material).values():
+                array.flags.writeable = False
+        frozen = run_placement(program, images, bundle, placement)
+        np.testing.assert_array_equal(frozen.shares, reference.shares)
 
     def test_tally_stream_matches(self, program):
         images, bundle = _images(program, 1), _bundle(program, 1)

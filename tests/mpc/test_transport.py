@@ -1,13 +1,22 @@
 """Wire protocol, transports, shaping and measured-byte accounting."""
 
+import socket
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
+from placements import links
 
+from repro.mpc import transport as wire
 from repro.mpc.network import NetworkModel
 from repro.mpc.transport import (
+    FRAME_BLOB,
+    FRAME_JSON,
+    FRAME_RAW,
+    MAX_FRAME_BYTES,
+    FrameAssembler,
     LinkShaper,
     PeerChannel,
     QueueTransport,
@@ -252,6 +261,73 @@ class TestPeerChannel:
             client.pull("never-sent")
         client.close()
         listener.close()
+
+
+class TestBlobFrames:
+    @pytest.mark.parametrize("placement", ("queue", "tcp"))
+    def test_segments_travel_as_one_blob_frame(self, placement):
+        """A blob given as buffers is one frame whose payload is the
+        buffers laid end to end (here over the 64 KiB scatter threshold)."""
+        client, server, close = links(placement)
+        parts = [b"head", np.arange(1 << 14, dtype=np.uint64), bytes(3)]
+        server.send_blob(parts, "bundle")
+        got = client.recv_blob("bundle")
+        assert bytes(got) == b"".join(bytes(memoryview(part)) for part in parts)
+        assert server.stats.frames_sent == client.stats.frames_received == 1
+        assert client.stats.control_payload_received == len(got)
+        if placement == "tcp":
+            # Read into one buffer and delivered as that buffer.
+            assert isinstance(got, memoryview) and isinstance(got.obj, bytearray)
+        close()
+
+
+def _frame_header(kind: int, payload_len: int, label: bytes = b"bundle") -> bytes:
+    return wire._HEADER.pack(
+        wire._MAGIC, wire._VERSION, kind, len(label), payload_len, 0.0, 0
+    ) + label
+
+
+class TestFrameLengthLimit:
+    """The payload length is the peer's u64: both read paths refuse one
+    over ``MAX_FRAME_BYTES`` before a byte is allocated for it."""
+
+    @pytest.mark.parametrize("kind", (FRAME_RAW, FRAME_BLOB, FRAME_JSON))
+    def test_reader_thread_refuses_an_oversized_declaration(self, kind):
+        listener = PeerChannel.listen()
+        accepted = {}
+        thread = threading.Thread(
+            target=lambda: accepted.update(io=PeerChannel.accept(listener))
+        )
+        thread.start()
+        raw = socket.create_connection(("127.0.0.1", listener.getsockname()[1]))
+        thread.join(timeout=30.0)
+        raw.sendall(_frame_header(kind, 1 << 62))
+        with pytest.raises(TransportError, match="over the .*-byte limit"):
+            accepted["io"].recv_reply("bundle")
+        assert accepted["io"].wait_peer_gone(5.0)  # the reader hung up
+        raw.close()
+        accepted["io"].close()
+        listener.close()
+
+    def test_assembler_refuses_an_oversized_declaration(self):
+        assembler = FrameAssembler()
+        (item,) = assembler.feed(_frame_header(FRAME_BLOB, MAX_FRAME_BYTES + 1))
+        assert isinstance(item, TransportError)
+        assert f"over the {MAX_FRAME_BYTES}-byte limit" in str(item)
+        assert assembler.failed and not assembler.mid_frame
+        assert assembler._dest is None
+        assert assembler.feed(bytes(64)) == []  # the stream is finished
+
+    def test_the_limit_itself_is_admitted(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16)
+        payload = bytes(range(16))
+        head = wire._HEADER.pack(
+            wire._MAGIC, wire._VERSION, FRAME_BLOB, 0, 16, 0.0, zlib.crc32(payload)
+        )
+        ((kind, _label, got, _at),) = FrameAssembler().feed(head + payload)
+        assert kind == FRAME_BLOB and bytes(got) == payload
+        (item,) = FrameAssembler().feed(_frame_header(FRAME_BLOB, 17))
+        assert isinstance(item, TransportError)
 
 
 class TestTransportIdentity:

@@ -25,7 +25,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpc.transport import FRAME_JSON, FrameAssembler, _encode_frame
+from repro.mpc.transport import (
+    _HEADER,
+    _MAGIC,
+    _VERSION,
+    FRAME_JSON,
+    FRAME_RAW,
+    FrameAssembler,
+    _encode_frame,
+)
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.dealer_service import DealerClient
 from repro.serve.remote import RemoteClient, RemoteServer, ServerBusy
@@ -140,6 +148,38 @@ class TestIdleSessionsAreFree:
             assert metrics["sessions_reaped"] == 1
             assert metrics["connections_failed"] == 1
             sock.close()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+
+
+class TestOversizedFrame:
+    def test_session_is_reaped_and_the_loop_keeps_serving(self, victim):
+        """A header declaring an absurd payload is refused on the loop
+        thread before anything is allocated for it: the sender's session
+        is reaped with the typed error, everyone else is served."""
+        server, thread = _start(victim, workers=2, request_timeout=5.0)
+        try:
+            sock = _raw_handshake(server.port, session="hostile")
+            sock.sendall(
+                _HEADER.pack(_MAGIC, _VERSION, FRAME_RAW, 3, 1 << 62, 0.0, 0) + b"req"
+            )
+            deadline = time.monotonic() + 4.0  # well inside request_timeout
+            with server._drained:
+                while server._active and time.monotonic() < deadline:
+                    server._drained.wait(0.2)
+            assert server.active_sessions == 0
+            metrics = server.metrics()
+            (reaped,) = [s for s in metrics["sessions"] if s["session"] == "hostile"]
+            assert "TransportError: frame header declares" in reaped["error"]
+            assert metrics["sessions_reaped"] == 1
+            sock.close()
+            live = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=1, timeout=10.0
+            )
+            reply = live.infer(np.zeros((1, 2, 8, 8), np.float32))
+            assert reply.logits.shape == (1, 5) and reply.bytes_match
+            live.close()
         finally:
             server.stop()
             thread.join(timeout=10.0)

@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from repro.mpc.chaos import ChaosController, ChaosLink, ChaosTrace, FaultSpec
-from repro.mpc.transport import TransportError
+from repro.mpc.preprocessing import MaterialMismatch
+from repro.mpc.transport import FRAME_BLOB, TransportError
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.remote import RemoteClient, RemoteServer
 
@@ -351,6 +352,128 @@ class TestFrameLength:
         assert metrics["sessions_reaped"] == 1
         # ...and the bystander never noticed.
         assert results["bystander"] == baselines("bystander", 31)
+
+
+class _BundleHook(ChaosLink):
+    """A client link that passes every ``bundle`` blob it receives — a
+    well-formed frame, its CRC already verified — through ``hook``."""
+
+    def __init__(self, inner, controller, hook):
+        super().__init__(inner, controller)
+        self.hook = hook
+
+    def _recv_frame(self):
+        kind, label, payload = super()._recv_frame()
+        if kind == FRAME_BLOB and label == "bundle":
+            payload = self.hook(payload)
+        return kind, label, payload
+
+
+def _flip(index):
+    def flip(blob):
+        blob = bytearray(blob)
+        blob[index] ^= 0xFF
+        return blob
+
+    return flip
+
+
+class TestMalformedBundle:
+    """A bundle the client cannot parse is one typed error, and the
+    client hangs up on it: the server is mid-request, waiting for rounds
+    that will never come."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda blob: b"",
+            lambda blob: b"PK\x03\x04" + bytes(blob[4:]),  # the npz era's magic
+            lambda blob: blob[: len(blob) // 2],
+            _flip(9),  # the manifest length
+            _flip(40),  # a manifest byte
+        ],
+        ids=("empty", "old-format", "truncated", "lying-length", "flipped-manifest"),
+    )
+    def test_client_raises_typed_and_closes_and_the_server_reaps(
+        self, victim, images, baselines, tamper
+    ):
+        server, thread = _start(victim)
+        barrier = threading.Barrier(2)
+        results, errors = {}, []
+
+        def bystander():
+            try:
+                client = RemoteClient(
+                    "127.0.0.1", server.port, noise_magnitude=0.1, seed=31,
+                    session="bystander", timeout=CLIENT_TIMEOUT,
+                )
+                barrier.wait(timeout=30.0)
+                results["bystander"] = [
+                    client.infer(batch).logits.tobytes() for batch in images
+                ]
+                client.close()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        try:
+            worker = threading.Thread(target=bystander)
+            worker.start()
+            hostile = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=32,
+                session="hostile", timeout=CLIENT_TIMEOUT,
+                transport_wrapper=lambda io: _BundleHook(
+                    io, ChaosController([]), tamper
+                ),
+            )
+            barrier.wait(timeout=30.0)
+            with pytest.raises(MaterialMismatch):
+                hostile.infer(images[0], retries=2)
+            assert hostile.transport is None  # hung up, not left out of step
+            assert hostile.requests_retried == 0  # the same bytes would come back
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        assert not errors
+        (reaped,) = [s for s in metrics["sessions"] if s["session"] == "hostile"]
+        # Reaped because the client hung up, not because a deadline ran out.
+        assert "TransportError" in reaped["error"]
+        assert "timed out" not in reaped["error"]
+        assert metrics["sessions_reaped"] == 1
+        assert results["bystander"] == baselines("bystander", 31)
+
+
+class TestBundleReship:
+    def test_a_retried_request_key_is_reshipped_the_same_bytes(self, victim, images):
+        """The container is a pure function of the retained bundle: the
+        retry of a key ships byte for byte what the first attempt did."""
+        controller = ChaosController([FaultSpec("drop", **PHASES["reveal"])])
+        blobs = []
+
+        def tap(blob):
+            blobs.append(bytes(blob))
+            return blob
+
+        server, thread = _start(victim)
+        try:
+            client = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=9, session="s",
+                timeout=CLIENT_TIMEOUT,
+                transport_wrapper=lambda io: _BundleHook(io, controller, tap),
+            )
+            replies = [client.infer(batch, retries=3) for batch in images]
+            client.close()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        assert controller.trace.events, "the scheduled fault never fired"
+        assert client.requests_retried == 1
+        first, second, retry = blobs  # request 0, request 1, request 1 again
+        assert second == retry and first != second
+        assert all(reply.offline_bytes == len(first) for reply in replies)
 
 
 class TestChaosTraceReplay:

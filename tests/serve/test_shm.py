@@ -20,7 +20,14 @@ import pytest
 
 from repro.mpc import LAN
 from repro.mpc.shm import DEFAULT_RING_BYTES, ShmChannel, ShmRing
-from repro.mpc.transport import TransportError, WireStats
+from repro.mpc.transport import (
+    _HEADER,
+    _MAGIC,
+    _VERSION,
+    FRAME_BLOB,
+    TransportError,
+    WireStats,
+)
 from repro.serve.remote import RemoteClient, RemoteServer, _demo_victim
 
 
@@ -181,6 +188,30 @@ class TestShmChannelFraming:
             thread.join(timeout=10)
             assert server.stats.frames_pooled == 1
             assert "and-open" not in server.stats.copied_by_label
+        finally:
+            client.close()
+            server.close()
+
+    def test_blob_segments_arrive_as_one_buffer(self):
+        client, server = _channel_pair()
+        try:
+            parts = [b"head", np.arange(64, dtype=np.uint64), bytes(3)]
+            server.send_blob(parts, "bundle")
+            got = client.recv_blob("bundle")
+            assert bytes(got) == b"".join(bytes(memoryview(p)) for p in parts)
+            assert isinstance(got, memoryview)  # the buffer it was read into
+        finally:
+            client.close()
+            server.close()
+
+    def test_oversized_declaration_is_refused_before_allocating(self):
+        client, server = _channel_pair()
+        try:
+            server.send_raw(
+                _HEADER.pack(_MAGIC, _VERSION, FRAME_BLOB, 0, 1 << 62, 0.0, 0)
+            )
+            with pytest.raises(TransportError, match="over the .*-byte limit"):
+                client.recv_blob("bundle")
         finally:
             client.close()
             server.close()
