@@ -19,10 +19,11 @@ ambient state. Three rules:
     shaper-skew bug was exactly a wall-clock header leaking into
     behavior); deadlines belong on ``time.monotonic()`` and duration
     measurement on ``time.perf_counter()``, neither of which is flagged.
-    The three frame-header timestamp sites in ``transport.py``/``shm.py``
-    are the documented allowlist seeds: the stamp is diagnostic, excluded
-    from the payload CRC and from every byte-accounting counter, and
-    carries an inline ``# audit: allow[determinism/wall-clock]``.
+    The one frame-header timestamp site (``transport._frame_layout``, the
+    only writer of the header) is the documented allowlist seed: the
+    stamp is diagnostic, excluded from the payload CRC and from every
+    byte-accounting counter, and carries an inline
+    ``# audit: allow[determinism/wall-clock]``.
 
 ``determinism/set-iteration``
     Iterating a ``set`` (or ``frozenset``) on a protocol-order path.

@@ -62,7 +62,7 @@ _BLOCKING_CALLS = {
     # transport round-trips and framing
     "push", "pull", "swap", "open_add", "open_xor", "open_bits", "hand",
     "send_obj", "recv_obj", "send_blob", "recv_blob",
-    "read_exact", "_read_exact", "read_into", "write",
+    "read_into", "write",
     # offline material: dealer generation and pool draws
     "refill", "generate", "_generate", "acquire_bundle", "acquire",
     "infer",

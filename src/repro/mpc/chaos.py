@@ -290,7 +290,7 @@ class ChaosLink(Transport):
         self.inner = inner
         self.controller = controller
         self.stats = inner.stats  # one measured wire, whoever asks
-        self._held: tuple[int, str, bytes] | None = None
+        self._held: tuple[int, str, tuple] | None = None
 
     # -- delegation ------------------------------------------------------
     @property
@@ -306,14 +306,11 @@ class ChaosLink(Transport):
         self.inner.close()
 
     # -- faulted movement ------------------------------------------------
-    def _send_frame(self, kind: int, label: str, payload: bytes) -> None:
-        self._send_frame_segments(kind, label, (payload,))
-
-    def _send_frame_segments(self, kind: int, label: str, segments) -> None:
+    def _send_frame(self, kind: int, label: str, segments) -> None:
         payload = b"".join(bytes(memoryview(segment)) for segment in segments)
         spec = self.controller.decide("send", kind, label, payload)
         if spec is None:
-            self.inner._send_frame(kind, label, payload)
+            self.inner._send_frame(kind, label, (payload,))
             self._flush_held()
             return
         if spec.kind == "drop":
@@ -322,7 +319,7 @@ class ChaosLink(Transport):
             # Held until the next outgoing frame overtakes it; if none
             # follows, the hold degenerates into a drop (the peer's
             # deadline recovers either way).
-            self._held = (kind, label, payload)
+            self._held = (kind, label, (payload,))
             return
         if spec.kind == "corrupt":
             frame = bytearray(_encode_frame(kind, label, payload))

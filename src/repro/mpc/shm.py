@@ -18,6 +18,14 @@ bytes over shared memory — and the ``bytes_match`` identity between
 measured payload and :class:`~repro.mpc.network.Channel` accounting
 keeps holding.
 
+This module is a *carrier*: it knows rings, not frames. A frame is laid
+out by :func:`~repro.mpc.transport._frame_layout` and parsed by
+:class:`~repro.mpc.transport.FrameAssembler`, the same two the socket
+transports use — sending writes the layout's parts into the ring,
+receiving reads the ring into whatever buffer the decoder names — so a
+bad header, a checksum failure or a torn stream is the same typed,
+terminal error here as on a socket.
+
 Unlike :class:`~repro.mpc.transport.PeerChannel` there is **no reader
 thread**: the ring itself buffers frames until the consumer wants them,
 so :meth:`ShmChannel._recv_frame` reads synchronously on the protocol
@@ -57,20 +65,9 @@ import struct
 import threading
 import time
 import uuid
-import zlib
 from multiprocessing import resource_tracker, shared_memory
 
-from .transport import (
-    FRAME_BLOB,
-    FRAME_RAW,
-    FRAME_RAW_BATCH,
-    Transport,
-    TransportError,
-    _HEADER,
-    _MAGIC,
-    _VERSION,
-    _bad_header,
-)
+from .transport import FrameAssembler, Transport, TransportError, _frame_layout
 
 __all__ = ["ShmRing", "ShmChannel", "DEFAULT_RING_BYTES"]
 
@@ -196,8 +193,9 @@ class ShmRing:
             offset += chunk
 
     def read_into(self, out: memoryview, deadline: float | None = None,
-                  abort=None) -> bool:
-        """Fill ``out`` completely; False on EOF (closed and drained)."""
+                  abort=None) -> int:
+        """Fill ``out``; returns the bytes read — short (zero, at a
+        message boundary) only at EOF: closed and drained."""
         total = out.nbytes
         offset = 0
         polls = 0
@@ -207,7 +205,7 @@ class ShmRing:
             available = tail - head
             if available == 0:
                 if self.closed:
-                    return False  # drained and no writer left
+                    break  # drained and no writer left
                 if deadline is not None and time.monotonic() > deadline:
                     raise TransportError("shared-memory read timed out")
                 polls = self._wait(polls, abort)
@@ -221,17 +219,18 @@ class ShmRing:
                 out[offset + first : offset + chunk] = self._data[: chunk - first]
             self._meta[0] = head + chunk
             offset += chunk
-        return True
+        return offset
 
 
 class ShmChannel(Transport):
     """The socket transport's frame protocol over two shared-memory rings.
 
     Same :class:`~repro.mpc.transport.Channel` accounting, same wire
-    frames (header + label + CRC-checked payload) as
-    :class:`~repro.mpc.transport.PeerChannel` — only the bytes move
-    through :class:`ShmRing` pairs, and reception is synchronous on the
-    protocol thread (see the module docstring for why). ``carrier`` is
+    frames (header + label + CRC-checked payload), same encoder and
+    decoder as :class:`~repro.mpc.transport.PeerChannel` — only the
+    bytes move through :class:`ShmRing` pairs, and reception is
+    synchronous on the protocol thread (see the module docstring for
+    why). ``carrier`` is
     the TCP transport that negotiated the placement: its ``WireStats``
     is adopted (one stats object for the whole session) and its
     ``peer_gone`` event doubles as the liveness signal a shared-memory
@@ -258,6 +257,7 @@ class ShmChannel(Transport):
         self._read_lock = threading.Lock()
         self._closed = threading.Event()
         self.peer_gone = threading.Event()
+        self._decoder = FrameAssembler(self)
 
     # -- negotiation helpers --------------------------------------------
     @classmethod
@@ -283,42 +283,22 @@ class ShmChannel(Transport):
         return self.carrier.wait_peer_gone(timeout)
 
     # -- framing ---------------------------------------------------------
-    def _send_frame(self, kind: int, label: str, payload) -> None:
-        self._send_frame_segments(kind, label, (payload,))
+    def _deadline(self) -> float | None:
+        return time.monotonic() + self.timeout if self.timeout is not None else None
 
-    def _send_frame_segments(self, kind: int, label: str, segments) -> None:
-        """Write header + label + segments straight into the ring.
+    def _send_frame(self, kind: int, label: str, segments) -> None:
+        """Write head + segments straight into the ring.
 
         The ring write *is* the wire copy (exactly like a socket
         ``sendall``), so no join or staging buffer exists on this path at
         all — the buffer pool's wire table is never needed here.
         """
-        segments = [
-            s if isinstance(s, bytes) else memoryview(s).cast("B") for s in segments
-        ]
-        total = sum(len(s) if isinstance(s, bytes) else s.nbytes for s in segments)
-        encoded = label.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise TransportError(f"label too long: {label!r}")
-        crc = 0
-        for segment in segments:
-            crc = zlib.crc32(segment, crc)
-        header = _HEADER.pack(
-            _MAGIC, _VERSION, kind, len(encoded), total,
-            # audit: allow[determinism/wall-clock] -- diagnostic stamp, outside CRC/accounting
-            time.time(),
-            crc,
-        )
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
+        head, segments, total = _frame_layout(kind, label, segments)
+        deadline = self._deadline()
         try:
             with self._write_lock:
-                self.tx.write(header, deadline, self._abort)
-                if encoded:
-                    self.tx.write(encoded, deadline, self._abort)
-                for segment in segments:
-                    self.tx.write(segment, deadline, self._abort)
+                for part in (head, *segments):
+                    self.tx.write(part, deadline, self._abort)
         except TransportError as exc:
             self.peer_gone.set()
             raise TransportError(f"shared-memory peer lost on send: {exc}") from exc
@@ -326,82 +306,32 @@ class ShmChannel(Transport):
 
     def send_raw(self, data: bytes) -> None:
         """Raw ring bytes, bypassing framing (chaos layer compatibility)."""
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
         with self._write_lock:
-            self.tx.write(data, deadline, self._abort)
-
-    def _read_buffer(self, count: int, deadline: float | None) -> memoryview:
-        out = memoryview(bytearray(count))
-        if not self.rx.read_into(out, deadline, self._abort):
-            self.peer_gone.set()
-            raise TransportError("peer closed the shared-memory link")
-        return out
-
-    def _read_exact(self, count: int, deadline: float | None) -> bytes:
-        return bytes(self._read_buffer(count, deadline))
+            self.tx.write(data, self._deadline(), self._abort)
 
     def _recv_frame(self) -> tuple[int, str, bytes]:
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
+        deadline = self._deadline()
+        decoder = self._decoder
         try:
             with self._read_lock:
-                header = self._read_exact(_HEADER.size, deadline)
-                magic, version, kind, label_len, payload_len, _sent_at, crc = (
-                    _HEADER.unpack(header)
-                )
-                refusal = _bad_header(magic, version, payload_len)
-                if refusal is not None:
-                    raise TransportError(refusal)
-                label = (
-                    self._read_exact(label_len, deadline).decode(
-                        "utf-8", errors="replace"
-                    )
-                    if label_len
-                    else ""
-                )
-                pool = self.pool
-                pooled = (
-                    pool is not None
-                    and payload_len > 0
-                    and kind in (FRAME_RAW, FRAME_RAW_BATCH)
-                )
-                if pooled:
-                    payload = pool.recv_frame(label, payload_len)
-                    if not self.rx.read_into(payload, deadline, self._abort):
+                item = None
+                while item is None:
+                    want = decoder.want()
+                    got = self.rx.read_into(want, deadline, self._abort)
+                    if got:
+                        item = decoder.advance(got)
+                    if got < len(want):
                         self.peer_gone.set()
-                        raise TransportError(
-                            "peer closed the shared-memory link mid-frame"
+                        item = decoder.eof() or TransportError(
+                            "peer closed the shared-memory link"
                         )
-                elif kind == FRAME_BLOB and payload_len:
-                    # As on the socket: a bundle stays in the one buffer
-                    # it was read into.
-                    payload = self._read_buffer(payload_len, deadline)
-                else:
-                    payload = (
-                        self._read_exact(payload_len, deadline)
-                        if payload_len
-                        else b""
-                    )
+            if isinstance(item, TransportError):
+                raise item
         except TransportError as exc:
             raise TransportError(
                 f"party {self.party} lost the shared-memory peer: {exc}"
             ) from exc
-        if zlib.crc32(payload) != crc:
-            raise TransportError(
-                f"frame checksum mismatch on {label!r} ({payload_len} bytes) "
-                "— payload corrupted in the ring"
-            )
-        self._count_received(
-            kind,
-            label,
-            payload_len,
-            pooled=pooled,
-            copied=not pooled,
-        )
-        return kind, label, payload
+        return self._delivered(item)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -25,9 +25,14 @@ The CRC travels so that a corrupted or torn frame is a **typed failure**
 (:class:`TransportError`) instead of silent garbage entering the ring:
 TCP's own checksum does not survive middleboxes, proxies or buggy
 framing code, and a single flipped byte in a share would otherwise
-surface only as wrong logits. :class:`PeerChannel` verifies it on every
-received frame; the in-memory :class:`QueueTransport` moves frames as
-objects and has nothing to checksum.
+surface only as wrong logits. The format is written in one place
+(:func:`_frame_layout`) and read in one place (:class:`FrameAssembler`,
+which verifies the CRC of every received frame); the carriers — the
+:class:`PeerChannel` reader thread, the :class:`LoopChannel` event loop,
+the shared-memory rings of :mod:`repro.mpc.shm` — only move the bytes
+between a socket or ring and the buffers those two name. The in-memory
+:class:`QueueTransport` moves frames as objects and has nothing to
+encode, parse or checksum.
 
 Frame kinds separate **online protocol traffic** (``RAW``: ring tensors
 and packed bit vectors, whose payload sizes are exactly what
@@ -196,6 +201,9 @@ def split_batch(payload) -> list[tuple[str, memoryview]]:
     return parts
 
 
+# ----------------------------------------------------------------------
+# the wire codec: the one encoder and the one decoder of a frame
+# ----------------------------------------------------------------------
 def _bad_header(magic: bytes, version: int, payload_len: int) -> str | None:
     """Why a frame header is refused (before anything is allocated for it)."""
     if magic != _MAGIC or version != _VERSION:
@@ -208,12 +216,30 @@ def _bad_header(magic: bytes, version: int, payload_len: int) -> str | None:
     return None
 
 
-def _frame_crc(segments) -> int:
-    """CRC-32 of a payload given as one or more buffers."""
+def _frame_layout(kind: int, label: str, segments) -> tuple[bytes, list, int]:
+    """Lay one frame out: ``(head, segments, payload length)``.
+
+    ``head`` is header + label in one buffer; the payload is the caller's
+    ``segments`` laid end to end, returned as flat byte views and never
+    joined or copied here. The CRC runs over them in order, so however a
+    carrier writes them out, the receiver checks the same bytes.
+    """
+    encoded = label.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise TransportError(f"label too long: {label!r}")
+    segments = [memoryview(segment).cast("B") for segment in segments]
+    total = 0
     crc = 0
     for segment in segments:
+        total += segment.nbytes
         crc = zlib.crc32(segment, crc)
-    return crc
+    header = _HEADER.pack(
+        _MAGIC, _VERSION, kind, len(encoded), total,
+        # audit: allow[determinism/wall-clock] -- diagnostic stamp, outside CRC/accounting
+        time.time(),
+        crc,
+    )
+    return header + encoded, segments, total
 
 
 def _encode_frame(kind: int, label: str, payload: bytes) -> bytes:
@@ -224,16 +250,121 @@ def _encode_frame(kind: int, label: str, payload: bytes) -> bytes:
     computed over the original payload, so a tampered copy fails
     verification at the receiver.
     """
-    encoded = label.encode("utf-8")
-    if len(encoded) > 0xFFFF:
-        raise TransportError(f"label too long: {label!r}")
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, kind, len(encoded), len(payload),
-        # audit: allow[determinism/wall-clock] -- diagnostic stamp, outside CRC/accounting
-        time.time(),
-        zlib.crc32(payload),
-    )
-    return header + encoded + payload
+    head, segments, _ = _frame_layout(kind, label, (payload,))
+    return b"".join((head, *segments))
+
+
+_IN_HEAD, _IN_LABEL, _IN_PAYLOAD = range(3)  # which field a decoder is filling
+
+
+class FrameAssembler:
+    """The one decoder of the wire format, driven by whoever has the bytes.
+
+    A carrier asks :meth:`want` where the stream's next bytes go, writes
+    some there (``recv_into``, a ring read) and reports how many with
+    :meth:`advance`, which answers ``None`` (mid-frame), one complete
+    ``(kind, label, payload, arrived_at)`` item, or the terminal
+    :class:`TransportError`. Everything the format means lives here and
+    nowhere else: header fields, the magic / version / length refusal
+    (before anything is allocated for the payload), the CRC, where a
+    payload lands, the torn-stream diagnosis — so every carrier reports
+    every failure in the same words.
+
+    Payloads are received in place: raw protocol frames in the owner's
+    :class:`BufferPool` ring when one is attached, a blob in the one
+    buffer its consumer reads the material out of, the other control
+    frames in a scratch buffer delivered as ``bytes``.
+    """
+
+    def __init__(self, owner: "Transport | None" = None):
+        self._owner = owner
+        self._head = memoryview(bytearray(_HEADER.size))
+        self._stage = _IN_HEAD
+        self._field = self._head  # the buffer being filled: head, label or payload
+        self._filled = 0
+        self._kind = self._crc = self._payload_len = 0
+        self._label = ""
+        self._pooled = False
+        #: True while a frame is partially read — EOF now means a torn
+        #: stream, not a clean close.
+        self.mid_frame = False
+        #: The terminal decode failure, once there is one; the stream's
+        #: integrity is gone and every later :meth:`want` raises it again.
+        self.failed: TransportError | None = None
+
+    def want(self) -> memoryview:
+        """Where the next bytes of the stream go: a writable view of
+        exactly what the current field still misses (never empty)."""
+        if self.failed is not None:
+            raise self.failed
+        return self._field[self._filled :]
+
+    def advance(self, count: int):
+        """``count`` bytes were written into :meth:`want`'s view."""
+        self._filled += count
+        self.mid_frame = True
+        while self._filled == len(self._field):  # field complete, or empty
+            if self._stage == _IN_HEAD:
+                magic, version, kind, label_len, payload_len, _sent_at, crc = (
+                    _HEADER.unpack(self._head)
+                )
+                refusal = _bad_header(magic, version, payload_len)
+                if refusal is not None:
+                    return self._fail(refusal)
+                self._kind, self._payload_len, self._crc = kind, payload_len, crc
+                self._field = memoryview(bytearray(label_len))
+            elif self._stage == _IN_LABEL:
+                self._label = bytes(self._field).decode("utf-8", errors="replace")
+                pool = self._owner.pool if self._owner is not None else None
+                # Raw rounds land directly in a pooled, writable buffer:
+                # no intermediate bytes object, no downstream .copy().
+                self._pooled = bool(
+                    pool is not None
+                    and self._payload_len
+                    and self._kind in (FRAME_RAW, FRAME_RAW_BATCH)
+                )
+                self._field = (
+                    pool.recv_frame(self._label, self._payload_len)
+                    if self._pooled
+                    else memoryview(bytearray(self._payload_len))
+                )
+            else:  # _IN_PAYLOAD
+                return self._finish()
+            self._stage += 1
+            self._filled = 0
+        return None
+
+    def eof(self) -> TransportError | None:
+        """The stream ended: inside a frame that is a torn stream (typed
+        and terminal), at a frame boundary a clean close (``None``)."""
+        if self.mid_frame and self.failed is None:
+            return self._fail("peer connection torn mid-frame (truncated stream)")
+        return None
+
+    def _fail(self, reason: str) -> TransportError:
+        self.mid_frame = False  # diagnosed: don't also report a torn stream
+        self._field = self._head  # drop whatever the frame had been given
+        self.failed = TransportError(reason)
+        return self.failed
+
+    def _finish(self):
+        payload, self._field = self._field, self._head
+        self._stage, self._filled, self.mid_frame = _IN_HEAD, 0, False
+        if zlib.crc32(payload) != self._crc:
+            # A flipped byte anywhere in the payload: refuse the frame
+            # (and the stream) instead of letting garbage enter the ring
+            # as a share.
+            return self._fail(
+                f"frame checksum mismatch on {self._label!r} "
+                f"({self._payload_len} bytes) — payload corrupted in transit"
+            )
+        if not (self._pooled or self._kind == FRAME_BLOB):
+            payload = bytes(payload)
+        # Arrival is stamped on the *receiver's* monotonic clock: the
+        # sender's wall-clock stamp (in the header for diagnostics) is
+        # skewed by an unknown offset across real machines and must not
+        # feed the shaper delay.
+        return (self._kind, self._label, payload, time.monotonic())
 
 
 # ----------------------------------------------------------------------
@@ -518,17 +649,9 @@ class Transport(Channel):
         self._expanded: deque = deque()
 
     # -- movement primitives (implemented by subclasses) ----------------
-    def _send_frame(self, kind: int, label: str, payload: bytes) -> None:
+    def _send_frame(self, kind: int, label: str, segments) -> None:
+        """Send one frame whose payload is ``segments`` laid end to end."""
         raise NotImplementedError
-
-    def _send_frame_segments(self, kind: int, label: str, segments) -> None:
-        """One frame whose payload is the concatenation of ``segments``.
-
-        The default joins the buffers (fine for in-memory loopback);
-        :class:`PeerChannel` overrides this with a scatter write so
-        multi-megabyte tensor pairs are never copied into one buffer.
-        """
-        self._send_frame(kind, label, b"".join(segments))
 
     def _recv_frame(self) -> tuple[int, str, bytes]:
         raise NotImplementedError
@@ -669,6 +792,15 @@ class Transport(Channel):
             elif copied:
                 self._count_copied(label, nbytes)
 
+    def _delivered(self, item: tuple) -> tuple[int, str, bytes]:
+        """Account one item the decoder completed; ``(kind, label, payload)``."""
+        kind, label, payload, _arrived_at = item
+        pooled = not isinstance(payload, bytes)
+        self._count_received(
+            kind, label, len(payload), pooled=pooled, copied=not pooled
+        )
+        return kind, label, payload
+
     def _next_frame(self) -> tuple[int, str, bytes]:
         """The next logical raw message: expands batch frames in order."""
         if self._expanded:
@@ -705,7 +837,7 @@ class Transport(Channel):
         if self._deferred:
             self._flush_with([(label, [data])])
             return
-        self._send_frame(FRAME_RAW, label, data)
+        self._send_frame(FRAME_RAW, label, (data,))
 
     def push_deferred(self, data, label: str) -> None:
         """Queue a raw message to ride in the next outgoing frame.
@@ -741,7 +873,7 @@ class Transport(Channel):
         """One physical frame carrying several labeled raw messages."""
         if len(parts) == 1:
             label, segments = parts[0]
-            self._send_frame_segments(FRAME_RAW, label, segments)
+            self._send_frame(FRAME_RAW, label, segments)
             return
         views = [
             (label, [memoryview(s).cast("B") for s in segments])
@@ -764,7 +896,7 @@ class Transport(Channel):
         segments = [memoryview(directory)]
         for _, part_segments in views:
             segments.extend(part_segments)
-        self._send_frame_segments(FRAME_RAW_BATCH, joined, segments)
+        self._send_frame(FRAME_RAW_BATCH, joined, segments)
         for (label, _), size in zip(views, sizes):
             self.stats.raw_payload_sent += size
             self.stats.raw_by_label[label] = (
@@ -786,7 +918,7 @@ class Transport(Channel):
     def send_obj(self, obj, label: str = "ctl") -> None:
         if self._deferred:
             self.flush_deferred()  # control must not overtake raw messages
-        self._send_frame(FRAME_JSON, label, json.dumps(obj).encode("utf-8"))
+        self._send_frame(FRAME_JSON, label, (json.dumps(obj).encode("utf-8"),))
 
     def recv_obj(self, label: str | None = None):
         return json.loads(bytes(self._expect(FRAME_JSON, label)[1]).decode("utf-8"))
@@ -795,7 +927,7 @@ class Transport(Channel):
         if self._deferred:
             self.flush_deferred()
         header, body = pack_array_segments(array)
-        self._send_frame_segments(FRAME_TENSOR, label, (header, body))
+        self._send_frame(FRAME_TENSOR, label, (header, body))
 
     def recv_tensor(self, label: str | None = None) -> np.ndarray:
         return unpack_array(self._expect(FRAME_TENSOR, label)[1])
@@ -807,7 +939,7 @@ class Transport(Channel):
         if self._deferred:
             self.flush_deferred()
         segments = data if isinstance(data, (list, tuple)) else (data,)
-        self._send_frame_segments(FRAME_BLOB, label, segments)
+        self._send_frame(FRAME_BLOB, label, segments)
 
     def recv_blob(self, label: str | None = None):
         """The payload of the next blob frame: ``bytes``, or a view of
@@ -874,53 +1006,36 @@ class QueueTransport(Transport):
         client._peer, server._peer = server, client
         return client, server
 
-    def _send_frame(self, kind: int, label: str, payload) -> None:
+    def _send_frame(self, kind: int, label: str, segments) -> None:
         if self._peer is None:
             raise TransportError("queue transport is not paired")
-        if not isinstance(payload, bytes):
-            raw = kind in (FRAME_RAW, FRAME_RAW_BATCH)
-            if self.pool is not None and raw:
+        raw = kind in (FRAME_RAW, FRAME_RAW_BATCH)
+        if len(segments) == 1 and isinstance(segments[0], bytes):
+            payload = segments[0]  # immutable already: handed over as it is
+        else:
+            views = [memoryview(segment).cast("B") for segment in segments]
+            total = sum(view.nbytes for view in views)
+            if self.pool is None or not raw:
+                # Control frames (logits tensors, blobs) are materialized:
+                # their consumers may hold them indefinitely.
+                if raw:
+                    self._count_copied(label, total)
+                payload = b"".join(views)
+            elif len(views) == 1:
                 # Zero-copy handoff: the peer receives the sender's buffer
                 # directly (pooled lifetime rules apply — see BufferPool).
-                # Control frames (logits tensors, blobs) are materialized
-                # instead: their consumers may hold them indefinitely.
-                payload = memoryview(payload).cast("B")
+                payload = views[0]
             else:
-                view = memoryview(payload)
-                if raw:
-                    self._count_copied(label, view.nbytes)
-                payload = view.tobytes()
-        nbytes = len(payload) if isinstance(payload, bytes) else payload.nbytes
+                payload = self.pool.wire_frame(label, total)
+                offset = 0
+                for view in views:
+                    payload[offset : offset + view.nbytes] = view
+                    offset += view.nbytes
         if self.shaper is not None:
-            self.shaper.throttle_send(nbytes)
-        self._count_sent(kind, label, nbytes)
+            self.shaper.throttle_send(len(payload))
+        self._count_sent(kind, label, len(payload))
         # Enqueueing *is* arrival for the in-memory pair; both threads
         # share one process clock, so monotonic stamps are comparable.
-        self._peer._inbox.put((kind, label, payload, time.monotonic()))
-
-    def _send_frame_segments(self, kind: int, label: str, segments) -> None:
-        segments = [memoryview(segment).cast("B") for segment in segments]
-        if len(segments) == 1:
-            self._send_frame(kind, label, segments[0])
-            return
-        raw = kind in (FRAME_RAW, FRAME_RAW_BATCH)
-        total = sum(segment.nbytes for segment in segments)
-        if self.pool is not None and raw:
-            staged = self.pool.wire_frame(label, total)
-            offset = 0
-            for segment in segments:
-                staged[offset : offset + segment.nbytes] = segment
-                offset += segment.nbytes
-            payload = staged
-        else:
-            if raw:
-                self._count_copied(label, total)
-            payload = b"".join(segments)
-        if self._peer is None:
-            raise TransportError("queue transport is not paired")
-        if self.shaper is not None:
-            self.shaper.throttle_send(total)
-        self._count_sent(kind, label, total)
         self._peer._inbox.put((kind, label, payload, time.monotonic()))
 
     def _recv_frame(self) -> tuple[int, str, bytes]:
@@ -932,9 +1047,8 @@ class QueueTransport(Transport):
             ) from exc
         if self.shaper is not None:
             self.shaper.delay_delivery(arrived_at)
-        nbytes = len(payload) if isinstance(payload, bytes) else payload.nbytes
         self._count_received(
-            kind, label, nbytes, pooled=not isinstance(payload, bytes)
+            kind, label, len(payload), pooled=not isinstance(payload, bytes)
         )
         return kind, label, payload
 
@@ -976,13 +1090,15 @@ class PeerChannel(Transport):
         # closed. Lets callers (the chaos layer's stall fault, session
         # reapers) wait for peer death without polling.
         self.peer_gone = threading.Event()
+        self._decoder = FrameAssembler(self)
+        self._eof_delivered = False
         # ``reader=False`` (the LoopChannel subclass) skips the per-
-        # connection reader thread: frames are fed into the inbox by an
-        # external event loop instead of a dedicated drain thread.
+        # connection reader thread: an external event loop moves the
+        # socket's bytes into the decoder instead of a dedicated thread.
         self._reader: threading.Thread | None = None
         if reader:
             self._reader = threading.Thread(
-                target=self._read_loop,
+                target=self._pump,
                 name=f"c2pi-peer-reader-p{party}",
                 daemon=True,
             )
@@ -1050,51 +1166,35 @@ class PeerChannel(Transport):
         raise TransportError(f"could not connect to {host}:{port}: {last}")
 
     # -- framing ---------------------------------------------------------
-    def _send_frame(self, kind: int, label: str, payload: bytes) -> None:
-        self._send_frame_segments(kind, label, (payload,))
-
-    def _send_frame_segments(self, kind: int, label: str, segments) -> None:
-        """Scatter write: header + label + each segment, no payload join.
+    def _send_frame(self, kind: int, label: str, segments) -> None:
+        """Scatter write: head, then each segment, no payload join.
 
         A two-segment Beaver ``(d, e)`` round therefore costs zero
         concatenation copies on the sender; the receiver reads the frame
         into one buffer anyway (it needs contiguous tensors).
         """
-        segments = [memoryview(segment).cast("B") for segment in segments]
-        total = sum(segment.nbytes for segment in segments)
-        encoded = label.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise TransportError(f"label too long: {label!r}")
+        head, segments, total = _frame_layout(kind, label, segments)
         if self.shaper is not None:
             self.shaper.throttle_send(total)
-        header = _HEADER.pack(
-            _MAGIC, _VERSION, kind, len(encoded), total,
-            # audit: allow[determinism/wall-clock] -- diagnostic stamp, outside CRC/accounting
-            time.time(),
-            _frame_crc(segments),
-        )
         copied = 0
-        if self.pool is not None and total <= 65536:
-            # Scatter header + label + payload into one pooled wire
-            # frame: a single sendall with zero fresh allocations.
-            staged = self.pool.wire_frame(label, _HEADER.size + len(encoded) + total)
-            staged[: _HEADER.size] = header
-            offset = _HEADER.size
-            staged[offset : offset + len(encoded)] = encoded
-            offset += len(encoded)
-            for segment in segments:
-                staged[offset : offset + segment.nbytes] = segment
-                offset += segment.nbytes
+        if total > 65536:
+            # Avoid copying multi-megabyte tensors just to prepend a
+            # ~24-byte header.
+            wire_parts = [head, *segments]
+        elif self.pool is not None:
+            # Scatter head + payload into one pooled wire frame: a
+            # single sendall with zero fresh allocations.
+            staged = self.pool.wire_frame(label, len(head) + total)
+            offset = 0
+            for part in (head, *segments):
+                staged[offset : offset + len(part)] = part
+                offset += len(part)
             wire_parts = [staged]
-        elif total <= 65536:
+        else:
             # One segment for small frames (TCP_NODELAY is on).
             if kind in (FRAME_RAW, FRAME_RAW_BATCH):
                 copied = total
-            wire_parts = [b"".join([header + encoded, *segments])]
-        else:
-            # Avoid copying multi-megabyte tensors just to prepend a
-            # ~24-byte header.
-            wire_parts = [header + encoded, *segments]
+            wire_parts = [b"".join((head, *segments))]
         with self._write_lock:
             try:
                 for part in wire_parts:
@@ -1105,102 +1205,46 @@ class PeerChannel(Transport):
             self._count_copied(label, copied)
         self._count_sent(kind, label, total)
 
-    def _read_exact(self, count: int) -> bytes | None:
-        chunks = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = self._sock.recv(min(remaining, 1 << 20))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def _pump(self, flags: int = 0) -> tuple[int, bool]:
+        """Move the socket's bytes into the decoder, its items into the inbox.
 
-    def _read_into(self, view: memoryview) -> bool:
-        """Receive exactly ``len(view)`` bytes directly into ``view``."""
-        offset = 0
-        remaining = view.nbytes
-        while remaining:
-            try:
-                got = self._sock.recv_into(view[offset:], remaining)
-            except OSError:
-                return False
-            if not got:
-                return False
-            offset += got
-            remaining -= got
-        return True
-
-    def _read_loop(self) -> None:
-        mid_frame = False
+        The whole read side of the carrier: the decoder says where the
+        stream's next bytes go, ``recv_into`` puts them there. Runs until
+        the stream ends — or, with ``MSG_DONTWAIT``, until the socket has
+        nothing more — and returns ``(items delivered, stream ended)``.
+        """
+        decoder = self._decoder
+        delivered = 0
         while not self._closed.is_set():
-            header = self._read_exact(_HEADER.size)
-            if header is None:
+            try:
+                got = self._sock.recv_into(decoder.want(), 0, flags)
+            except (BlockingIOError, InterruptedError):
+                return delivered, False
+            except OSError:
+                got = 0
+            item = decoder.advance(got) if got else None
+            if item is not None:
+                self._inbox.put(item)
+                delivered += 1
+            if not got or decoder.failed is not None:
+                # EOF, or the stream's integrity is gone (bad header /
+                # CRC): nothing after this point can be trusted.
                 break
-            mid_frame = True
-            magic, version, kind, label_len, payload_len, sent_at, crc = (
-                _HEADER.unpack(header)
-            )
-            refusal = _bad_header(magic, version, payload_len)
-            if refusal is not None:
-                mid_frame = False  # diagnosed: don't also report a torn stream
-                self._inbox.put(TransportError(refusal))
-                break
-            label_bytes = self._read_exact(label_len) if label_len else b""
-            if label_bytes is None:
-                break
-            label = label_bytes.decode("utf-8", errors="replace")
-            pool = self.pool
-            if (
-                pool is not None
-                and payload_len
-                and kind in (FRAME_RAW, FRAME_RAW_BATCH)
-            ):
-                # Raw rounds land directly in a pooled, writable buffer:
-                # no intermediate bytes object, no downstream .copy().
-                payload = pool.recv_frame(label, payload_len)
-                if not self._read_into(payload):
-                    payload = None
-            elif kind == FRAME_BLOB and payload_len:
-                # A multi-megabyte bundle lands in the one buffer its
-                # consumer reads the material out of, in place.
-                payload = memoryview(bytearray(payload_len))
-                if not self._read_into(payload):
-                    payload = None
-            else:
-                payload = self._read_exact(payload_len) if payload_len else b""
-            if payload is None:
-                break
-            if zlib.crc32(payload) != crc:
-                # A flipped byte anywhere in the payload: refuse the frame
-                # (and the connection — the stream's integrity is gone)
-                # instead of letting garbage enter the ring as a share.
-                mid_frame = False  # frame fully read; the CRC is the story
-                self._inbox.put(
-                    TransportError(
-                        f"frame checksum mismatch on {label!r} "
-                        f"({payload_len} bytes) — payload corrupted in transit"
-                    )
-                )
-                break
-            mid_frame = False
-            # Stamp arrival on the *receiver's* monotonic clock: the
-            # sender's wall-clock `sent_at` (still in the header for
-            # diagnostics) is skewed by an unknown offset across real
-            # processes/machines and must not feed the shaper delay.
-            arrived_at = time.monotonic()
-            self._inbox.put((kind, label, payload, arrived_at))
-        if mid_frame and not self._closed.is_set():
-            # EOF inside a frame: the peer (or the network) tore the
-            # stream mid-message. Distinguish it from a clean close.
-            self._inbox.put(
-                TransportError("peer connection torn mid-frame (truncated stream)")
-            )
+        return delivered + self._mark_eof(), True
+
+    def _mark_eof(self) -> int:
+        """Terminal delivery: torn-stream diagnosis + the EOF sentinel."""
+        if self._eof_delivered:
+            return 0
+        self._eof_delivered = True
+        delivered = 1
+        torn = None if self._closed.is_set() else self._decoder.eof()
+        if torn is not None:
+            self._inbox.put(torn)
+            delivered += 1
         self.peer_gone.set()
-        self._inbox.put(None)  # EOF sentinel
+        self._inbox.put(None)
+        return delivered
 
     def _recv_frame(self) -> tuple[int, str, bytes]:
         try:
@@ -1213,18 +1257,9 @@ class PeerChannel(Transport):
             raise TransportError("peer closed the connection")
         if isinstance(item, TransportError):
             raise item
-        kind, label, payload, arrived_at = item
         if self.shaper is not None:
-            self.shaper.delay_delivery(arrived_at)
-        pooled = not isinstance(payload, bytes)
-        self._count_received(
-            kind,
-            label,
-            len(payload) if isinstance(payload, bytes) else payload.nbytes,
-            pooled=pooled,
-            copied=not pooled,
-        )
-        return kind, label, payload
+            self.shaper.delay_delivery(item[3])
+        return self._delivered(item)
 
     def send_raw(self, data: bytes) -> None:
         """Write raw bytes to the socket, bypassing framing.
@@ -1254,187 +1289,17 @@ class PeerChannel(Transport):
 # ----------------------------------------------------------------------
 # event-loop (non-blocking) read path
 # ----------------------------------------------------------------------
-class FrameAssembler:
-    """Incremental decoder of the wire format for non-blocking reads.
-
-    :meth:`PeerChannel._read_loop` owns a whole thread per connection and
-    may block in ``recv`` between frames; an event-loop server cannot
-    afford either. This state machine accepts arbitrary byte chunks (as
-    the loop's ``recv`` produces them) and emits the same items the
-    reader thread would have put in the inbox: complete
-    ``(kind, label, payload, arrived_at)`` tuples, or a terminal
-    :class:`TransportError` for a bad magic/version header or a CRC
-    mismatch — with identical diagnostics, so every downstream consumer
-    (lock-step checks, the chaos suite's corruption cases) behaves the
-    same whichever read path delivered the frame.
-
-    Payload staging mirrors the reader thread: raw protocol frames land
-    directly in the owner's :class:`BufferPool` ring when one is
-    attached, a blob is delivered as the buffer it was assembled in, and
-    the other control frames materialize as ``bytes``.
-    """
-
-    _HEADER_SIZE = _HEADER.size
-
-    def __init__(self, owner: "Transport | None" = None):
-        self._owner = owner
-        self._head = bytearray()
-        self._label_bytes = bytearray()
-        self._label_len = 0
-        self._payload_len = 0
-        self._kind = 0
-        self._crc = 0
-        self._label = ""
-        self._dest: memoryview | None = None
-        self._dest_pooled = False
-        self._filled = 0
-        self._state = "header"
-        #: True while a frame is partially read — EOF now means a torn
-        #: stream, not a clean close (same distinction as the reader
-        #: thread's ``mid_frame``).
-        self.mid_frame = False
-        #: Set after a terminal decode failure; further feeds are refused.
-        self.failed = False
-
-    def feed(self, data) -> list:
-        """Consume one received chunk; return newly completed items.
-
-        Each returned item is either an inbox-ready
-        ``(kind, label, payload, arrived_at)`` tuple or a terminal
-        :class:`TransportError` (after which the assembler refuses
-        further input — the stream's integrity is gone).
-        """
-        if self.failed:
-            return []
-        out: list = []
-        view = memoryview(data).cast("B")
-        offset = 0
-        total = view.nbytes
-        while offset < total:
-            if self._state == "header":
-                take = min(total - offset, self._HEADER_SIZE - len(self._head))
-                self._head += view[offset : offset + take]
-                offset += take
-                if len(self._head) < self._HEADER_SIZE:
-                    break
-                magic, version, kind, label_len, payload_len, _sent_at, crc = (
-                    _HEADER.unpack(bytes(self._head))
-                )
-                self.mid_frame = True
-                refusal = _bad_header(magic, version, payload_len)
-                if refusal is not None:
-                    self.mid_frame = False  # diagnosed: not a torn stream
-                    self.failed = True
-                    out.append(TransportError(refusal))
-                    return out
-                self._kind = kind
-                self._label_len = label_len
-                self._payload_len = payload_len
-                self._crc = crc
-                self._head.clear()
-                self._label_bytes.clear()
-                if label_len:
-                    self._state = "label"
-                else:
-                    self._start_payload("")
-                    self._state = "payload"
-                    if self._finish_if_empty(out) and self.failed:
-                        return out
-            elif self._state == "label":
-                take = min(total - offset, self._label_len - len(self._label_bytes))
-                self._label_bytes += view[offset : offset + take]
-                offset += take
-                if len(self._label_bytes) < self._label_len:
-                    break
-                self._start_payload(
-                    bytes(self._label_bytes).decode("utf-8", errors="replace")
-                )
-                self._state = "payload"
-                if self._finish_if_empty(out) and self.failed:
-                    return out
-            else:  # payload
-                take = min(total - offset, self._payload_len - self._filled)
-                if take:
-                    self._dest[self._filled : self._filled + take] = view[
-                        offset : offset + take
-                    ]
-                    self._filled += take
-                    offset += take
-                if self._filled < self._payload_len:
-                    break
-                item = self._finish_frame()
-                out.append(item)
-                if isinstance(item, TransportError):
-                    self.failed = True
-                    return out
-        return out
-
-    def eof(self) -> list:
-        """The stream ended: a mid-frame EOF is a torn stream (typed)."""
-        if self.mid_frame and not self.failed:
-            self.failed = True
-            return [
-                TransportError(
-                    "peer connection torn mid-frame (truncated stream)"
-                )
-            ]
-        return []
-
-    def _start_payload(self, label: str) -> None:
-        self._label = label
-        self._filled = 0
-        pool = self._owner.pool if self._owner is not None else None
-        if (
-            pool is not None
-            and self._payload_len
-            and self._kind in (FRAME_RAW, FRAME_RAW_BATCH)
-        ):
-            # Raw rounds land directly in a pooled, writable buffer —
-            # the same zero-copy delivery contract as the reader thread.
-            self._dest = pool.recv_frame(label, self._payload_len)
-            self._dest_pooled = True
-        else:
-            self._dest = memoryview(bytearray(self._payload_len))
-            self._dest_pooled = False
-
-    def _finish_if_empty(self, out: list) -> bool:
-        """Flush a zero-payload frame now — it needs no further bytes.
-
-        Without this, an empty-payload frame landing exactly on a chunk
-        boundary would sit unfinished until the *next* chunk arrives.
-        """
-        if self._payload_len:
-            return False
-        item = self._finish_frame()
-        out.append(item)
-        if isinstance(item, TransportError):
-            self.failed = True
-        return True
-
-    def _finish_frame(self):
-        self.mid_frame = False
-        self._state = "header"
-        in_place = self._dest_pooled or self._kind == FRAME_BLOB
-        payload = self._dest if in_place else bytes(self._dest)
-        self._dest = None
-        if zlib.crc32(payload) != self._crc:
-            return TransportError(
-                f"frame checksum mismatch on {self._label!r} "
-                f"({self._payload_len} bytes) — payload corrupted in transit"
-            )
-        return (self._kind, self._label, payload, time.monotonic())
-
-
 class LoopChannel(PeerChannel):
     """A :class:`PeerChannel` whose reads are driven by an event loop.
 
     No per-connection reader thread: the owning loop watches the socket
-    for readability and calls :meth:`on_readable`, which drains whatever
+    for readability and calls :meth:`on_readable`, which moves whatever
     the kernel has (``MSG_DONTWAIT``, so a spurious wakeup never blocks
-    the loop) through a :class:`FrameAssembler` into the same inbox the
-    consumer API reads from. Send paths, timeouts, shaping, statistics
-    and close semantics are all inherited unchanged — a protocol worker
-    using this transport cannot tell it from a threaded one.
+    the loop) straight into the decoder's buffers and its items into the
+    same inbox the consumer API reads from. Send paths, timeouts,
+    shaping, statistics and close semantics are all inherited unchanged
+    — a protocol worker using this transport cannot tell it from a
+    threaded one.
     """
 
     def __init__(
@@ -1445,8 +1310,6 @@ class LoopChannel(PeerChannel):
         timeout: float | None = 120.0,
     ):
         super().__init__(sock, party, shaper, timeout, reader=False)
-        self._assembler = FrameAssembler(self)
-        self._eof_delivered = False
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -1461,6 +1324,10 @@ class LoopChannel(PeerChannel):
         """
         self._inbox.put(exc)
 
+    def frame_waiting(self) -> bool:
+        """Whether the consumer's next receive returns without waiting."""
+        return not self._inbox.empty()
+
     def on_readable(self) -> tuple[int, bool]:
         """Drain the socket without blocking; deliver complete frames.
 
@@ -1470,44 +1337,7 @@ class LoopChannel(PeerChannel):
         unwatch the descriptor; the transport itself stays open until
         its owner closes it).
         """
-        delivered = 0
-        closed = False
-        while not closed:
-            try:
-                chunk = self._sock.recv(1 << 16, socket.MSG_DONTWAIT)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                closed = True
-                break
-            if not chunk:
-                closed = True
-                break
-            for item in self._assembler.feed(chunk):
-                self._inbox.put(item)
-                delivered += 1
-                if isinstance(item, TransportError):
-                    # Stream integrity is gone (bad header / CRC): stop
-                    # parsing, exactly like the reader thread breaking
-                    # out of its loop.
-                    closed = True
-        if closed:
-            delivered += self._mark_eof()
-        return delivered, closed
-
-    def _mark_eof(self) -> int:
-        """Terminal delivery: torn-stream diagnosis + the EOF sentinel."""
-        if self._eof_delivered:
-            return 0
-        self._eof_delivered = True
-        delivered = 0
-        if not self._closed.is_set():
-            for item in self._assembler.eof():
-                self._inbox.put(item)
-                delivered += 1
-        self.peer_gone.set()
-        self._inbox.put(None)
-        return delivered + 1
+        return self._pump(socket.MSG_DONTWAIT)
 
     def close(self) -> None:
         # No reader thread will deliver the EOF sentinel on close: put it

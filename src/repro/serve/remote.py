@@ -824,7 +824,8 @@ class RemoteServer:
                 self._process(session)
 
     def _process(self, session: _Session) -> None:
-        """One dispatch: handshake, or serve queued requests, then park.
+        """One dispatch: handshake, or serve queued requests, then park
+        (also the body of a shared-memory session's pump thread).
 
         Any per-connection failure — a vanished peer, a malformed
         request, a reshape error from a lying ``batch`` field — is
@@ -919,7 +920,7 @@ class RemoteServer:
             with self._dispatch_lock:
                 session.state = "shm"
             threading.Thread(
-                target=self._shm_session_worker,
+                target=self._process,
                 args=(session,),
                 name="c2pi-shm-session",
                 daemon=True,
@@ -933,9 +934,12 @@ class RemoteServer:
         The dispatch contract guarantees a complete frame is waiting on
         entry, so the only blocking receives a pool worker ever performs
         are *inside* one request's protocol execution — where the client
-        is actively streaming its rounds.
+        is actively streaming its rounds. A shared-memory session never
+        parks (its rings are not selectable): its pump thread stays in
+        this loop, waiting on the ring, until ``bye``.
         """
-        transport = session.transport
+        shm = session.shm_channel
+        transport = shm if shm is not None else session.transport
         stats = session.stats
         while True:
             request = transport.recv_obj("req")
@@ -949,7 +953,7 @@ class RemoteServer:
             with self._worker_slots:
                 served = self._serve_inference(transport, request, stats)
             self._count("requests_served" if served else "requests_busy")
-            if self._park_idle(session):
+            if shm is None and self._park_idle(session):
                 return
 
     def _park_idle(self, session: _Session) -> bool:
@@ -959,36 +963,12 @@ class RemoteServer:
         either lands before the emptiness check (we keep serving) or
         re-dispatches the now-idle session — never lost either way."""
         with self._dispatch_lock:
-            if session.transport._inbox.qsize() > 0:
+            if session.transport.frame_waiting():
                 return False  # the next frame is already here
             session.state = "idle"
             session.deadline = time.monotonic() + self.request_timeout
         self._wake_loop()  # recompute the loop's sleep for the deadline
         return True
-
-    def _shm_session_worker(self, session: _Session) -> None:
-        """Dedicated pump for one shared-memory session's ring buffers."""
-        shm = session.shm_channel
-        stats = session.stats
-        try:
-            while True:
-                request = shm.recv_obj("req")
-                command = request.get("cmd")
-                if command == "bye":
-                    self._resolve_inflight(stats.session, final=True)
-                    self._finish_session(session, None)
-                    return
-                if command != "infer":
-                    raise TransportError(f"unknown request: {request!r}")
-                with self._worker_slots:
-                    served = self._serve_inference(shm, request, stats)
-                self._count("requests_served" if served else "requests_busy")
-        except (TransportError, OSError, ValueError, KeyError,
-                TypeError, AttributeError) as exc:
-            self._finish_session(session, exc)
-        except Exception as exc:
-            self._finish_session(session, exc)
-            raise
 
     def _finish_session(
         self, session: _Session, exc: BaseException | None

@@ -33,6 +33,24 @@ def labels(channel: Channel) -> dict:
     }
 
 
+def feed(decoder, data, piece: int | None = None) -> list:
+    """Put ``data`` through a decoder the way a carrier does — write into
+    ``want()``, report with ``advance()`` — at most ``piece`` bytes at a
+    time. Returns the items completed (a terminal error is the last);
+    bytes after a terminal failure are not looked at."""
+    view = memoryview(data).cast("B")
+    items, offset = [], 0
+    while offset < len(view) and decoder.failed is None:
+        want = decoder.want()
+        take = min(len(want), len(view) - offset, piece or len(view))
+        want[:take] = view[offset : offset + take]
+        offset += take
+        item = decoder.advance(take)
+        if item is not None:
+            items.append(item)
+    return items
+
+
 def links(placement: str):
     """A connected (client, server) transport pair and its cleanup."""
     if placement == "queue":

@@ -3,11 +3,12 @@
 import socket
 import threading
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from placements import links
+from placements import feed, links
 
 from repro.mpc import transport as wire
 from repro.mpc.network import NetworkModel
@@ -311,12 +312,19 @@ class TestFrameLengthLimit:
 
     def test_assembler_refuses_an_oversized_declaration(self):
         assembler = FrameAssembler()
-        (item,) = assembler.feed(_frame_header(FRAME_BLOB, MAX_FRAME_BYTES + 1))
+        tracemalloc.start()
+        try:
+            (item,) = feed(assembler, _frame_header(FRAME_BLOB, MAX_FRAME_BYTES + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert isinstance(item, TransportError)
         assert f"over the {MAX_FRAME_BYTES}-byte limit" in str(item)
         assert assembler.failed and not assembler.mid_frame
-        assert assembler._dest is None
-        assert assembler.feed(bytes(64)) == []  # the stream is finished
+        assert peak < 1 << 16  # nothing was allocated for the refused payload
+        assert feed(assembler, bytes(64)) == []  # the stream is finished
+        with pytest.raises(TransportError, match="over the .*-byte limit"):
+            assembler.want()
 
     def test_the_limit_itself_is_admitted(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16)
@@ -324,9 +332,9 @@ class TestFrameLengthLimit:
         head = wire._HEADER.pack(
             wire._MAGIC, wire._VERSION, FRAME_BLOB, 0, 16, 0.0, zlib.crc32(payload)
         )
-        ((kind, _label, got, _at),) = FrameAssembler().feed(head + payload)
+        ((kind, _label, got, _at),) = feed(FrameAssembler(), head + payload)
         assert kind == FRAME_BLOB and bytes(got) == payload
-        (item,) = FrameAssembler().feed(_frame_header(FRAME_BLOB, 17))
+        (item,) = feed(FrameAssembler(), _frame_header(FRAME_BLOB, 17))
         assert isinstance(item, TransportError)
 
 

@@ -63,13 +63,13 @@ def _raw_handshake(port: int, session=None) -> socket.socket:
          "session": session, "shm": False}
     ).encode("utf-8")
     sock.sendall(_encode_frame(FRAME_JSON, "link", link))
-    assembler = FrameAssembler()
-    items = []
-    while not items:
-        chunk = sock.recv(1 << 16)
-        assert chunk, "server closed the connection during the handshake"
-        items = assembler.feed(chunk)
-    kind, label, payload, _ = items[0]
+    decoder = FrameAssembler()
+    item = None
+    while item is None:
+        got = sock.recv_into(decoder.want())
+        assert got, "server closed the connection during the handshake"
+        item = decoder.advance(got)
+    kind, label, payload, _ = item
     assert kind == FRAME_JSON and label == "hello"
     hello = json.loads(bytes(payload).decode("utf-8"))
     assert not hello.get("busy"), hello
