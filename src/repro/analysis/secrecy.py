@@ -28,7 +28,11 @@ walk its definition chain and require a *sanctioned* producer:
 
 ``hand(label, shape, fill)`` is the one client-to-server sink: its
 ``fill`` must be a lambda whose body writes ``out=`` its argument with a
-mask operand.
+mask operand. The ``noised-reveal`` message is the paper's one deliberate
+declassification — the client's boundary share leaves *un*masked, bounded
+noise added — so its fill is held to its own rule: what it writes must
+come out of ``perturb_share``, and nothing else (a mask operand included)
+clears it.
 
 Anything else — a bare parameter, an unmasked intermediate, an unknown
 call — is flagged: it may be exactly the secret the protocol exists to
@@ -50,12 +54,19 @@ __all__ = ["NAME", "SCOPE", "run"]
 
 NAME = "secrecy"
 
-# The modules where share-typed values live. serve/remote.py and the
-# transport are byte movers — they only ever see already-staged buffers
-# — but the crypto-producer service (serve/dealer_service.py) *creates*
-# material and ships it as blobs, so its dealer-bound frames are audited
-# like protocol sinks.
-SCOPE = ("mpc/protocols", "mpc/engine.py", "mpc/party.py", "serve/dealer_service.py")
+# The modules where share-typed values live: the protocol layer and the
+# C2PI flow on top of it (core/c2pi.py reveals the boundary share).
+# serve/remote.py and the transport are byte movers — they only ever see
+# already-staged buffers — but the crypto-producer service
+# (serve/dealer_service.py) *creates* material and ships it as blobs, so
+# its dealer-bound frames are audited like protocol sinks.
+SCOPE = (
+    "mpc/protocols",
+    "mpc/engine.py",
+    "mpc/party.py",
+    "core/c2pi.py",
+    "serve/dealer_service.py",
+)
 
 # Payload-moving sink methods and the argument that is the payload.
 # send_blob is the dealer service's bundle sink: in scope its payload
@@ -71,6 +82,8 @@ _SINKS = {
 }
 # The client-to-server message sink and the argument that writes it.
 _FILL_SINKS = {"hand": 2}
+# Declassifying labels: the one call whose result their fill may write.
+_DECLASSIFIERS = {"noised-reveal": "perturb_share"}
 
 # Producers whose result is cleared for the wire as-is.
 _STAGING_CALLS = {"stage"}
@@ -344,26 +357,47 @@ def _check_fill(
     sink: ast.Call,
     findings: list[Finding],
 ) -> None:
-    """``hand``'s writer: ``lambda out: np.op(..., mask operand, out=out)``."""
+    """``hand``'s writer: ``lambda out: np.op(..., mask operand, out=out)``.
+
+    Under a declassifying label every written operand must instead be the
+    declassifier's result (or a list / comprehension of them).
+    """
+    label = next(
+        (kw.value for kw in sink.keywords if kw.arg == "label"),
+        sink.args[0] if sink.args else None,
+    )
+    declassifier = _DECLASSIFIERS.get(getattr(label, "value", None))
     if isinstance(fill, ast.Lambda) and isinstance(fill.body, ast.Call):
         write = fill.body
         out = next((kw.value for kw in write.keywords if kw.arg == "out"), None)
         params = [arg.arg for arg in fill.args.args]
-        if (
-            isinstance(out, ast.Name)
-            and params == [out.id]
-            and any(_is_mask_operand(arg, facts) for arg in write.args)
-        ):
+        if declassifier is None:
+            cleared = any(_is_mask_operand(arg, facts) for arg in write.args)
+        else:
+            cleared = bool(write.args) and all(
+                _is_result_of(arg, declassifier) for arg in write.args
+            )
+        if isinstance(out, ast.Name) and params == [out.id] and cleared:
             return
+    wanted = f"{declassifier}(...) results only" if declassifier else "<mask operand>"
     emit(
         findings,
         module,
         "secrecy/unsanitized-sink",
         sink,
         f"message handed to the server in {facts.fn.name!r} is not written "
-        "as `lambda out: op(..., <mask operand>, out=out)` — a raw "
+        f"as `lambda out: op(..., {wanted}, out=out)` — a raw "
         "(unblinded) value would cross the process boundary",
     )
+
+
+def _is_result_of(expr: ast.expr, producer: str) -> bool:
+    """``producer(...)`` itself, or a list / comprehension of such calls."""
+    if isinstance(expr, ast.ListComp):
+        return _is_result_of(expr.elt, producer)
+    if isinstance(expr, ast.List):
+        return bool(expr.elts) and all(_is_result_of(e, producer) for e in expr.elts)
+    return isinstance(expr, ast.Call) and _call_tail(expr) == producer
 
 
 def _audit_function(

@@ -25,10 +25,21 @@ split the work into a real offline/online phase pair:
 :meth:`C2PIPipeline.prepare_offline` fills per-batch preprocessing pools
 (:mod:`repro.mpc.preprocessing`), after which :meth:`C2PIPipeline.infer`
 consumes pooled material and performs zero dealer generation online.
+
+The flow itself is written once, over the party axis: :func:`noised_reveal`
+and :func:`clear_tail` take the channel they are handed as the placement
+(both parties in this process, or one party of
+:class:`~repro.serve.remote.RemoteServer` / ``RemoteClient`` over a
+transport), and :func:`infer_groups` is the one in-process request —
+:meth:`C2PIPipeline.infer` calls it with one row group,
+:class:`~repro.serve.server.C2PIServer` with one group per coalesced
+batch or per named session (a session is a pipeline seeded with
+:func:`derive_session_seed`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -39,12 +50,26 @@ from ..models.layered import LayeredModel
 from ..mpc.costs import BackendCostModel, CostEstimate
 from ..mpc.engine import LayerTally, SecureInferenceEngine
 from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
-from ..mpc.network import NetworkModel, TrafficSnapshot
-from ..mpc.preprocessing import PreprocessingPool
+from ..mpc.network import Channel, NetworkModel, TrafficSnapshot
+from ..mpc.preprocessing import (
+    PreprocessingPool,
+    ReplayDealer,
+    fuse_bundles,
+    material_plan,
+)
 from ..mpc.program import SecureProgram, compile_program, split_macs
+from ..mpc.sharing import share_additive
 from .noise import NoiseMechanism
 
-__all__ = ["C2PIResult", "C2PIPipeline", "full_pi_tallies"]
+__all__ = [
+    "C2PIResult",
+    "C2PIPipeline",
+    "derive_session_seed",
+    "noised_reveal",
+    "clear_tail",
+    "infer_groups",
+    "full_pi_tallies",
+]
 
 
 @dataclass
@@ -61,6 +86,7 @@ class C2PIResult:
     traffic_by_label: dict[str, TrafficSnapshot] = field(default_factory=dict)
     online_s: float = 0.0
     used_pool: bool = False
+    offline_miss_s: float = 0.0  # cold-pool generation this request paid
 
     @property
     def prediction(self) -> np.ndarray:
@@ -131,40 +157,7 @@ class C2PIPipeline:
         size, only that material is consumed — the engine's dealer
         generates nothing online.
         """
-        pool = self._pools.get(images.shape[0])
-        # Acquisition happens outside the online clock: a pool miss refills
-        # synchronously, and those seconds are offline work (the pool books
-        # them under stats.offline_seconds).
-        material = pool.acquire() if pool is not None else None
-        start = time.perf_counter()
-        execution = self.engine.run(images, material=material)
-        crypto_bytes = execution.channel.total_bytes
-        crypto_rounds = execution.channel.rounds
-
-        # The client perturbs its share and reveals it (one more message).
-        client_share = self.noise.perturb_share(execution.shares[0], self.config)
-        reveal_bytes = client_share.nbytes
-        execution.channel.send(0, reveal_bytes, label="noised-reveal")
-        execution.channel.tick_round("noised-reveal")
-
-        # Server-side reconstruction and clear-layer evaluation.
-        boundary_ring = (client_share + execution.shares[1]).astype(np.uint64)
-        server_view = self.config.decode(boundary_ring)
-        with nn.no_grad():
-            logits = self.model.forward_from(nn.Tensor(server_view), self.boundary).data
-
-        return C2PIResult(
-            logits=logits,
-            server_view=server_view,
-            boundary=self.boundary,
-            crypto_bytes=crypto_bytes,
-            crypto_rounds=crypto_rounds,
-            reveal_bytes=reveal_bytes,
-            tallies=execution.tallies,
-            traffic_by_label=execution.channel.label_breakdown(),
-            online_s=time.perf_counter() - start,
-            used_pool=material is not None,
-        )
+        return infer_groups([(self, images)])
 
     # ------------------------------------------------------------------
     def cost_estimate(
@@ -187,6 +180,163 @@ class C2PIPipeline:
 
     def latency(self, backend: BackendCostModel, network: NetworkModel) -> float:
         return self.cost_estimate(backend).latency(network)
+
+
+def derive_session_seed(base_seed: int, session: int | str | None) -> int:
+    """The seed of one session's :class:`C2PIPipeline`.
+
+    ``None`` (an anonymous session) maps to ``base_seed`` itself — the
+    historical single-client behaviour. A named session hashes
+    ``(base_seed, session)`` into an independent 64-bit seed, so each
+    session owns deterministic dealer, share and noise streams that no
+    interleaving with other sessions can perturb: the same session key
+    against the same server seed always replays the same draws, whether
+    it runs alone, fused with other sessions' rows in one
+    :func:`infer_groups` pass, or among ``N`` concurrent remote clients.
+    """
+    if session is None:
+        return base_seed
+    digest = hashlib.blake2b(
+        f"c2pi-session:{base_seed}:{session!r}".encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def noised_reveal(
+    channel: Channel,
+    shares: np.ndarray,
+    noises: list[tuple[NoiseMechanism, slice]],
+    config: FixedPointConfig,
+) -> np.ndarray | None:
+    """The paper's one declassification: the client's noised boundary share.
+
+    ``shares`` carries the party axis of ``channel``. Where the client's
+    row lives, each ``(mechanism, rows)`` entry of ``noises`` perturbs
+    the batch rows it names from its own stream (the entries tile the
+    batch, in order) and the result is handed to the server as one
+    message — length-checked against the boundary shape like every
+    handed message; where the server's row lives, the ring-encoded noised
+    boundary activation is returned.
+    """
+    client, server = channel.row(0), channel.row(1)
+    received = channel.hand(
+        "noised-reveal",
+        shares.shape[1:],
+        lambda out: np.concatenate(
+            [
+                mechanism.perturb_share(shares[client][rows], config)
+                for mechanism, rows in noises
+            ],
+            out=out,
+        ),
+    )
+    channel.tick_round("noised-reveal")
+    channel.flush_deferred()
+    return None if server is None else received + shares[server]
+
+
+def clear_tail(
+    program: SecureProgram, boundary_ring: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The server's clear phase: ``(server_view, logits)``.
+
+    Decodes the noised boundary activation and runs the remaining layers
+    in plaintext. Batched float BLAS sums in a different order than
+    batch-1 calls, so the bytes depend on how many rows one call covers.
+    """
+    server_view = program.config.decode(boundary_ring)
+    with nn.no_grad():
+        logits = program.model.forward_from(
+            nn.Tensor(server_view), program.boundary
+        ).data
+    return server_view, logits
+
+
+def infer_groups(groups: list[tuple[C2PIPipeline, np.ndarray]]) -> C2PIResult:
+    """One in-process C2PI request over row groups, both parties here.
+
+    Each ``(pipeline, images)`` group consumes exactly what that pipeline
+    running ``images`` alone would: the next bundle of its pool for that
+    batch size, the next draw of its share rng, the next draw of its
+    noise rng, and its own clear-tail call — so every group's logits are
+    byte-identical to the standalone run, however many groups share the
+    pass. The crypto segment runs once over all rows (the protocols are
+    element-wise over the batch; the bundles are fused along it).
+    A lone group without a pool has the engine's dealer generate inline.
+
+    Any failure restores the acquired bundles to their pools' fronts
+    (reverse order, so each pool's ordering survives) and rewinds every
+    share and noise rng, so a retry reproduces the fault-free bytes.
+    """
+    lead = groups[0][0]
+    program, config = lead.program, lead.config
+    bounds = np.cumsum([0] + [len(images) for _, images in groups])
+    rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    rngs = [
+        rng
+        for pipeline, _ in groups
+        for rng in (pipeline.engine.share_rng, pipeline.noise.rng)
+    ]
+    states = [rng.bit_generator.state for rng in rngs]
+    acquired: list[tuple[PreprocessingPool, list]] = []
+    offline_miss_s = 0.0
+    try:
+        # Acquisition and fusion stay outside the online clock: a pool
+        # miss refills synchronously, and those seconds are offline work.
+        for pipeline, images in groups:
+            pool = pipeline._pools.get(len(images))
+            if pool is None:
+                continue
+            misses, offline_s = pool.stats.misses, pool.stats.offline_seconds
+            acquired.append((pool, pool.acquire_bundle()))
+            if pool.stats.misses > misses:
+                offline_miss_s += pool.stats.offline_seconds - offline_s
+        bundles = [bundle for _, bundle in acquired]
+        if len(bundles) > 1:  # the plan is only read to fuse
+            bundles = [fuse_bundles(bundles, material_plan(program, int(bounds[-1])))]
+        material = ReplayDealer(bundles[0]) if bundles else None
+        start = time.perf_counter()
+        input_shares = np.concatenate(
+            [
+                share_additive(config.encode(images), pipeline.engine.share_rng)
+                for pipeline, images in groups
+            ],
+            axis=1,
+        )
+        execution = lead.engine.run(
+            np.concatenate([images for _, images in groups]),
+            material=material,
+            input_shares=input_shares,
+        )
+        channel = execution.channel
+        crypto_bytes, crypto_rounds = channel.total_bytes, channel.rounds
+        boundary_ring = noised_reveal(
+            channel,
+            execution.shares,
+            [(pipeline.noise, part) for (pipeline, _), part in zip(groups, rows)],
+            config,
+        )
+        tails = [clear_tail(program, boundary_ring[part]) for part in rows]
+        online_s = time.perf_counter() - start
+    except Exception:
+        for pool, bundle in reversed(acquired):
+            pool.restore(bundle)
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        raise
+    return C2PIResult(
+        logits=np.concatenate([logits for _, logits in tails]),
+        server_view=np.concatenate([view for view, _ in tails]),
+        boundary=lead.boundary,
+        crypto_bytes=crypto_bytes,
+        crypto_rounds=crypto_rounds,
+        reveal_bytes=channel.total_bytes - crypto_bytes,
+        tallies=execution.tallies,
+        traffic_by_label=channel.label_breakdown(),
+        online_s=online_s,
+        used_pool=material is not None,
+        offline_miss_s=offline_miss_s,
+    )
 
 
 def full_pi_tallies(model: LayeredModel, batch: int = 1) -> list[LayerTally]:

@@ -306,7 +306,7 @@ class SecureInferenceEngine:
         self.dealer_seed = dealer_seed
         self.dealer = TrustedDealer(seed=dealer_seed)
         self.suite = suite if suite is not None else DealerSuite(self.dealer)
-        self._share_rng = np.random.default_rng(share_seed)
+        self.share_rng = np.random.default_rng(share_seed)
         self._executor = ProgramExecutor(program.ops, program.input_shape, config)
 
     @classmethod
@@ -341,16 +341,16 @@ class SecureInferenceEngine:
 
         ``input_shares`` optionally injects the additive sharing of the
         (already validated) input instead of drawing it from the engine's
-        own share rng — the cross-session fusion path draws each row's
-        sharing from that session's private stream, and the engine's
-        ``_share_rng`` must not advance so the anonymous single-engine
-        path stays byte-identical whether or not fused batches ran in
-        between.
+        own ``share_rng`` — :func:`repro.core.c2pi.infer_groups` draws each
+        row group's sharing from that group's own engine, so a pass that
+        carries other sessions' rows advances no stream but theirs and
+        the anonymous pipeline stays byte-identical whether or not fused
+        batches ran in between.
         """
         suite = self.suite if material is None else self.suite.with_dealer(material)
         channel = Channel()
         if input_shares is None:
-            shares = self._executor.share_input(channel, self._share_rng, x=x)
+            shares = self._executor.share_input(channel, self.share_rng, x=x)
         else:
             self._executor.check_input(x)
             shares = np.asarray(input_shares)

@@ -347,7 +347,7 @@ def frame_plan(
     :class:`~repro.mpc.transport.BufferPool` can allocate every ring
     before the first round (``pool.presize(frame_plan(...))``) instead of
     growing during it. Handed messages (the input share, linear masked
-    inputs) are listed under the ``@slot`` staging keys
+    inputs, the noised reveal) are listed under the ``@slot`` staging keys
     :meth:`~repro.mpc.transport.Transport.hand` queues them under: the
     slot counts same-label messages waiting for the same carrier frame.
     """
@@ -368,7 +368,8 @@ def frame_plan(
     # A message that travels alone is received under its bare wire label.
     for key in ("input-share@0", "input-share"):
         add(key, 8 * batch * int(np.prod(input_shape)))
-    add("noised-reveal", 8 * batch * int(np.prod(output_shape)))
+    for key in ("noised-reveal@0", "noised-reveal"):
+        add(key, 8 * batch * int(np.prod(output_shape)))
     flags = deferred_reveal_flags(ops)
     slot = 0
     for op, deferred in zip(ops, flags):

@@ -12,7 +12,7 @@ program between real processes over the socket transport
 ahead of the online phase and measuring actual wire traffic. The server
 is concurrent: a bounded worker pool serves one session per connection,
 each session's dealer seed derived from its session key
-(:func:`~repro.serve.remote.derive_session_seed`), with busy-reply
+(:func:`~repro.core.c2pi.derive_session_seed`), with busy-reply
 backpressure past ``max_sessions`` and graceful drain on ``stop()``.
 
 :mod:`repro.serve.loadgen` (``c2pi loadgen``) drives that server with an

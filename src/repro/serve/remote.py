@@ -17,10 +17,12 @@ connected by a :class:`~repro.mpc.transport.PeerChannel`:
    splits it, and ships the client's half as an opaque blob.
 3. **Online phase.** Both sides execute their
    :class:`~repro.mpc.party.PartyEngine` halves over the socket.
-4. **Reveal + clear phase.** The client perturbs its boundary share with
-   its :class:`~repro.core.noise.NoiseMechanism` and reveals it; the
-   server reconstructs the noised activation, runs the clear layers and
-   returns the logits.
+4. **Reveal + clear phase.** Both sides call
+   :func:`~repro.core.c2pi.noised_reveal` on the socket — the client
+   perturbs its boundary share with its
+   :class:`~repro.core.noise.NoiseMechanism` and reveals it, the server
+   reconstructs the noised activation — then the server runs
+   :func:`~repro.core.c2pi.clear_tail` and returns the logits.
 
 The server is **concurrent** around an event loop: one selector thread
 owns the listener and every session's socket, so an idle-on-the-wire
@@ -30,7 +32,7 @@ has actually arrived. Sessions beyond ``max_sessions`` get the busy
 reply instead of a hung socket, a malformed client costs only its own
 connection, and :meth:`RemoteServer.stop` drains in-flight sessions
 before tearing the listener down. Per-session dealer-seed derivation
-(:func:`derive_session_seed`) is what keeps every session's material
+(:func:`~repro.core.c2pi.derive_session_seed`) is what keeps every session's material
 stream — and therefore its logits, bit for bit — identical to a serial
 single-client run with the same session key, no matter how requests from
 other clients interleave (DESIGN.md section 8). Anonymous sessions (no
@@ -58,16 +60,10 @@ prediction on the same run — which is what
 :func:`benchmark_concurrent` (``--clients N``) additionally measures
 multi-session throughput scaling against a serialised run of the same
 sessions and pins the per-session byte-identity under contention.
-
-``python -m repro.serve.remote --arch resnet20`` starts a deterministic
-demonstration server on an untrained victim (both processes can rebuild
-the identical model from the seed), which is what the two-process tests
-and the networked CI smoke job use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import queue
 import random
 import selectors
@@ -79,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import nn
+from ..core.c2pi import clear_tail, derive_session_seed, noised_reveal
 from ..core.noise import NoiseMechanism
 from ..models.layered import LayeredModel
 from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
@@ -122,7 +118,6 @@ __all__ = [
     "RemoteClient",
     "benchmark_networked",
     "benchmark_concurrent",
-    "main",
 ]
 
 PROTOCOL_VERSION = 3  # v3: typed retriable busy replies on the bundle slot
@@ -138,26 +133,6 @@ class PoolBusy(ServerBusy):
     with fallback disabled). Retriable on the *same* connection: the
     session stays in lock-step and :meth:`RemoteClient.infer` with
     ``retries`` backs off and replays the request key."""
-
-
-def derive_session_seed(base_seed: int, session: int | str | None) -> int:
-    """The dealer seed of one session's preprocessing pools.
-
-    ``None`` (an anonymous session) maps to ``base_seed`` itself — the
-    historical single-client behaviour, byte-identical to the in-process
-    :class:`~repro.core.c2pi.C2PIPipeline` under equal seeds. A named
-    session hashes ``(base_seed, session)`` into an independent 64-bit
-    seed, so each session owns a deterministic material stream that no
-    interleaving with other sessions can perturb: the same session key
-    against the same server seed always replays the same dealer draws,
-    whether it runs alone or among ``N`` concurrent clients.
-    """
-    if session is None:
-        return base_seed
-    digest = hashlib.blake2b(
-        f"c2pi-session:{base_seed}:{session!r}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 def _snapshot_dict(snapshot: TrafficSnapshot) -> dict:
@@ -1202,19 +1177,10 @@ class RemoteServer:
         before = transport.snapshot()
         online_start = time.perf_counter()
         execution = self.engine.run(transport, material, batch=batch)
-
-        payload = transport.pull("noised-reveal")
-        transport.send(0, len(payload), label="noised-reveal")
-        transport.tick_round("noised-reveal")
-        client_share = np.frombuffer(payload, dtype=np.uint64).reshape(
-            batch, *self.program.output_shape
+        boundary_ring = noised_reveal(
+            transport, execution.share[None], [], self.config
         )
-        boundary_ring = (client_share + execution.share).astype(np.uint64)
-        server_view = self.config.decode(boundary_ring)
-        with nn.no_grad():
-            logits = self.model.forward_from(
-                nn.Tensor(server_view), self.boundary
-            ).data
+        _, logits = clear_tail(self.program, boundary_ring)
         online_s = time.perf_counter() - online_start
         self._note_served(stats, online_s, offline_s)
 
@@ -1605,12 +1571,9 @@ class RemoteClient:
         raw_before = transport.stats.raw_payload_total
         start = time.perf_counter()
         execution = self.engine.run(transport, material, x=images)
-
-        perturbed = self.noise.perturb_share(execution.share, self.config)
-        transport.push(transport.stage(perturbed, "noised-reveal"), "noised-reveal")
-        transport.send(0, perturbed.nbytes, label="noised-reveal")
-        transport.tick_round("noised-reveal")
-
+        noised_reveal(
+            transport, execution.share[None], [(self.noise, slice(None))], self.config
+        )
         logits = transport.recv_tensor("logits")
         server_metrics = transport.recv_obj("metrics")
         online_s = time.perf_counter() - start
@@ -1903,7 +1866,7 @@ def benchmark_concurrent(
 
 
 # ----------------------------------------------------------------------
-# deterministic demonstration server (two-process tests, CI smoke)
+# deterministic demonstration victim (two-process tests, CI smoke)
 # ----------------------------------------------------------------------
 def _demo_victim(arch: str, width: float, rng_seed: int) -> LayeredModel:
     from ..models import alexnet, resnet20, vgg16, vgg19
@@ -1916,45 +1879,3 @@ def _demo_victim(arch: str, width: float, rng_seed: int) -> LayeredModel:
     }
     rng = np.random.default_rng(rng_seed)
     return makers[arch](width_mult=width, rng=rng).eval()
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.serve.remote``: a deterministic loopback server.
-
-    The victim is *untrained* but fully determined by
-    ``(arch, width, model-seed)``, so a test or example process can
-    rebuild the identical model and check logits byte for byte.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description="C2PI demonstration server")
-    parser.add_argument("--arch", default="resnet20",
-                        choices=("alexnet", "vgg16", "vgg19", "resnet20"))
-    parser.add_argument("--width", type=float, default=0.25)
-    parser.add_argument("--model-seed", type=int, default=0)
-    parser.add_argument("--boundary", type=float, default=3.5)
-    parser.add_argument("--seed", type=int, default=0, help="dealer seed")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--once", action="store_true",
-                        help="serve a single connection, then exit")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="concurrent session workers")
-    parser.add_argument("--max-sessions", type=int, default=None,
-                        help="admission bound (default: --workers)")
-    args = parser.parse_args(argv)
-
-    model = _demo_victim(args.arch, args.width, args.model_seed)
-    server = RemoteServer(
-        model, args.boundary, seed=args.seed, host=args.host, port=args.port,
-        workers=args.workers, max_sessions=args.max_sessions,
-    )
-    print(f"listening on {server.host}:{server.port}", flush=True)
-    server.serve_forever(once=args.once)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -12,12 +12,11 @@
   a batch of b images costs one protocol round trip per layer instead of
   b, which is where the serving throughput comes from;
 * queued requests from **different named sessions fuse** into one engine
-  pass too: each session keeps its own derived dealer seed, share rng and
-  noise stream (see :func:`~repro.serve.remote.derive_session_seed`), its
-  batch-1 bundles are concatenated along the batch axis
-  (:func:`~repro.mpc.preprocessing.fuse_bundles`) and the input sharing
-  is injected per row, so every fused row is byte-identical to the same
-  session running alone on its own pipeline;
+  pass too: a session *is* a :class:`~repro.core.c2pi.C2PIPipeline`
+  seeded with :func:`~repro.core.c2pi.derive_session_seed`, and
+  :func:`~repro.core.c2pi.infer_groups` runs one row group per request on
+  its session's own pool, share rng and noise stream, so every fused row
+  is byte-identical to the same session running alone;
 * every reply carries its own latency, and the server aggregates
   throughput, online/offline wall-clock and the per-label traffic
   breakdown of :class:`~repro.mpc.network.Channel`.
@@ -36,19 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import nn
-from ..core.c2pi import C2PIPipeline
-from ..core.noise import NoiseMechanism
+from ..core.c2pi import C2PIPipeline, derive_session_seed, infer_groups
 from ..models.layered import LayeredModel
 from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
-from ..mpc.preprocessing import (
-    PreprocessingPool,
-    ReplayDealer,
-    fuse_bundles,
-    material_plan,
-)
-from ..mpc.sharing import share_additive
-from .remote import derive_session_seed
 
 __all__ = [
     "InferenceRequest",
@@ -63,32 +52,15 @@ __all__ = [
 class InferenceRequest:
     """One queued client request (a single CHW image).
 
-    ``session`` is the fusion key: ``None`` (anonymous) requests ride the
-    historical single-engine coalescing path, while named requests fuse
-    with other named requests under per-session crypto streams.
+    ``session`` is the fusion key: ``None`` (anonymous) requests coalesce
+    into one batch on the server's own pipeline, while named requests
+    fuse with other named requests, each on its session's pipeline.
     """
 
     request_id: int
     image: np.ndarray
     enqueued_s: float
     session: int | str | None = None
-
-
-@dataclass
-class _SessionLane:
-    """One named session's private crypto streams inside the fusion path.
-
-    Seeded exactly like a standalone
-    :class:`~repro.core.c2pi.C2PIPipeline` built with this session's
-    derived seed: batch-1 pool dealer at ``seed``, share rng at
-    ``seed + 1``, noise at ``seed`` — the byte-identity anchor the
-    fusion tests pin.
-    """
-
-    seed: int
-    share_rng: np.random.Generator
-    noise: NoiseMechanism
-    pool: PreprocessingPool
 
 
 @dataclass
@@ -169,10 +141,10 @@ class C2PIServer:
         self.max_batch = max_batch
         self.metrics = ServerMetrics()
         self._queue: deque[InferenceRequest] = deque()
-        # Named-session fusion lanes, created on first submit for a key.
-        # Only step() touches them — the secure execution is single-engine,
-        # so steps are serialized by construction.
-        self._lanes: dict[int | str, _SessionLane] = {}
+        # Named sessions' pipelines, created on first use of a key. Only
+        # step() and warm_sessions() touch them — steps are serialized by
+        # construction.
+        self._sessions: dict[int | str, C2PIPipeline] = {}
         self._next_id = 0
         # Concurrent submitters (e.g. a request thread feeding a serving
         # loop) only contend on the queue and the counters; the secure
@@ -195,11 +167,10 @@ class C2PIServer:
     def submit(self, image: np.ndarray, session: int | str | None = None) -> int:
         """Queue one image (CHW) for inference; returns the request id.
 
-        A ``session`` key routes the request onto the cross-session
-        fusion path: its crypto streams derive from
+        A ``session`` key runs the request on that session's own
+        pipeline: its crypto streams derive from
         ``derive_session_seed(self.seed, session)``, independent of every
-        other session and of the anonymous engine. Anonymous requests
-        (``session=None``) keep the historical byte-exact behaviour.
+        other session and of the anonymous pipeline.
         """
         image = np.asarray(image, dtype=np.float32)
         if image.ndim == 4 and image.shape[0] == 1:
@@ -229,9 +200,10 @@ class C2PIServer:
         """Coalesce up to ``max_batch`` queued requests into one secure run.
 
         Requests fuse with their own kind, in FIFO order: the longest
-        anonymous prefix runs on the single-engine path, the longest
-        named prefix (any mix of session keys) runs as one fused pass
-        with per-session crypto streams.
+        anonymous prefix is one row group on the server's own pipeline,
+        the longest named prefix (any mix of session keys) is one batch-1
+        group per request on its session's pipeline. Either way the
+        groups make one :func:`~repro.core.c2pi.infer_groups` pass.
         """
         with self._queue_lock:
             if not self._queue:
@@ -243,38 +215,39 @@ class C2PIServer:
                     break
                 take += 1
             requests = [self._queue.popleft() for _ in range(take)]
-        if named:
-            return self._step_fused(requests)
-        images = np.stack([r.image for r in requests])
         # Queue wait ends here: whatever follows (pool creation, a
-        # cold-pool miss generating a bundle inside infer) is offline
-        # work, reported separately rather than inflating queued_s.
+        # cold-pool miss generating a bundle) is offline work, reported
+        # separately rather than inflating queued_s.
         dequeued = time.perf_counter()
-        pool = self.pipeline.prepare_offline(batch=take, bundles=0)
-        misses_before = pool.stats.misses
-        offline_before = pool.stats.offline_seconds
-
+        if named:
+            groups = [
+                (self._session(request.session), request.image[None])
+                for request in requests
+            ]
+        else:
+            groups = [(self.pipeline, np.stack([r.image for r in requests]))]
         try:
-            result = self.pipeline.infer(images)
+            for pipeline, images in groups:
+                pipeline.prepare_offline(batch=len(images), bundles=0)
+            result = infer_groups(groups)
         except Exception:
             # A failed secure execution must not swallow the requests it
-            # coalesced: put them back at the queue front (in order) so
-            # the next step() retries them, and let the caller see the
-            # failure.
+            # coalesced: infer_groups has put bundles and rngs back, put
+            # the requests back at the queue front (in order) so the next
+            # step() retries them, and let the caller see the failure.
             with self._queue_lock:
                 self._queue.extendleft(reversed(requests))
             raise
-        missed = pool.stats.misses > misses_before
-        offline_miss_s = (
-            pool.stats.offline_seconds - offline_before if missed else 0.0
-        )
 
         self.metrics.requests += take
         self.metrics.batches += 1
+        if named:
+            self.metrics.fused_batches += 1
+            self.metrics.fused_requests += take
         self.metrics.online_s += result.online_s
         self.metrics.online_bytes += result.total_bytes
         self.metrics.online_rounds += result.crypto_rounds + 1
-        self.metrics.miss_offline_s += offline_miss_s
+        self.metrics.miss_offline_s += result.offline_miss_s
         self.metrics.record_labels(result.traffic_by_label)
 
         return [
@@ -286,153 +259,35 @@ class C2PIServer:
                 queued_s=dequeued - request.enqueued_s,
                 batch_size=take,
                 used_pool=result.used_pool,
-                offline_miss_s=offline_miss_s,
+                offline_miss_s=result.offline_miss_s,
             )
             for i, request in enumerate(requests)
         ]
 
     # ------------------------------------------------------------------
-    def _lane(self, session: int | str) -> _SessionLane:
-        """This session's fusion lane, created on first use."""
-        lane = self._lanes.get(session)
-        if lane is None:
-            seed = derive_session_seed(self.seed, session)
-            lane = _SessionLane(
-                seed=seed,
-                share_rng=np.random.default_rng(seed + 1),
-                noise=NoiseMechanism(self.pipeline.noise.magnitude, seed=seed),
-                pool=PreprocessingPool(self.program, 1, dealer_seed=seed),
+    def _session(self, session: int | str) -> C2PIPipeline:
+        """This named session's pipeline, created on first use.
+
+        The same object a client running this session alone would build:
+        the byte-identity anchor the fusion tests pin.
+        """
+        pipeline = self._sessions.get(session)
+        if pipeline is None:
+            pipeline = C2PIPipeline(
+                self.pipeline.model,
+                self.pipeline.boundary,
+                noise_magnitude=self.pipeline.noise.magnitude,
+                config=self.pipeline.config,
+                seed=derive_session_seed(self.seed, session),
+                program=self.program,
             )
-            self._lanes[session] = lane
-        return lane
+            self._sessions[session] = pipeline
+        return pipeline
 
     def warm_sessions(self, sessions, bundles: int = 1) -> None:
         """Offline phase for named sessions: pre-pool batch-1 bundles."""
         for session in sessions:
-            self._lane(session).pool.refill(bundles)
-
-    def _step_fused(self, requests: list[InferenceRequest]) -> list[InferenceReply]:
-        """One engine pass over ``k`` named-session rows, streams kept private.
-
-        Row ``i`` consumes exactly what a standalone run of its session
-        would have: the next batch-1 bundle of its derived-seed pool, the
-        next draw of its share rng, the next draw of its noise rng. The
-        bundles are concatenated along the batch axis and the input
-        sharing injected, so the engine's own rng does not move and the
-        fused logits are byte-identical per row to the serial runs.
-        """
-        dequeued = time.perf_counter()
-        config = self.pipeline.config
-        lanes = [self._lane(request.session) for request in requests]
-        # Failure containment mirrors the anonymous path's re-queue, plus
-        # stream rewind: a failed pass must leave every session's rng and
-        # pool exactly where a fault-free future retry expects them.
-        rng_states: dict[int | str, tuple] = {}
-        miss_base: dict[int | str, tuple] = {}
-        for request, lane in zip(requests, lanes):
-            if request.session not in rng_states:
-                rng_states[request.session] = (
-                    lane.share_rng.bit_generator.state,
-                    lane.noise.rng.bit_generator.state,
-                )
-                miss_base[request.session] = (
-                    lane.pool.stats.misses,
-                    lane.pool.stats.offline_seconds,
-                )
-        acquired: list[tuple[_SessionLane, list]] = []
-        try:
-            bundles = []
-            for lane in lanes:
-                bundle = lane.pool.acquire_bundle()
-                acquired.append((lane, bundle))
-                bundles.append(bundle)
-            row_shares = [
-                share_additive(config.encode(request.image[None]), lane.share_rng)
-                for request, lane in zip(requests, lanes)
-            ]
-            input_shares = np.concatenate(row_shares, axis=1)
-            images = np.stack([request.image for request in requests])
-            fused = fuse_bundles(bundles, material_plan(self.program, len(requests)))
-            start = time.perf_counter()
-            execution = self.pipeline.engine.run(
-                images, material=ReplayDealer(fused), input_shares=input_shares
-            )
-            # The noised reveal, row by row from each session's own stream.
-            client_share = np.concatenate(
-                [
-                    lane.noise.perturb_share(
-                        execution.shares[0][i : i + 1], config
-                    )
-                    for i, lane in enumerate(lanes)
-                ]
-            )
-            reveal_bytes = client_share.nbytes
-            execution.channel.send(0, reveal_bytes, label="noised-reveal")
-            execution.channel.tick_round("noised-reveal")
-            boundary_ring = (client_share + execution.shares[1]).astype(np.uint64)
-            server_view = config.decode(boundary_ring)
-            # The clear tail runs per row on purpose: batched float BLAS
-            # uses different summation orders than batch-1 calls, and the
-            # byte-identity contract is against each session's standalone
-            # (batch-1) run. The crypto segment above is exactly
-            # row-separable in the ring; only the float layers are not.
-            with nn.no_grad():
-                logits = np.concatenate(
-                    [
-                        self.pipeline.model.forward_from(
-                            nn.Tensor(server_view[i : i + 1]),
-                            self.pipeline.boundary,
-                        ).data
-                        for i in range(len(requests))
-                    ]
-                )
-            online_s = time.perf_counter() - start
-        except Exception:
-            # Rewind: bundles back to their pools' fronts (reverse
-            # acquisition order restores each pool's original ordering),
-            # rng streams back to their pre-pass states, requests back to
-            # the queue front.
-            for lane, bundle in reversed(acquired):
-                lane.pool.restore(bundle)
-            for request, lane in zip(requests, lanes):
-                if request.session in rng_states:
-                    share_state, noise_state = rng_states.pop(request.session)
-                    lane.share_rng.bit_generator.state = share_state
-                    lane.noise.rng.bit_generator.state = noise_state
-            with self._queue_lock:
-                self._queue.extendleft(reversed(requests))
-            raise
-
-        offline_miss_s = 0.0
-        for session, (misses, offline_s) in miss_base.items():
-            pool = self._lanes[session].pool
-            if pool.stats.misses > misses:
-                offline_miss_s += pool.stats.offline_seconds - offline_s
-
-        take = len(requests)
-        self.metrics.requests += take
-        self.metrics.batches += 1
-        self.metrics.fused_batches += 1
-        self.metrics.fused_requests += take
-        self.metrics.online_s += online_s
-        self.metrics.online_bytes += execution.channel.total_bytes
-        self.metrics.online_rounds += execution.channel.rounds
-        self.metrics.miss_offline_s += offline_miss_s
-        self.metrics.record_labels(execution.channel.label_breakdown())
-
-        return [
-            InferenceReply(
-                request_id=request.request_id,
-                logits=logits[i],
-                prediction=int(logits[i].argmax()),
-                online_s=online_s,
-                queued_s=dequeued - request.enqueued_s,
-                batch_size=take,
-                used_pool=True,
-                offline_miss_s=offline_miss_s,
-            )
-            for i, request in enumerate(requests)
-        ]
+            self._session(session).prepare_offline(batch=1, bundles=bundles)
 
     def drain(self) -> list[InferenceReply]:
         """Serve everything queued; returns replies in completion order."""
@@ -467,8 +322,8 @@ class C2PIServer:
             "miss_offline_s": self.metrics.miss_offline_s,
             "pools": pools,
             "session_pools": {
-                str(session): lane.pool.stats.as_dict()
-                for session, lane in self._lanes.items()
+                str(session): pipeline.pool_stats()[1]
+                for session, pipeline in self._sessions.items()
             },
             "online_dealer_generation": {
                 "triples": dealer.triples_issued,

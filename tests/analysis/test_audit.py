@@ -86,6 +86,16 @@ def test_good_fixtures_stay_silent(name):
     )
 
 
+def test_noised_reveal_is_cleared_only_by_perturb_share():
+    """The one declassification has its own rule: a raw share, a masked
+    share and a half-perturbed batch all fire; a mask operand that would
+    clear any other handed message does not clear this one."""
+    report = run_audit(FIXTURES / "secrecy" / "bad", passes=(secrecy,))
+    reveals = [f for f in report.findings if f.path.endswith("core/c2pi.py")]
+    assert len(reveals) == 3, [finding.render() for finding in report.findings]
+    assert all("perturb_share(...) results only" in f.message for f in reveals)
+
+
 def test_repo_is_audit_clean():
     """The gate the CI lane enforces, as a plain test."""
     report = run_audit(default_root())

@@ -1,15 +1,18 @@
-"""Placement equivalence: one executor, three placements, the same bytes.
+"""Placement equivalence: one request, three placements, the same bytes.
 
-The protocols and the program executor exist once; the channel they are
-handed decides whether both parties' rows live in this process or one
-party talks to its peer over a transport. These tests run the same
-program, input and offline bundle under every placement — in-process
-(:class:`Channel`), two threads over :class:`QueueTransport`, two threads
-over TCP :class:`PeerChannel` — and pin:
+The protocols, the program executor, the noised reveal and the clear tail
+exist once; the channel they are handed decides whether both parties' rows
+live in this process or one party talks to its peer over a transport.
+These tests run the same whole request — input sharing, crypto segment,
+noised reveal, clear tail — on the same program, input and offline bundle
+under every placement — in-process (:class:`Channel`), two threads over
+:class:`QueueTransport`, two threads over TCP :class:`PeerChannel` — and
+pin:
 
-* output shares identical, row for row;
-* channel accounting (bytes, rounds, messages, per-label breakdown)
-  identical on every party of every placement;
+* boundary shares identical, row for row, and the server's view and the
+  logits identical byte for byte;
+* channel accounting (bytes, rounds, messages, per-label breakdown,
+  ``noised-reveal`` included) identical on every party of every placement;
 * measured raw wire payload equal to the channel accounting;
 * a wrong-batch bundle is a typed ``MaterialMismatch`` on every party of
   every placement, at its first item;
@@ -25,6 +28,8 @@ import pytest
 from placements import labels, run_parties
 
 from repro import nn
+from repro.core.c2pi import clear_tail, noised_reveal
+from repro.core.noise import NoiseMechanism
 from repro.models import resnet20
 from repro.models.layered import LayeredModel
 from repro.mpc import SecureInferenceEngine, compile_program
@@ -94,31 +99,65 @@ def _images(program, batch: int) -> np.ndarray:
 
 @dataclass
 class Run:
-    shares: np.ndarray  # (2, ...): row p is party p's output share
+    shares: np.ndarray  # (2, ...): row p is party p's boundary share
     channels: list[Channel]  # every party's accounting
     tallies: list
+    server_view: bytes  # what the server saw and answered, row group by
+    logits: bytes  # row group (one batch-1 group per row, as when fused)
+
+
+def _noises(batch: int):
+    """One batch-1 row group per row, each on its own noise stream."""
+    return [(NoiseMechanism(0.1, seed=40 + i), slice(i, i + 1)) for i in range(batch)]
 
 
 def run_placement(program, images, bundle, placement: str, share_seed: int = 5) -> Run:
-    """Execute ``program`` on ``images`` with ``bundle`` under one placement."""
+    """One whole request on ``images`` with ``bundle`` under one placement."""
+    batch = images.shape[0]
+
+    def finish(channel, shares, noises):
+        """Reveal and, where the server's row lives, the clear tail."""
+        ring = noised_reveal(channel, shares, noises, program.config)
+        if ring is None:
+            return None
+        tails = [clear_tail(program, ring[i : i + 1]) for i in range(batch)]
+        return (
+            b"".join(view.tobytes() for view, _ in tails),
+            b"".join(logits.tobytes() for _, logits in tails),
+        )
+
     if placement == "in-process":
         engine = SecureInferenceEngine.from_program(program, share_seed=share_seed)
         result = engine.run(images, material=ReplayDealer(bundle))
-        return Run(result.shares, [result.channel], result.tallies)
+        view, logits = finish(result.channel, result.shares, _noises(batch))
+        return Run(result.shares, [result.channel], result.tallies, view, logits)
     # The client's rows cross the wire as a blob, exactly as deployed.
     client_rows = unpack_party_bundle(
         bytearray(pack_party_bundle(split_bundle(bundle, 0)))  # a receive buffer
     )
     client = PartyEngine.from_manifest(program_manifest(program), share_seed=share_seed)
     server = PartyEngine.from_program(program, party=1)
+
+    def party(engine, material, noises, **inputs):
+        def side(io):
+            out = engine.run(io, ReplayDealer(material), **inputs)
+            return out, finish(io, out.share[None], noises)
+
+        return side
+
     out, ios = run_parties(
-        lambda io: client.run(io, ReplayDealer(client_rows), x=images),
-        lambda io: server.run(
-            io, ReplayDealer(split_bundle(bundle, 1)), batch=images.shape[0]
-        ),
+        party(client, client_rows, _noises(batch), x=images),
+        party(server, split_bundle(bundle, 1), [], batch=batch),
         placement,
     )
-    return Run(np.stack([out[0].share, out[1].share]), list(ios), out[0].tallies)
+    (client_out, _), (server_out, (view, logits)) = out[0], out[1]
+    return Run(
+        np.stack([client_out.share, server_out.share]),
+        list(ios),
+        client_out.tallies,
+        view,
+        logits,
+    )
 
 
 class TestPlacementEquivalence:
@@ -130,9 +169,12 @@ class TestPlacementEquivalence:
         reference = run_placement(program, images, bundle, "in-process")
         (joint,) = reference.channels
         assert reference.shares.shape == (2, batch, *program.output_shape)
+        assert labels(joint)["noised-reveal"] == (reference.shares[0].nbytes, 0, 1, 1)
         for placement in PLACEMENTS[1:]:
             run = run_placement(program, images, bundle, placement)
             np.testing.assert_array_equal(run.shares, reference.shares)
+            assert run.server_view == reference.server_view, placement
+            assert run.logits == reference.logits, placement
             for party in run.channels:
                 assert labels(party) == labels(joint), placement
                 assert party.total_bytes == joint.total_bytes

@@ -298,7 +298,9 @@ class TestFrameLength:
     error and an over-long one is not silently truncated."""
 
     @pytest.mark.parametrize("delta", (8, -8), ids=("over-long", "short"))
-    @pytest.mark.parametrize("label", ("and-open", "linear-masked-input"))
+    @pytest.mark.parametrize(
+        "label", ("and-open", "linear-masked-input", "noised-reveal")
+    )
     def test_wrong_length_frame_is_rejected_and_the_session_reaped(
         self, victim, images, baselines, label, delta
     ):

@@ -14,6 +14,7 @@ it.
 import numpy as np
 import pytest
 
+from repro.core import c2pi
 from repro.core.c2pi import C2PIPipeline
 from repro.mpc.preprocessing import (
     MaterialMismatch,
@@ -184,40 +185,59 @@ class TestFusedByteIdentity:
 
 
 class TestFusionFailureContainment:
-    def test_failed_fused_pass_rewinds_streams_and_requeues(self, victim, monkeypatch):
-        """A mid-pass failure must leave pools, rngs and the queue exactly
-        where a retry reproduces the fault-free bytes."""
+    @pytest.mark.parametrize("sessions", ([None, None], ["alice", "bob"]),
+                             ids=("anonymous-batch-2", "two-named-sessions"))
+    def test_failed_fused_pass_rewinds_streams_and_requeues(
+        self, victim, monkeypatch, sessions
+    ):
+        """A failure in the clear tail — after material, share rng and
+        noise have all been consumed — must leave pools, rngs and the
+        queue exactly where a retry reproduces the fault-free bytes."""
         images = _images(2, seed=29)
-        server = C2PIServer(
-            victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
-            max_batch=2, warm_bundles=0,
-        )
-        server.warm_sessions(["alice", "bob"], bundles=1)
-        server.submit(images[0], session="alice")
-        server.submit(images[1], session="bob")
 
-        engine = server.pipeline.engine
-        original = type(engine).run
+        def serve(fault):
+            server = C2PIServer(
+                victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
+                max_batch=2, warm_bundles=0,
+            )
+            if sessions[0] is None:
+                server.warm(1)
+            else:
+                server.warm_sessions(sessions, bundles=1)
+            for image, session in zip(images, sessions):
+                server.submit(image, session=session)
+            if fault:
+                with monkeypatch.context() as patch:
+                    patch.setattr(c2pi, "clear_tail", _exploding_tail)
+                    with pytest.raises(RuntimeError, match="injected tail failure"):
+                        server.step()
+                assert server.pending == 2  # requeued, in order
+            replies = server.step()
+            assert [reply.request_id for reply in replies] == [0, 1]
+            snapshot = server.snapshot()
+            pools = (
+                [snapshot["pools"][2]]
+                if sessions[0] is None
+                else [snapshot["session_pools"][key] for key in sessions]
+            )
+            return [reply.logits.tobytes() for reply in replies], pools
 
-        def exploding_run(self, *args, **kwargs):
-            raise RuntimeError("injected engine failure")
-
-        monkeypatch.setattr(type(engine), "run", exploding_run)
-        with pytest.raises(RuntimeError, match="injected engine failure"):
-            server.step()
-        monkeypatch.setattr(type(engine), "run", original)
-
-        assert server.pending == 2  # requeued, in order
-        snapshot = server.snapshot()
-        for session in ("alice", "bob"):
-            stats = snapshot["session_pools"][session]
+        clean, _ = serve(fault=False)
+        retried, pools = serve(fault=True)
+        assert retried == clean
+        for stats in pools:
             assert stats["bundles_returned"] == 1  # restored to the front
+            assert stats["misses"] == 0
+            # The books balance: each pool served exactly one bundle.
+            assert (
+                stats["bundles_consumed"]
+                - stats["bundles_returned"]
+                - stats["bundles_poisoned"]
+            ) == 1
 
-        replies = server.step()
-        for session, image, reply in zip(("alice", "bob"), images, replies):
-            assert reply.logits.tobytes() == _serial_logits(
-                victim, session, image[None]
-            )[0]
+
+def _exploding_tail(program, boundary_ring):
+    raise RuntimeError("injected tail failure")
 
 
 class TestFuseBundlesContract:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import c2pi
 from repro.models import vgg16
 from repro.serve import C2PIServer, benchmark_serving
 
@@ -161,29 +162,24 @@ class TestBenchmark:
 class TestStepFaultContainment:
     """A failed secure execution must not swallow its coalesced requests."""
 
-    def test_failed_step_requeues_requests_in_order(self, victim, images):
+    def test_failed_step_requeues_requests_in_order(
+        self, victim, images, monkeypatch
+    ):
         server = C2PIServer(
             victim, boundary=1.5, noise_magnitude=0.0, max_batch=2, warm_bundles=0
         )
         for image in images[:3]:
             server.submit(image)
-        original_infer = server.pipeline.infer
-        calls = {"n": 0}
 
-        def flaky_infer(batch):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected execution failure")
-            return original_infer(batch)
+        def exploding_tail(program, boundary_ring):
+            raise RuntimeError("injected execution failure")
 
-        server.pipeline.infer = flaky_infer
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(c2pi, "clear_tail", exploding_tail)
             with pytest.raises(RuntimeError, match="injected"):
                 server.step()
-            # The two popped requests are back at the front, same order.
-            assert server.pending == 3
-            replies = server.drain()
-        finally:
-            server.pipeline.infer = original_infer
+        # The two popped requests are back at the front, same order.
+        assert server.pending == 3
+        replies = server.drain()
         assert [r.request_id for r in replies] == [0, 1, 2]
         assert server.snapshot()["requests"] == 3
