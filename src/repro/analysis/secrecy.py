@@ -42,6 +42,10 @@ hide. Taint-preserving wrappers (``memoryview(...).cast``, ``bytes``,
 A second rule bans ``print`` / ``logging`` in the protocol layer
 outright: a debug print of a live share is the classic leak, and the
 protocol modules have no legitimate console output.
+
+A third keeps the dealer's two streams apart (``mpc/dealer.py``): every
+splitter's free row and both client fields of a linear correlation must be
+draws from the bundle's *client stream*, and such a draw lands nowhere else.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ NAME = "secrecy"
 # its dealer-bound frames are audited like protocol sinks.
 SCOPE = (
     "mpc/protocols",
+    "mpc/dealer.py",
     "mpc/engine.py",
     "mpc/party.py",
     "core/c2pi.py",
@@ -104,6 +109,12 @@ _MASK_CALLS = {"random_ring", "integers", "next"}
 
 _LOG_SINKS = {"print"}
 _LOG_MODULES = {"logging", "logger", "log"}
+
+_DEALER_SCOPE = ("mpc/dealer.py",)
+# How dealer code names a bundle's client stream, and a raw draw.
+_CLIENT_STREAMS = {"client_stream", "_client"}
+_RAW_DRAWS = {"_random_ring", "random_ring", "random_lanes", "random_bits", "integers"}
+_PARTY0_FIELDS = {"mask", "client_offset"}
 
 
 def _call_tail(node: ast.Call) -> str | None:
@@ -424,6 +435,48 @@ def _audit_function(
                 _check_fill(fill, facts, module, node, findings)
 
 
+def _from_client_stream(expr: ast.expr | None, facts: _FunctionFacts) -> bool:
+    expr = _unwrap(expr, facts) if expr is not None else None
+    if isinstance(expr, ast.Call):
+        return _call_tail(expr) in _CLIENT_STREAMS
+    return isinstance(expr, ast.Attribute) and expr.attr in _CLIENT_STREAMS
+
+
+def _audit_streams(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    module: SourceModule,
+    findings: list[Finding],
+) -> None:
+    """The dealer's stream discipline (see the module docstring)."""
+    facts = _FunctionFacts(fn)
+
+    def flag(node: ast.AST, why: str) -> None:
+        emit(findings, module, "secrecy/stream-mix", node, f"in {fn.name!r}, {why}")
+
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    stray = {  # client-stream draws not (yet) seen to land in a party-0 field
+        id(call): call
+        for call in calls
+        if _call_tail(call) in _RAW_DRAWS
+        and _from_client_stream(
+            call.func.value if isinstance(call.func, ast.Attribute) else call.args[0],
+            facts,
+        )
+    }
+    for call in calls:
+        if _call_tail(call) in _SHARE_SPLITTERS and not (
+            len(call.args) == 2 and _from_client_stream(call.args[1], facts)
+        ):
+            flag(call, "a splitter's free row is not drawn from the client stream")
+        for keyword in call.keywords:
+            if keyword.arg in _PARTY0_FIELDS and not stray.pop(
+                id(_unwrap(keyword.value, facts)), None
+            ):
+                flag(keyword.value, f"{keyword.arg!r} is not a client-stream draw")
+    for call in stray.values():
+        flag(call, "a client-stream draw lands outside party 0's rows")
+
+
 def _audit_logging(module: SourceModule, findings: list[Finding]) -> None:
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
@@ -451,4 +504,6 @@ def run(modules: list[SourceModule]) -> list[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 _audit_function(node, module, findings)
+                if module.in_scope(_DEALER_SCOPE):
+                    _audit_streams(node, module, findings)
     return findings

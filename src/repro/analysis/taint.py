@@ -68,8 +68,10 @@ NAME = "taint"
 #: wire, the record/bundle unpackers and the dealer-material draws
 #: (``dealer.bit_triples(shape)``). ``dealer.state()`` (the serialized
 #: rng state) is also a source but needs a shape check, so it is handled
-#: in :meth:`_Analyzer._call_origins`.
+#: in :meth:`_Analyzer._call_origins`. ``begin_bundle()`` hands back a
+#: bundle's seed — party 0's whole half.
 _SOURCE_CALLS = {
+    "begin_bundle",
     "recv_blob",
     "_unpack_record",
     "unpack_party_bundle",

@@ -71,7 +71,7 @@ _ABS_SLACK_S = 2.5e-4
 
 
 # ----------------------------------------------------------------------
-# material helpers (representation-agnostic: byte-per-bit or packed words)
+# material helpers
 # ----------------------------------------------------------------------
 def material_nbytes(material) -> int:
     """Total array bytes of one dealer material item (all parties' halves)."""
@@ -352,13 +352,14 @@ def bench_serve_placements(requests: int = 4) -> dict:
                 "127.0.0.1", int(match.group(1)),
                 noise_magnitude=0.1, seed=5, shm=shm,
             )
-            times, logits, matches = [], [], []
+            times, logits, matches, offline = [], [], [], set()
             for image in images:
                 start = time.perf_counter()
                 reply = client.infer(image)
                 times.append(time.perf_counter() - start)
                 logits.append(reply.logits)
                 matches.append(bool(reply.bytes_match))
+                offline.add(reply.offline_bytes)
             shm_active = client.shm_active
             client.close()
             proc.wait(timeout=30.0)
@@ -373,6 +374,8 @@ def bench_serve_placements(requests: int = 4) -> dict:
             "logits_sha256": _sha(logits),
             "bytes_match": all(matches),
             "shm_active": shm_active,
+            # Manifest + seed, a function of the plan alone: gated exactly.
+            "offline_bundle_bytes": sorted(offline),
         }
 
     placements["socket-loopback"] = _remote(shm=False)
@@ -418,6 +421,10 @@ def check_serve_snapshot(
             failures.append(
                 f"{name}: measured wire payload diverged from Channel accounting"
             )
+        shipped = placement.get("offline_bundle_bytes")
+        pinned = snapshot.get("placements", {}).get(name, {})
+        if shipped != pinned.get("offline_bundle_bytes"):
+            failures.append(f"{name}: offline bundle bytes drifted: {shipped}")
     if not fresh.get("placements", {}).get("shared-memory", {}).get(
         "shm_active", False
     ):
@@ -462,6 +469,8 @@ def render_serve_report(report: dict) -> str:
         extra = ""
         if "bytes_match" in placement:
             extra = f"  bytes_match={placement['bytes_match']}"
+        if "offline_bundle_bytes" in placement:
+            extra += f"  offline={placement['offline_bundle_bytes']} B"
         if "shm_active" in placement:
             extra += f"  shm={placement['shm_active']}"
         lines.append(
@@ -498,18 +507,12 @@ def run_serve_from_args(args) -> int:
     return 0
 
 
-def _boolean_words_packed() -> bool:
-    """True when the dealer emits packed uint64 boolean material."""
-    return TrustedDealer(seed=0).bit_triples((1,)).a.dtype == np.uint64
-
-
 def run_bench(
     elements: int = 8192, repeats: int = 3, serve_requests: int = 2
 ) -> dict:
     """The full harness; returns the JSON-able snapshot dict."""
     report = {
         "schema": 1,
-        "boolean_words_packed": _boolean_words_packed(),
         "calibration_s": calibration_workload_s(),
         "elements": elements,
         "repeats": repeats,
@@ -530,19 +533,10 @@ def check_snapshot(
     """Compare a fresh run against a committed snapshot.
 
     Returns a list of human-readable failures (empty = pass). Byte
-    metrics are deterministic and must match exactly when both runs use
-    the same representation; DReLU latency is compared after machine
-    normalisation via the calibration workload.
+    metrics are deterministic and must match exactly; DReLU latency is
+    compared after machine normalisation via the calibration workload.
     """
     failures: list[str] = []
-    if fresh.get("boolean_words_packed") != snapshot.get("boolean_words_packed"):
-        failures.append(
-            "representation mismatch: fresh boolean_words_packed="
-            f"{fresh.get('boolean_words_packed')} vs snapshot "
-            f"{snapshot.get('boolean_words_packed')} — refresh the snapshot"
-        )
-        return failures
-
     if fresh.get("elements") != snapshot.get("elements"):
         # Neither the byte metrics nor the latency budget are comparable
         # across workload sizes — make mismatched use an explicit error
@@ -598,9 +592,7 @@ def check_snapshot(
 # ----------------------------------------------------------------------
 def render_report(report: dict) -> str:
     lines = [
-        "protocol bench "
-        f"(packed words: {report['boolean_words_packed']}, "
-        f"calibration {report['calibration_s'] * 1e3:.1f} ms)"
+        f"protocol bench (calibration {report['calibration_s'] * 1e3:.1f} ms)"
     ]
     for name, op in report["ops"].items():
         per_round = op.get(

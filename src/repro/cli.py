@@ -867,7 +867,7 @@ def _cmd_client(args) -> int:
             f"{reply.online_s * 1e3:8.1f} ms online  "
             f"{reply.traffic.total_bytes / 1e6:6.2f} MB "
             f"in {reply.traffic.rounds} rounds  "
-            f"(+{reply.offline_bytes / 1e6:.2f} MB offline bundle)"
+            f"(+{reply.offline_bytes:,} B offline bundle)"
         )
     client.close()
     print(

@@ -11,7 +11,6 @@ window with sigma 1.5 and the standard stabilisation constants
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 __all__ = ["ssim", "ssim_batch", "psnr"]
 
@@ -20,6 +19,9 @@ _TRUNCATE = 3.5  # covers the conventional 11x11 window at sigma=1.5
 
 
 def _filter(x: np.ndarray) -> np.ndarray:
+    # On first use: scipy is ~25 MB resident, and no serving process filters.
+    from scipy.ndimage import gaussian_filter
+
     return gaussian_filter(x, sigma=_SIGMA, truncate=_TRUNCATE, mode="reflect")
 
 

@@ -88,15 +88,12 @@ from .transport import (
 from .sharing import (
     COMPARISON_BITS,
     LOW63_MASK,
-    bit_decompose,
-    pack_bit_words,
     reconstruct_additive,
     reconstruct_boolean,
     reconstruct_boolean_words,
     share_additive,
     share_boolean,
     share_boolean_words,
-    unpack_bit_words,
 )
 
 __all__ = [
@@ -108,9 +105,6 @@ __all__ = [
     "reconstruct_boolean",
     "share_boolean_words",
     "reconstruct_boolean_words",
-    "pack_bit_words",
-    "unpack_bit_words",
-    "bit_decompose",
     "COMPARISON_BITS",
     "LOW63_MASK",
     "TrustedDealer",

@@ -26,8 +26,9 @@ import numpy as np
 from .fixedpoint import FixedPointConfig
 from .sharing import (
     COMPARISON_BITS,
-    bit_decompose,
+    LOW63_MASK,
     random_bits,
+    random_lanes,
     share_additive,
     share_boolean,
     share_boolean_words,
@@ -39,8 +40,13 @@ __all__ = [
     "DaBit",
     "ComparisonMask",
     "LinearCorrelation",
+    "CLIENT_MASKS",
+    "SEED_BYTES",
+    "client_stream",
     "TrustedDealer",
 ]
+
+_random_ring = FixedPointConfig.random_ring
 
 
 # Every shared field below is one ``(2, ...)`` array whose row ``p`` is
@@ -99,9 +105,9 @@ class ComparisonMask:
 class LinearCorrelation:
     """Delphi-style preprocessing for one linear layer.
 
-    The client receives the input mask ``m`` and its offline share
-    ``f(m) - s``; the server receives ``s``. Online the client reveals
-    ``x0 - m`` (uniform), the server evaluates ``f`` on
+    The client holds the input mask ``m`` and a uniform offset ``c``;
+    the server receives the correction ``s = f(m) - c``. Online the
+    client reveals ``x0 - m`` (uniform), the server evaluates ``f`` on
     ``(x0 - m) + x1`` and adds ``s``. Asymmetric, so not party-stacked:
     a party's own half leaves the other party's fields ``None``.
     """
@@ -111,11 +117,40 @@ class LinearCorrelation:
     server_offset: np.ndarray | None = None
 
 
+# Party 0's row of every field is a run of whole words off the bundle's
+# client stream, in this order, masked to the lanes the field uses (and
+# of the mask's dtype). The dealer draws them inside the splitters; the
+# client redraws the whole run from the seed (``unpack_party_bundle``).
+_RING, _BIT = np.uint64((1 << 64) - 1), np.uint8(1)
+CLIENT_MASKS = {
+    "beaver_triples": {"a": _RING, "b": _RING, "c": _RING},
+    "bit_triples": {"a": LOW63_MASK, "b": LOW63_MASK, "c": LOW63_MASK},
+    "dabits": {"boolean": _BIT, "arithmetic": _RING},
+    "comparison_masks": {"r": _RING, "low_bits": LOW63_MASK, "msb": _BIT},
+    "linear_correlation": {"mask": _RING, "client_offset": _RING},
+}
+SEED_BYTES = 32
+
+
+def client_stream(seed: bytes) -> np.random.Generator:
+    """The generator a bundle's party-0 rows are drawn from."""
+    return np.random.default_rng(int.from_bytes(seed, "little"))
+
+
 class TrustedDealer:
-    """Generates all correlated randomness from one seeded generator."""
+    """Generates all correlated randomness from one seeded generator.
+
+    Two streams. The *secret* stream (the seeded generator) draws what
+    neither party may learn alone. Each bundle opens (:meth:`begin_bundle`;
+    a new dealer has one open) by taking 32 bytes off it that seed the
+    bundle's *client stream*, from which every party-0 row is drawn and
+    nothing else: the client's half of a bundle is that seed, and the
+    secret stream's position — session, sequence, rewind — fixes it.
+    """
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
+        self.begin_bundle()
         self.triples_issued = 0
         self.bit_triples_issued = 0
         self.dabits_issued = 0
@@ -123,80 +158,69 @@ class TrustedDealer:
 
     # ------------------------------------------------------------------
     def state(self) -> dict:
-        """The generator's position in its stream, as a JSON-able dict.
+        """The secret stream's position, as a JSON-able dict.
 
-        The dealer's entire output is a pure function of (seed, number of
-        draws), so this state pins "everything generated so far". The
-        crypto-producer service persists it next to each spilled bundle:
-        a restarted dealer restores the last stored state and continues
-        the stream byte-identically without regenerating the prefix, and
-        a serving process falling back to inline generation fast-forwards
-        its local dealer to the same position.
+        Taken at a bundle boundary it pins every bundle after it, seed
+        included. The crypto-producer service persists it next to each
+        spilled bundle: a restarted dealer restores the last stored state
+        and continues the stream byte-identically, and a serving process
+        falling back to inline generation fast-forwards its local dealer
+        to the same position.
         """
         return self._rng.bit_generator.state
 
     def restore_state(self, state: dict) -> None:
-        """Rewind/fast-forward the generator to a :meth:`state` snapshot."""
+        """Rewind/fast-forward to a :meth:`state` snapshot (a bundle boundary)."""
         self._rng.bit_generator.state = state
+
+    def begin_bundle(self) -> bytes:
+        """Open the next bundle; returns the seed of its client stream."""
+        seed = _random_ring(self._rng, SEED_BYTES // 8).astype("<u8").tobytes()
+        self._client = client_stream(seed)
+        return seed
 
     # ------------------------------------------------------------------
     def beaver_triples(self, shape) -> BeaverTriple:
         """Elementwise multiplication triples over Z_2^64."""
-        rng = self._rng
-        a = FixedPointConfig.random_ring(rng, shape)
-        b = FixedPointConfig.random_ring(rng, shape)
-        c = (a * b).astype(np.uint64)
+        a = _random_ring(self._rng, shape)
+        b = _random_ring(self._rng, shape)
         self.triples_issued += int(np.prod(shape))
-        return BeaverTriple(
-            a=share_additive(a, rng), b=share_additive(b, rng), c=share_additive(c, rng)
-        )
+        return BeaverTriple(*(share_additive(x, self._client) for x in (a, b, a * b)))
 
     def bit_triples(self, shape) -> BitTriple:
         """Bitsliced AND-gate triples over GF(2).
 
         ``shape`` is the *element* shape: each element receives one
         ``uint64`` triple word whose low 63 lanes are independent AND
-        triples (lane 63 is zero). The underlying randomness is drawn
-        bit-plane-wise — exactly the draws the byte-per-bit seed
-        implementation made for ``(*shape, 63)`` — so the dealer's rng
-        stream (and with it every downstream arithmetic draw) is
-        unchanged by the packing. ``bit_triples_issued`` keeps counting
-        AND *gates* (63 per word), the unit the serving metrics have
-        always reported.
+        triples (lane 63 is zero on every share). ``bit_triples_issued``
+        keeps counting AND *gates* (63 per word), the unit the serving
+        metrics have always reported.
         """
-        rng = self._rng
-        bit_shape = (*tuple(shape), COMPARISON_BITS)
-        a = random_bits(rng, bit_shape)
-        b = random_bits(rng, bit_shape)
-        c = a & b
+        a = random_lanes(self._rng, shape)
+        b = random_lanes(self._rng, shape)
         self.bit_triples_issued += int(np.prod(shape)) * COMPARISON_BITS
         return BitTriple(
-            a=share_boolean_words(a, rng),
-            b=share_boolean_words(b, rng),
-            c=share_boolean_words(c, rng),
+            *(share_boolean_words(x, self._client) for x in (a, b, a & b))
         )
 
     def dabits(self, shape) -> DaBit:
         """Random bits shared in both GF(2) and Z_2^64 (for B2A)."""
-        rng = self._rng
-        bits = random_bits(rng, shape)
+        bits = random_bits(self._rng, shape)
         self.dabits_issued += int(np.prod(shape))
         return DaBit(
-            boolean=share_boolean(bits, rng),
-            arithmetic=share_additive(bits.astype(np.uint64), rng),
+            boolean=share_boolean(bits, self._client),
+            arithmetic=share_additive(bits.astype(np.uint64), self._client),
         )
 
     def comparison_masks(self, shape) -> ComparisonMask:
         """Masks for the masked-reveal DReLU protocol (packed low bits)."""
-        rng = self._rng
-        r = FixedPointConfig.random_ring(rng, shape)
-        low = bit_decompose(r, COMPARISON_BITS)
-        msb = ((r >> np.uint64(63)) & np.uint64(1)).astype(np.uint8)
+        r = _random_ring(self._rng, shape)
+        msb = (r >> np.uint64(63)).astype(np.uint8)
         self.comparison_masks_issued += int(np.prod(shape))
         return ComparisonMask(
-            r=share_additive(r, rng),
-            low_bits=share_boolean_words(low, rng),
-            msb=share_boolean(msb, rng),
+            r=share_additive(r, self._client),
+            low_bits=share_boolean_words(r & LOW63_MASK, self._client),
+            msb=share_boolean(msb, self._client),
         )
 
     def linear_correlation(
@@ -208,13 +232,14 @@ class TrustedDealer:
 
         ``ring_linear_fn`` is the layer's integer linear map over Z_2^64
         (convolution or matmul with encoded weights, **without** bias —
-        masks must pass through the homogeneous part only).
+        masks must pass through the homogeneous part only). Both client
+        fields are free draws; the server's offset is the correction.
         """
-        rng = self._rng
-        mask = FixedPointConfig.random_ring(rng, input_shape)
+        mask = _random_ring(self._client, input_shape)
         f_mask = ring_linear_fn(mask).astype(np.uint64)
-        server_offset = FixedPointConfig.random_ring(rng, f_mask.shape)
-        client_offset = (f_mask - server_offset).astype(np.uint64)
+        client_offset = _random_ring(self._client, f_mask.shape)
         return LinearCorrelation(
-            mask=mask, client_offset=client_offset, server_offset=server_offset
+            mask=mask,
+            client_offset=client_offset,
+            server_offset=f_mask - client_offset,
         )

@@ -348,6 +348,8 @@ class SecureInferenceEngine:
         batches ran in between.
         """
         suite = self.suite if material is None else self.suite.with_dealer(material)
+        if material is None:  # inline: this run is one bundle, opened as a pool's is
+            self.dealer.begin_bundle()
         channel = Channel()
         if input_shares is None:
             shares = self._executor.share_input(channel, self.share_rng, x=x)

@@ -39,7 +39,7 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
 
@@ -68,14 +68,7 @@ class PoolStoreStats:
     bytes_written: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "bundles_spilled": self.bundles_spilled,
-            "bundles_recovered": self.bundles_recovered,
-            "bundles_loaded": self.bundles_loaded,
-            "records_dropped": self.records_dropped,
-            "segments": self.segments,
-            "bytes_written": self.bytes_written,
-        }
+        return asdict(self)
 
 
 class PoolStore:

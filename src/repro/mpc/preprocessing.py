@@ -36,24 +36,31 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .dealer import (
+    CLIENT_MASKS,
+    SEED_BYTES,
     BeaverTriple,
     BitTriple,
     ComparisonMask,
     DaBit,
     LinearCorrelation,
     TrustedDealer,
+    client_stream,
 )
+from .fixedpoint import FixedPointConfig
 from .program import AvgPoolOp, ConvOp, LinearOp, MaxPoolOp, ReluOp, SecureProgram
 from .protocols import SUFFIX_STEPS
+from .transport import MAX_FRAME_BYTES
 
 __all__ = [
+    "Bundle",
     "MaterialRequest",
+    "draw_bundle",
     "MaterialMismatch",
     "PoolExhausted",
     "RecordingDealer",
@@ -85,6 +92,23 @@ class MaterialRequest:
         return getattr(dealer, self.method)(self.shape)
 
 
+class Bundle(list):
+    """One bundle's ``(request, material)`` pairs, in consumption order.
+
+    ``seed``: the 32 bytes the dealer opened it with, all of party 0's
+    half that travels; party 1's rows, and a fused batch, carry none."""
+
+    def __init__(self, items=(), seed: bytes | None = None):
+        super().__init__(items)
+        self.seed = seed
+
+
+def draw_bundle(dealer: TrustedDealer, trace: list[MaterialRequest]) -> Bundle:
+    """The dealer's next bundle: open it, then draw ``trace`` in order."""
+    seed = dealer.begin_bundle()
+    return Bundle(((request, request.draw(dealer)) for request in trace), seed)
+
+
 class MaterialMismatch(RuntimeError):
     """A replayed bundle was asked for material it does not hold next."""
 
@@ -93,46 +117,52 @@ class PoolExhausted(RuntimeError):
     """``acquire()`` on an empty pool with automatic refill disabled."""
 
 
-class RecordingDealer:
+class _DealerFace:
+    """The dealer methods the protocols call, over one ``_material`` hook."""
+
+    def beaver_triples(self, shape):
+        return self._material("beaver_triples", shape)
+
+    def bit_triples(self, shape):
+        return self._material("bit_triples", shape)
+
+    def dabits(self, shape):
+        return self._material("dabits", shape)
+
+    def comparison_masks(self, shape):
+        return self._material("comparison_masks", shape)
+
+    def linear_correlation(self, input_shape, ring_fn):
+        return self._material("linear_correlation", input_shape, ring_fn)
+
+
+class RecordingDealer(_DealerFace):
     """Wraps a real dealer; keeps every (request, material) pair, in order."""
 
     def __init__(self, base: TrustedDealer):
         self.base = base
-        self.items: list[tuple[MaterialRequest, object]] = []
+        self.items = Bundle()
 
     @property
     def trace(self) -> list[MaterialRequest]:
         """The requests alone, in order."""
         return [request for request, _ in self.items]
 
-    def take(self) -> list[tuple[MaterialRequest, object]]:
+    def take(self) -> Bundle:
         """Hand over (and forget) everything recorded so far: one bundle."""
-        items, self.items = self.items, []
+        items, self.items = self.items, Bundle()
         return items
 
-    def _record(self, method: str, shape, ring_fn=None):
+    def _material(self, method: str, shape, ring_fn=None):
+        if not self.items:  # the first request of a bundle opens it
+            self.items.seed = self.base.begin_bundle()
         request = MaterialRequest(method, tuple(shape), ring_fn=ring_fn)
         material = request.draw(self.base)
         self.items.append((request, material))
         return material
 
-    def beaver_triples(self, shape):
-        return self._record("beaver_triples", shape)
 
-    def bit_triples(self, shape):
-        return self._record("bit_triples", shape)
-
-    def dabits(self, shape):
-        return self._record("dabits", shape)
-
-    def comparison_masks(self, shape):
-        return self._record("comparison_masks", shape)
-
-    def linear_correlation(self, input_shape, ring_fn):
-        return self._record("linear_correlation", input_shape, ring_fn)
-
-
-class ReplayDealer:
+class ReplayDealer(_DealerFace):
     """Serves one pre-generated bundle in consumption order.
 
     Duck-types the :class:`~repro.mpc.dealer.TrustedDealer` interface the
@@ -152,7 +182,7 @@ class ReplayDealer:
     def remaining(self) -> int:
         return len(self._items)
 
-    def _next(self, method: str, shape):
+    def _material(self, method: str, shape, ring_fn=None):
         shape = tuple(shape)
         if not self._items:
             raise MaterialMismatch(
@@ -169,21 +199,6 @@ class ReplayDealer:
             )
         self.consumed += 1
         return material
-
-    def beaver_triples(self, shape):
-        return self._next("beaver_triples", shape)
-
-    def bit_triples(self, shape):
-        return self._next("bit_triples", shape)
-
-    def dabits(self, shape):
-        return self._next("dabits", shape)
-
-    def comparison_masks(self, shape):
-        return self._next("comparison_masks", shape)
-
-    def linear_correlation(self, input_shape, ring_fn):
-        return self._next("linear_correlation", input_shape)
 
 
 def _relu_requests(shape: tuple[int, ...], out: list[MaterialRequest]) -> None:
@@ -268,19 +283,7 @@ class PoolStats:
     dealer_fallbacks: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "bundles_generated": self.bundles_generated,
-            "bundles_consumed": self.bundles_consumed,
-            "bundles_returned": self.bundles_returned,
-            "bundles_poisoned": self.bundles_poisoned,
-            "refills": self.refills,
-            "misses": self.misses,
-            "offline_seconds": self.offline_seconds,
-            "material_items": self.material_items,
-            "bundles_fetched_remote": self.bundles_fetched_remote,
-            "dealer_rpc_retries": self.dealer_rpc_retries,
-            "dealer_fallbacks": self.dealer_fallbacks,
-        }
+        return asdict(self)
 
 
 class PreprocessingPool:
@@ -361,9 +364,9 @@ class PreprocessingPool:
             return list(self._trace)
 
     # ------------------------------------------------------------------
-    def _generate(self, trace: list[MaterialRequest]) -> list[tuple[MaterialRequest, object]]:
+    def _generate(self, trace: list[MaterialRequest]) -> Bundle:
         """One bundle's dealer generation. Callers hold ``_generation_lock``."""
-        return [(request, request.draw(self._dealer)) for request in trace]
+        return draw_bundle(self._dealer, trace)
 
     def refill(self, bundles: int = 1) -> None:
         """Generate ``bundles`` fresh bundles (the offline phase).
@@ -523,8 +526,8 @@ def fuse_bundles(
     each other or cannot tile the plan — a program/batch mixup, never a
     data-dependent condition.
     """
-    if len(bundles) == 1:
-        return list(bundles[0])
+    if len(bundles) == 1:  # the bundle itself, seed and all
+        return Bundle(bundles[0], getattr(bundles[0], "seed", None))
     for bundle in bundles:
         if len(bundle) != len(plan):
             raise MaterialMismatch(
@@ -591,11 +594,12 @@ def fuse_bundles(
 # pairs with one-row fields, consumed by the same ReplayDealer.
 def split_bundle(
     bundle: list[tuple[MaterialRequest, object]], party: int
-) -> list[tuple[MaterialRequest, object]]:
-    """One party's rows of a whole preprocessing bundle — views, no copy."""
+) -> Bundle:
+    """One party's rows of a whole preprocessing bundle — views, no copy.
+    Party 0's keep the bundle's seed (all of them that travels)."""
     if party not in (0, 1):
         raise ValueError(f"party must be 0 or 1, got {party}")
-    rows = []
+    rows = Bundle(seed=getattr(bundle, "seed", None) if party == 0 else None)
     for request, material in bundle:
         if isinstance(material, LinearCorrelation):
             # Asymmetric: the client holds the input mask and its offline
@@ -638,7 +642,7 @@ def join_party_bundle(
         raise MaterialMismatch(
             f"party bundles disagree in length: {len(items0)} vs {len(items1)}"
         )
-    joined = []
+    joined = Bundle(seed=getattr(items0, "seed", None))
     for (request, rows0), (other, rows1) in zip(items0, items1):
         if request.method != other.method:
             raise MaterialMismatch(
@@ -688,17 +692,21 @@ def _wire_arrays(material) -> dict[str, np.ndarray]:
 # the container one party's rows are stored and shipped in
 # ----------------------------------------------------------------------
 #     <4sIQ     magic | version | manifest length m
-#     m bytes   JSON manifest, space-padded so the bodies start 8-aligned
+#     m bytes   JSON manifest, space-padded so what follows starts 8-aligned
 #     bodies    raw little-endian C-order array bytes, each 8-aligned
+#        or     the bundle's 32-byte seed, when the rows are party 0's
 #
 # The manifest is ``{"items": [{"method", "arrays": [[key, dtype code,
 # shape, offset], ...]}, ...], "bytes": total body length}``; offsets
-# count from the first body byte. Nothing in it depends on when or where
-# it was written, so the same material always packs to the same bytes,
-# and every array is read back as a view of the buffer it arrived in.
+# count from the first body byte and every array starts where the one
+# before it ended (8-aligned). Party 0's rows are the bundle's client
+# stream laid out exactly so: their container says ``"seed": 32`` and
+# carries the seed where the bodies would be. Nothing in either form
+# depends on when or where it was written, so the same material always
+# packs to the same bytes.
 _CONTAINER = struct.Struct("<4sIQ")
 _CONTAINER_MAGIC = b"C2PB"
-_CONTAINER_VERSION = 1
+_CONTAINER_VERSION = 2
 _ALIGN = 8
 _WIRE_DTYPES = {code: np.dtype(code) for code in ("<u8", "|u1")}
 
@@ -708,7 +716,8 @@ def party_bundle_segments(items: list[tuple[MaterialRequest, object]]) -> list:
 
     The first segment is the header and manifest; the rest are views of
     the material's own arrays (plus alignment padding), so a carrier that
-    scatters segments (a framed socket, a file) never copies the bodies.
+    scatters segments (a framed socket, a file) never copies the bodies —
+    or, for party 0's rows (``items.seed``), the seed alone.
     """
     entries, bodies, offset = [], [], 0
     for request, material in items:
@@ -729,9 +738,11 @@ def party_bundle_segments(items: list[tuple[MaterialRequest, object]]) -> list:
                     bodies.append(bytes(pad))
                     offset += pad
         entries.append({"method": request.method, "arrays": arrays})
-    manifest = json.dumps(
-        {"items": entries, "bytes": offset}, separators=(",", ":")
-    ).encode("utf-8")
+    manifest = {"items": entries, "bytes": offset}
+    seed = getattr(items, "seed", None)
+    if seed is not None:  # party 0's rows: the same manifest over their seed
+        manifest["seed"], bodies = len(seed), [seed]
+    manifest = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     manifest += b" " * (-(_CONTAINER.size + len(manifest)) % _ALIGN)
     head = _CONTAINER.pack(_CONTAINER_MAGIC, _CONTAINER_VERSION, len(manifest))
     return [head + manifest, *bodies]
@@ -746,39 +757,39 @@ def _malformed(why: str) -> MaterialMismatch:
     return MaterialMismatch(f"malformed party bundle: {why}")
 
 
-def _array_view(body: memoryview, spec) -> tuple[str, np.ndarray]:
-    """One manifest array entry as a view of ``body``, or a typed refusal."""
+def _array_spec(spec, offset: int, extent: int) -> tuple[str, np.dtype, list, int]:
+    """One manifest entry as ``(key, dtype, shape, byte size)``: it must start
+    at ``offset``, where the one before it ended, and end inside ``extent``."""
     if not (isinstance(spec, list) and len(spec) == 4):
         raise _malformed("an array entry is not [key, dtype, shape, offset]")
-    key, code, shape, offset = spec
+    key, code, shape, declared = spec
     if not isinstance(key, str):
         raise _malformed("an array key is not a string")
     dtype = _WIRE_DTYPES.get(code) if isinstance(code, str) else None
     if dtype is None:
         raise _malformed(f"array {key!r} has unknown dtype code {code!r}")
-    if not isinstance(shape, list) or not all(
-        type(dim) is int and 0 <= dim <= body.nbytes for dim in shape
+    if not isinstance(shape, list) or len(shape) > 32 or not all(
+        type(dim) is int and 0 <= dim <= extent for dim in shape
     ):
         raise _malformed(f"array {key!r} declares an impossible shape")
-    if type(offset) is not int or offset < 0 or offset % _ALIGN:
+    if type(declared) is not int or declared != offset:
         raise _malformed(f"array {key!r} declares a bad offset")
-    count = math.prod(shape)
-    if offset + count * dtype.itemsize > body.nbytes:
+    size = math.prod(shape) * dtype.itemsize
+    if offset + size > extent:
         raise _malformed(f"array {key!r} overruns the container")
-    try:
-        array = np.frombuffer(body, dtype, count, offset).reshape(shape)
-    except ValueError as exc:  # dimensions no array can have
-        raise _malformed(f"array {key!r} declares an impossible shape") from exc
-    return key, array
+    return key, dtype, shape, size
 
 
-def unpack_party_bundle(data) -> list[tuple[MaterialRequest, object]]:
-    """Inverse of :func:`pack_party_bundle`, in place.
+def unpack_party_bundle(data) -> Bundle:
+    """Inverse of :func:`pack_party_bundle`.
 
     ``data`` is any bytes-like object; the arrays handed back are
-    **read-only views** of it — nothing is copied, and nothing is ever
-    allocated from a length the container merely declares. Anything that
-    is not a well-formed container is a :class:`MaterialMismatch`.
+    **read-only views** of its bodies — nothing is copied. Party 0's
+    container holds a seed instead: its bodies are one draw of the seed's
+    stream, masked field by field (:data:`~repro.mpc.dealer.CLIENT_MASKS`),
+    made once the whole manifest has been checked and no larger than a
+    frame. Anything that is not a well-formed container is a
+    :class:`MaterialMismatch`.
 
     The request shapes are read back off the arrays. A server half of a
     linear correlation carries only its output-shaped offset, so its
@@ -803,9 +814,18 @@ def unpack_party_bundle(data) -> list[tuple[MaterialRequest, object]]:
         raise _malformed("the manifest is not JSON") from exc
     body = view[start:]
     entries = manifest.get("items") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list) or manifest.get("bytes") != body.nbytes:
+    extent = manifest.get("bytes") if entries is not None else None
+    if not isinstance(entries, list) or type(extent) is not int:
         raise _malformed("the manifest does not describe these bytes")
-    items = []
+    seeded = "seed" in manifest
+    if seeded:
+        if manifest["seed"] != SEED_BYTES or body.nbytes != SEED_BYTES:
+            raise _malformed(f"a seeded half ends in its {SEED_BYTES}-byte seed")
+        if not 0 <= extent <= MAX_FRAME_BYTES:
+            raise _malformed("the seed is asked for more than a frame of rows")
+    elif extent != body.nbytes:
+        raise _malformed("the manifest does not describe these bytes")
+    layout, offset = [], 0
     for entry in entries:
         specs = entry.get("arrays") if isinstance(entry, dict) else None
         if not isinstance(specs, list):
@@ -814,17 +834,42 @@ def unpack_party_bundle(data) -> list[tuple[MaterialRequest, object]]:
         kind = _MATERIAL_TYPES.get(method) if isinstance(method, str) else None
         if kind is None:
             raise MaterialMismatch(f"unknown material method {method!r}")
-        held = dict(_array_view(body, spec) for spec in specs)
+        arrays = []
+        for spec in specs:
+            key, dtype, shape, size = _array_spec(spec, offset, extent)
+            arrays.append((key, dtype, shape, offset))
+            offset += size + -size % _ALIGN
+        keys = [key for key, *_ in arrays]
         if kind is LinearCorrelation:
-            whole = held.keys() in ({"mask", "client_offset"}, {"server_offset"})
-            shape = held["mask"].shape if "mask" in held else None
+            whole = keys == (["mask", "client_offset"] if seeded else ["server_offset"])
         else:
-            shape = next(iter(held.values())).shape if held else None
-            whole = held.keys() == {f.name for f in fields(kind)} and all(
-                array.shape == shape for array in held.values()
+            whole = keys == [f.name for f in fields(kind)] and all(
+                shape == arrays[0][2] for _, _, shape, _ in arrays
             )
-            held = {key: array[None] for key, array in held.items()}
-        if not whole or len(held) != len(specs):
+        if seeded and whole:  # each field in the dtype it is drawn in
+            whole = all(
+                dtype == CLIENT_MASKS[method][key].dtype for key, dtype, _, _ in arrays
+            )
+        if not whole:
             raise _malformed(f"{method} does not hold one party's fields")
+        layout.append((method, kind, arrays))
+    if offset != extent:
+        raise _malformed("the manifest does not describe these bytes")
+    items = Bundle(seed=bytes(body) if seeded else None)
+    if seeded:
+        words = FixedPointConfig.random_ring(client_stream(items.seed), extent // _ALIGN)
+        body = memoryview(words.astype("<u8", copy=False)).cast("B")
+    for method, kind, arrays in layout:
+        held = {
+            key: np.frombuffer(body, dtype, math.prod(shape), at).reshape(shape)
+            for key, dtype, shape, at in arrays
+        }
+        if seeded:
+            for key, array in held.items():
+                array &= CLIENT_MASKS[method][key]
+                array.flags.writeable = False  # material is, however it came
+        shape = None if "server_offset" in held else next(iter(held.values())).shape
+        if kind is not LinearCorrelation:
+            held = {key: array[None] for key, array in held.items()}
         items.append((MaterialRequest(method, shape), kind(**held)))
     return items

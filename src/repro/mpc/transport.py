@@ -66,7 +66,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,7 @@ _MAGIC = b"C2PI"
 _VERSION = 2
 # The largest payload a frame header may declare. Every read path checks
 # it before allocating the receive buffer: the length is the peer's u64.
-# The largest frames are dealer records (5.7 MB for resnet20 w=0.25 at
+# The largest frames are dealer records (2.8 MB for resnet20 w=0.25 at
 # batch 1, linear in batch and ReLU count); 1 GiB leaves them two orders
 # of magnitude and still refuses anything a header can lie about.
 MAX_FRAME_BYTES = 1 << 30
@@ -422,38 +422,16 @@ class WireStats:
         Used by the multi-session server to report one global wire
         footprint across every (live and finished) connection.
         """
-        self.frames_sent += other.frames_sent
-        self.frames_received += other.frames_received
-        self.raw_payload_sent += other.raw_payload_sent
-        self.raw_payload_received += other.raw_payload_received
-        self.control_payload_sent += other.control_payload_sent
-        self.control_payload_received += other.control_payload_received
-        self.wire_bytes_sent += other.wire_bytes_sent
-        self.wire_bytes_received += other.wire_bytes_received
-        self.frames_pooled += other.frames_pooled
-        self.bytes_copied += other.bytes_copied
-        for label, nbytes in other.raw_by_label.items():
-            self.raw_by_label[label] = self.raw_by_label.get(label, 0) + nbytes
-        for label, nbytes in other.copied_by_label.items():
-            self.copied_by_label[label] = (
-                self.copied_by_label.get(label, 0) + nbytes
-            )
+        for name, theirs in vars(other).items():
+            mine = getattr(self, name)
+            if isinstance(mine, dict):  # the per-label breakdowns
+                for label, nbytes in theirs.items():
+                    mine[label] = mine.get(label, 0) + nbytes
+            else:
+                setattr(self, name, mine + theirs)
 
     def as_dict(self) -> dict:
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "raw_payload_sent": self.raw_payload_sent,
-            "raw_payload_received": self.raw_payload_received,
-            "control_payload_sent": self.control_payload_sent,
-            "control_payload_received": self.control_payload_received,
-            "wire_bytes_sent": self.wire_bytes_sent,
-            "wire_bytes_received": self.wire_bytes_received,
-            "raw_by_label": dict(self.raw_by_label),
-            "frames_pooled": self.frames_pooled,
-            "bytes_copied": self.bytes_copied,
-            "copied_by_label": dict(self.copied_by_label),
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------

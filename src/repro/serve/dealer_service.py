@@ -62,8 +62,10 @@ from ..mpc.dealer import TrustedDealer
 from ..mpc.party import program_fingerprint
 from ..mpc.pool_store import PoolStore
 from ..mpc.preprocessing import (
+    Bundle,
     MaterialRequest,
     PreprocessingPool,
+    draw_bundle,
     join_party_bundle,
     material_plan,
     party_bundle_segments,
@@ -310,10 +312,9 @@ class DealerServer:
         record is served (store-then-serve is the idempotency argument).
         """
         dealer = stream.dealer
-        bundle = [(request, request.draw(dealer)) for request in trace]
-        # The one copy a generated bundle takes: its arrays, scattered
-        # through the dealer's heap, into the record that is stored and
-        # served.
+        bundle = draw_bundle(dealer, trace)
+        # The one copy a generated bundle takes: party 1's arrays, out of
+        # the dealer's heap into the record that is stored and served.
         record = b"".join(
             _record_segments(
                 party_bundle_segments(split_bundle(bundle, 0)),
@@ -671,34 +672,8 @@ class DealerBackedPool(PreprocessingPool):
         self._fallback = fallback
         self._fetch_deadline = fetch_deadline
         self._next_seq = 0
-        self._retries_seen = 0
 
-    def refill(self, bundles: int = 1) -> None:
-        """Fetch (or fall back to generating) ``bundles`` fresh bundles."""
-        self._raise_deferred_failure()
-        trace = self.requirements()
-        for _ in range(bundles):
-            with self._generation_lock:
-                start = time.perf_counter()
-                bundle, fetched = self._next_bundle(trace)
-                elapsed = time.perf_counter() - start
-            with self._lock:
-                self._bundles.append(bundle)
-                self.stats.bundles_generated += 1
-                self.stats.material_items += len(bundle)
-                self.stats.offline_seconds += elapsed
-                if fetched:
-                    self.stats.bundles_fetched_remote += 1
-                else:
-                    self.stats.dealer_fallbacks += 1
-                retries = self._client.rpc_retries
-                self.stats.dealer_rpc_retries += retries - self._retries_seen
-                self._retries_seen = retries
-                self._refill_done.notify_all()
-        with self._lock:
-            self.stats.refills += 1
-
-    def _next_bundle(self, trace) -> tuple[list, bool]:
+    def _generate(self, trace) -> Bundle:
         """One stream step: remote fetch, or state-synced inline fallback.
 
         Callers hold ``_generation_lock`` (stream order is the
@@ -715,19 +690,24 @@ class DealerBackedPool(PreprocessingPool):
         except (DealerBusy, DealerUnreachable, TransportError, OSError):
             if not self._fallback:
                 raise
-            bundle = self._generate(trace)
-            self._next_seq = seq + 1
-            return bundle, False
-        blob0, blob1, state = _unpack_record(record)
-        bundle = join_party_bundle(
-            unpack_party_bundle(blob0), unpack_party_bundle(blob1)
-        )
-        if state:
-            # Mirror the remote stream position: a later inline fallback
-            # must continue exactly where the dealer's rng stands.
-            self._dealer.restore_state(json.loads(bytes(state)))
+            fetched = False
+            bundle = super()._generate(trace)
+        else:
+            fetched = True
+            blob0, blob1, state = _unpack_record(record)
+            bundle = join_party_bundle(
+                unpack_party_bundle(blob0), unpack_party_bundle(blob1)
+            )
+            if state:
+                # Mirror the remote stream position: a later inline fallback
+                # must continue exactly where the dealer's rng stands.
+                self._dealer.restore_state(json.loads(bytes(state)))
         self._next_seq = seq + 1
-        return bundle, True
+        with self._lock:  # one client per pool: its retries are the pool's
+            self.stats.bundles_fetched_remote += fetched
+            self.stats.dealer_fallbacks += not fetched
+            self.stats.dealer_rpc_retries = self._client.rpc_retries
+        return bundle
 
     def close(self) -> None:
         self._client.close()

@@ -71,7 +71,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,7 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 3  # v3: typed retriable busy replies on the bundle slot
+_FINISHED_TAIL = 256  # retired connections ``metrics()`` still lists one by one
 
 
 class ServerBusy(TransportError):
@@ -163,17 +164,7 @@ class SessionStats:
     wire: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "session": self.session,
-            "requests": self.requests,
-            "online_s": self.online_s,
-            "offline_s": self.offline_s,
-            "handshake_ok": self.handshake_ok,
-            "error": self.error,
-            "active": self.active,
-            "wire": dict(self.wire),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -397,7 +388,9 @@ class RemoteServer:
         # _Inflight). One entry per session key — the protocol is serial
         # within a session, so only its newest request can be retried.
         self._inflight: dict[int | str, _Inflight] = {}
-        self._finished: list[SessionStats] = []
+        # Retired connections: the newest in full, all in a running total.
+        self._finished: deque[SessionStats] = deque(maxlen=_FINISHED_TAIL)
+        self._finished_wire = WireStats()
         self._next_session_id = 0
         self.connections_served = 0
         self.connections_failed = 0
@@ -1015,6 +1008,7 @@ class RemoteServer:
         with self._drained:
             self._active.pop(stats.session_id, None)
             self._finished.append(stats)
+            self._finished_wire.accumulate(transport.stats)
             self._drained.notify_all()
 
     def _note_worker_failure(
@@ -1136,12 +1130,10 @@ class RemoteServer:
         shipped = False
         try:
             # Lay the container out before flagging: writing the manifest
-            # over views of the client's rows is the one fallible step
-            # before any byte can leave the server, and the window in
-            # which a failed bundle is still restorable. Once send_blob is
-            # attempted, a partial write is indistinguishable from none:
-            # shipped means "maybe". The rows go out as the frame's
-            # segments, straight from the bundle's own arrays.
+            # is the one fallible step before any byte can leave the
+            # server, and the window in which a failed bundle is still
+            # restorable. Once send_blob is attempted, a partial write is
+            # indistinguishable from none: shipped means "maybe".
             segments = party_bundle_segments(split_bundle(bundle, 0))
             shipped = True
             if record is not None:
@@ -1214,23 +1206,13 @@ class RemoteServer:
                 "max_sessions": self.max_sessions,
             }
         with self._state_lock:
-            active = [
-                (stats.as_dict(), transport.stats.as_dict())
-                for stats, transport in self._active.values()
-            ]
-            finished = [stats.as_dict() for stats in self._finished]
+            sessions = [stats.as_dict() for stats in self._finished]
+            wire_total = WireStats(**self._finished_wire.as_dict())
+            for stats, transport in self._active.values():
+                sessions.append({**stats.as_dict(), "wire": transport.stats.as_dict()})
+                wire_total.accumulate(transport.stats)
             counters["inflight_bundles"] = len(self._inflight)
             counters["active_sessions"] = len(self._active)
-        sessions = []
-        wire_total = WireStats()
-        for stats_dict, live_wire in active:
-            stats_dict["wire"] = live_wire
-            sessions.append(stats_dict)
-            wire_total.accumulate(WireStats(**live_wire))
-        for stats_dict in finished:
-            sessions.append(stats_dict)
-            if stats_dict["wire"]:
-                wire_total.accumulate(WireStats(**stats_dict["wire"]))
         sessions.sort(key=lambda entry: entry["session_id"])
         with self._pools_lock:
             pools = {

@@ -35,7 +35,11 @@ _PASS_BY_NAME = {p.NAME: p for p in PASSES}
 
 #: pass name -> rules its bad fixture must fire (each at least once).
 EXPECTED_BAD = {
-    "secrecy": {"secrecy/unsanitized-sink", "secrecy/print-in-protocol"},
+    "secrecy": {
+        "secrecy/unsanitized-sink",
+        "secrecy/print-in-protocol",
+        "secrecy/stream-mix",
+    },
     "locks": {"locks/blocking-under-lock", "locks/order-inversion"},
     "determinism": {
         "determinism/unseeded-rng",
@@ -94,6 +98,18 @@ def test_noised_reveal_is_cleared_only_by_perturb_share():
     reveals = [f for f in report.findings if f.path.endswith("core/c2pi.py")]
     assert len(reveals) == 3, [finding.render() for finding in report.findings]
     assert all("perturb_share(...) results only" in f.message for f in reveals)
+
+
+def test_dealer_streams_do_not_mix():
+    """Every function of the bad dealer fixture mixes the secret stream
+    and the client stream one way, and each is caught once: a secret-stream
+    (or missing) generator in a splitter, a client field that is not a
+    client-stream draw, a client-stream draw outside party 0's rows."""
+    report = run_audit(FIXTURES / "secrecy" / "bad", passes=(secrecy,))
+    mixes = [f for f in report.findings if f.rule == "secrecy/stream-mix"]
+    assert len(mixes) == 6, [finding.render() for finding in mixes]
+    assert all(f.path.endswith("mpc/dealer.py") for f in mixes)
+    assert len({f.line for f in mixes}) == 6
 
 
 def test_repo_is_audit_clean():

@@ -5,10 +5,10 @@ Four pillars of the uint64 packing refactor are pinned here:
 * **Kernel correctness** — the packed word kernels against a naive
   bit-loop reference, at ring-boundary values (0, +-1, 2^62, 2^63-1,
   -2^63) and under hypothesis-driven randomness;
-* **Byte-identity** — the packed dealer draws its randomness
-  bit-plane-wise exactly like the byte-per-bit seed implementation, so
-  the resnet20 smoke victim's logits (in-process *and* two-process
-  loopback) still hash to the pre-refactor values recorded below;
+* **Byte-identity** — the dealer draws every array as one raw generator
+  draw in the layout it is consumed in, party 0's rows from the bundle's
+  client stream; the resnet20 smoke victim's logits (in-process *and*
+  two-process loopback) hash to the values pinned below;
 * **Cost-model exactness** — the per-label byte predictions in
   :mod:`repro.mpc.costs` equal both the Channel accounting and the
   measured socket payload of a real loopback run;
@@ -53,17 +53,16 @@ from repro.mpc.protocols import (
     secure_relu,
     word_parity,
 )
+from repro.mpc.dealer import client_stream
 from repro.mpc.sharing import (
     COMPARISON_BITS,
     LOW63_MASK,
-    bit_decompose,
-    pack_bit_words,
     random_bits,
+    random_lanes,
     reconstruct_additive,
     reconstruct_boolean,
     share_additive,
     share_boolean_words,
-    unpack_bit_words,
 )
 
 CFG = FixedPointConfig(frac_bits=12)
@@ -75,22 +74,21 @@ RING_BOUNDARY_VALUES = np.array(
     dtype=np.uint64,
 )
 
-# Pre-refactor pins for the resnet20 smoke victim (width 0.25, model seed
-# 0, boundary 3.5, pipeline seed 5, image rng(7)): recorded from the
-# byte-per-bit implementation at commit 90d2b8b, before the packed
-# circuit became the default. The packed engine must reproduce them
-# byte for byte.
+# Pins for the resnet20 smoke victim (width 0.25, model seed 0, boundary
+# 3.5, pipeline seed 5, image rng(7)). Re-pinned once when the dealer moved
+# to word draws and a per-bundle client stream (every draw changed; the
+# online values, bytes and rounds did not).
 PINNED_RESNET20_LOGITS_SHA256 = (
-    "0af4b94574f1bb499b6985c92da31e03770f859dbee3f1326dc688c197f2fb9e"
+    "7ec863a3b1983ec233ba2edd1b2b8a8a6f9e2fef227eb1141920d1fc9c2950a4"
 )
 # Joint-engine boundary shares for vgg16 width 0.125, boundary 2.5,
-# dealer_seed 11, share_seed 5, image rng(7) — pins that even the *share*
-# stream (not just the reconstruction) survived the packing unchanged.
+# dealer_seed 11, share_seed 5, image rng(7) — pins the *share* stream,
+# not just the reconstruction.
 PINNED_VGG_SHARE0_SHA256 = (
-    "5f94325fd6d3ed46b3fbfb01c3efb89aeef192bef0d86c341df71724e349f52e"
+    "dffd79cfbbe5bec4b8bca405bc6e8b8d722a1889940ad139ddb2492224e5e469"
 )
 PINNED_VGG_SHARE1_SHA256 = (
-    "1d9b62da89940eba026b5d00baf2d0a247e8652c99d4f694ece3e017efbd9ca4"
+    "bbb586b5c9b8a7e57836c31fca72785ab0f87f39d2b6a6a6812ddd348b1e742d"
 )
 
 
@@ -116,25 +114,6 @@ def reference_less_than(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 class TestPackedWords:
-    @given(st.integers(0, 2**31), st.integers(1, 64))
-    @settings(max_examples=25, deadline=None)
-    def test_pack_unpack_roundtrip(self, seed, k):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(7, k), dtype=np.uint8)
-        words = pack_bit_words(bits)
-        assert words.dtype == np.uint64 and words.shape == (7,)
-        np.testing.assert_array_equal(unpack_bit_words(words, k), bits)
-
-    def test_pack_is_little_endian(self):
-        bits = np.zeros((1, 63), dtype=np.uint8)
-        bits[0, 0] = 1
-        bits[0, 62] = 1
-        assert int(pack_bit_words(bits)[0]) == 1 | (1 << 62)
-
-    def test_pack_rejects_too_many_lanes(self):
-        with pytest.raises(ValueError, match="65 bits"):
-            pack_bit_words(np.zeros((2, 65), dtype=np.uint8))
-
     def test_word_parity_matches_popcount(self):
         rng = np.random.default_rng(3)
         words = rng.integers(0, 1 << 63, size=(257,), dtype=np.uint64)
@@ -145,9 +124,10 @@ class TestPackedWords:
 
     def test_share_words_reconstruct(self):
         rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, size=(11, 63), dtype=np.uint8)
-        w0, w1 = share_boolean_words(bits, rng)
-        np.testing.assert_array_equal(w0 ^ w1, pack_bit_words(bits))
+        words = random_lanes(rng, (11,))
+        w0, w1 = share_boolean_words(words, rng)
+        np.testing.assert_array_equal(w0 ^ w1, words)
+        assert not ((w0 | w1) >> np.uint64(63)).any()
 
 
 class TestAgainstNaiveReference:
@@ -159,7 +139,7 @@ class TestAgainstNaiveReference:
         z = (grid_z.reshape(-1) & LOW63_MASK).astype(np.uint64)
         r = (grid_r.reshape(-1) & LOW63_MASK).astype(np.uint64)
         rng = np.random.default_rng(0)
-        r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
+        r_words = share_boolean_words(r, rng)
         lt, _ = run_placements(
             lambda rows, dealer, channel: public_less_than_shared(
                 z, rows(r_words), dealer, channel
@@ -178,7 +158,7 @@ class TestAgainstNaiveReference:
         rng = np.random.default_rng(seed)
         z = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
         r = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
+        r_words = share_boolean_words(r, rng)
         lt, _ = run_placements(
             lambda rows, dealer, channel: public_less_than_shared(
                 z, rows(r_words), dealer, channel
@@ -218,69 +198,86 @@ class TestAgainstNaiveReference:
         np.testing.assert_array_equal(reconstruct_additive(*ys), expected)
 
 
-class TestDealerDrawEquivalence:
-    """The packing must not move the dealer's random stream.
-
-    The packed ``bit_triples``/``comparison_masks`` draw bit-planes with
-    the exact ``rng.integers`` calls the byte-per-bit seed implementation
-    made, then pack — this is what keeps every arithmetic draw (and hence
-    every truncation rounding, and hence the logits) byte-identical.
-    """
+class TestDealerDraws:
+    """Every dealer array is one raw generator draw in the layout it is
+    consumed in: secrets off the seeded stream, party 0's rows off the
+    bundle's client stream, row 1 the correction."""
 
     @given(
         st.integers(0, 2**31),
         st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3), min_size=1, max_size=4),
     )
     @settings(max_examples=50, deadline=None)
-    def test_random_bits_reads_the_bounded_uint8_stream(self, seed, shapes):
-        """Same bits as ``rng.integers(0, 2, dtype=uint8)`` for every size
-        (also not a multiple of four, also empty), and the generator ends
-        in the same state — checked with a 32-bit and a 64-bit draw in
-        between, which see numpy's buffered half of a 64-bit output."""
+    def test_random_bits_are_the_low_bits_of_whole_words(self, seed, shapes):
+        """``n`` bits are the low bit of the first ``n`` bytes of a draw of
+        ``ceil(n / 8)`` words (also for ``n`` not a multiple of eight, also
+        none), so successive draws read the stream one big draw would."""
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         for shape in shapes:
             got = random_bits(ours, shape)
-            want = reference.integers(0, 2, size=shape, dtype=np.uint8)
-            assert got.dtype == want.dtype and got.shape == want.shape
+            count = int(np.prod(shape))
+            words = FixedPointConfig.random_ring(reference, -(-count // 8))
+            want = (words.view(np.uint8)[:count] & 1).reshape(shape)
+            assert got.dtype == np.uint8 and got.shape == tuple(shape)
             np.testing.assert_array_equal(got, want)
-            for dtype in (np.uint32, np.uint64):
-                assert ours.integers(0, 1000, dtype=dtype) == reference.integers(
-                    0, 1000, dtype=dtype
-                )
         assert ours.bit_generator.state == reference.bit_generator.state
 
-    def test_bit_triples_draw_bit_planes(self):
-        triple = TrustedDealer(seed=123).bit_triples((5,))
-        reference = np.random.default_rng(123)
-        a = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-        b = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-        c = (a & b).astype(np.uint8)
-        for packed_pair, bits in ((triple.a, a), (triple.b, b), (triple.c, c)):
-            share0 = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-            np.testing.assert_array_equal(packed_pair[0], pack_bit_words(share0))
-            np.testing.assert_array_equal(
-                packed_pair[1], pack_bit_words((bits ^ share0).astype(np.uint8))
-            )
+    def test_bit_triples_are_word_draws(self):
+        dealer = TrustedDealer(seed=123)  # a new dealer has a bundle open
+        seed = dealer.begin_bundle()
+        triple = dealer.bit_triples((5,))
+        secret, client = np.random.default_rng(123), client_stream(seed)
+        seeds = FixedPointConfig.random_ring(secret, 8).tobytes()
+        assert seeds[32:] == seed and seeds[:32] != seed
+        a = FixedPointConfig.random_ring(secret, (5,)) & LOW63_MASK
+        b = FixedPointConfig.random_ring(secret, (5,)) & LOW63_MASK
+        for shared, words in ((triple.a, a), (triple.b, b), (triple.c, a & b)):
+            row0 = FixedPointConfig.random_ring(client, (5,)) & LOW63_MASK
+            np.testing.assert_array_equal(shared[0], row0)
+            np.testing.assert_array_equal(shared[1], words ^ row0)
 
-    def test_arithmetic_draws_unmoved_by_boolean_requests(self):
-        """A beaver triple drawn after boolean material matches a replica
-        of the seed implementation's stream position."""
+    def test_both_streams_advance_by_exactly_what_was_dealt(self):
+        """A beaver triple drawn after boolean material sits where a
+        replica of the two streams says it should: no draw is wider than
+        the array it fills, and the streams never borrow from each other."""
         dealer = TrustedDealer(seed=7)
-        dealer.bit_triples((3,))
+        dealer.bit_triples((3,))  # in the bundle a new dealer has open
         dealer.comparison_masks((4,))
         triple = dealer.beaver_triples((8,))
 
-        reference = np.random.default_rng(7)
-        for _ in range(5):  # bit triple: a, b + the three share draws
-            reference.integers(0, 2, size=(3, 63), dtype=np.uint8)
-        FixedPointConfig.random_ring(reference, (4,))  # comparison mask r
-        FixedPointConfig.random_ring(reference, (4,))  # r's additive share0
-        reference.integers(0, 2, size=(4, 63), dtype=np.uint8)  # low share0
-        reference.integers(0, 2, size=(4,), dtype=np.uint8)  # msb share0
-        a = FixedPointConfig.random_ring(reference, (8,))
+        secret = np.random.default_rng(7)
+        client = client_stream(FixedPointConfig.random_ring(secret, 4).tobytes())
+        for _ in range(2):  # bit triple: a, b
+            FixedPointConfig.random_ring(secret, (3,))
+        for _ in range(3):  # ... and the free row of a, b, c
+            FixedPointConfig.random_ring(client, (3,))
+        FixedPointConfig.random_ring(secret, (4,))  # comparison mask r
+        FixedPointConfig.random_ring(client, (4,))  # r's additive row 0
+        FixedPointConfig.random_ring(client, (4,))  # low words row 0
+        FixedPointConfig.random_ring(client, 1)  # msb row 0: 4 bits, one word
+        a = FixedPointConfig.random_ring(secret, (8,))
         np.testing.assert_array_equal(reconstruct_additive(*triple.a), a)
+        np.testing.assert_array_equal(
+            triple.a[0], FixedPointConfig.random_ring(client, (8,))
+        )
 
-    def test_joint_engine_shares_match_pre_refactor_pin(self):
+    def test_a_state_at_a_bundle_boundary_pins_what_follows(self):
+        """``state()`` holds the secret stream alone: restored, the next
+        bundle opens with the same seed and deals the same material."""
+        dealer = TrustedDealer(seed=3)
+        dealer.begin_bundle()
+        dealer.comparison_masks((6,))
+        state = dealer.state()
+        seed = dealer.begin_bundle()
+        first = dealer.comparison_masks((6,))
+        dealer.beaver_triples((2,))
+        dealer.restore_state(state)
+        assert dealer.begin_bundle() == seed
+        again = dealer.comparison_masks((6,))
+        for key in ("r", "low_bits", "msb"):
+            np.testing.assert_array_equal(getattr(first, key), getattr(again, key))
+
+    def test_joint_engine_shares_match_pin(self):
         from repro.models import vgg16
 
         victim = vgg16(width_mult=0.125, rng=np.random.default_rng(0)).eval()
@@ -311,8 +308,8 @@ def resnet_image():
 
 
 class TestLogitsPin:
-    """Acceptance pin: packed-circuit logits byte-identical to the
-    pre-refactor path, in-process and over the two-process loopback."""
+    """Acceptance pin: the same logits in-process and over the
+    two-process loopback, byte for byte."""
 
     def test_in_process_pipeline_logits(self, resnet_victim, resnet_image):
         from repro.core import C2PIPipeline

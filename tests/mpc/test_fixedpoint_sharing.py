@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mpc import FixedPointConfig, bit_decompose
+from repro.mpc import FixedPointConfig
 from repro.mpc.sharing import (
+    LOW63_MASK,
+    random_lanes,
     reconstruct_additive,
     reconstruct_boolean,
+    reconstruct_boolean_words,
     share_additive,
     share_boolean,
+    share_boolean_words,
 )
 
 float_arrays = hnp.arrays(
@@ -93,16 +97,20 @@ class TestSharing:
         f_ones = (s0_ones >> np.uint64(63)).mean()
         assert abs(f_zeros - 0.5) < 0.02 and abs(f_ones - 0.5) < 0.02
 
-    def test_bit_decompose_little_endian(self):
-        bits = bit_decompose(np.array([0b1011], dtype=np.uint64), 5)
-        np.testing.assert_array_equal(bits[0], [1, 1, 0, 1, 0])
+    def test_random_lanes_is_the_ring_draw_with_lane_63_cleared(self):
+        words = random_lanes(np.random.default_rng(5), (3, 7))
+        ring = FixedPointConfig.random_ring(np.random.default_rng(5), (3, 7))
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, ring & LOW63_MASK)
 
-    @given(st.integers(0, 2**63 - 1))
+    @given(st.integers(0, 2**63 - 1), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
-    def test_bit_decompose_reconstructs(self, value):
-        bits = bit_decompose(np.array([value], dtype=np.uint64), 63)
-        recomposed = sum(int(b) << i for i, b in enumerate(bits[0]))
-        assert recomposed == value
+    def test_comparison_words_reconstruct(self, value, seed):
+        secret = np.array([value, 0, 2**63 - 1], dtype=np.uint64)
+        shares = share_boolean_words(secret, np.random.default_rng(seed))
+        assert shares.shape == (2, 3) and shares.dtype == np.uint64
+        assert not (shares >> np.uint64(63)).any()  # lane 63 zero on every share
+        np.testing.assert_array_equal(reconstruct_boolean_words(*shares), secret)
 
 
 class TestRingBoundaries:

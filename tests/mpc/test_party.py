@@ -131,10 +131,12 @@ def run_placement(program, images, bundle, placement: str, share_seed: int = 5) 
         result = engine.run(images, material=ReplayDealer(bundle))
         view, logits = finish(result.channel, result.shares, _noises(batch))
         return Run(result.shares, [result.channel], result.tallies, view, logits)
-    # The client's rows cross the wire as a blob, exactly as deployed.
-    client_rows = unpack_party_bundle(
-        bytearray(pack_party_bundle(split_bundle(bundle, 0)))  # a receive buffer
-    )
+    # The client's rows cross the wire as a blob, exactly as deployed: the
+    # seed of one dealer bundle, in a receive buffer. A fused bundle has no
+    # one seed (and no networked path fuses): its rows are handed over.
+    client_rows = split_bundle(bundle, 0)
+    if client_rows.seed is not None:
+        client_rows = unpack_party_bundle(bytearray(pack_party_bundle(client_rows)))
     client = PartyEngine.from_manifest(program_manifest(program), share_seed=share_seed)
     server = PartyEngine.from_program(program, party=1)
 
@@ -190,7 +192,7 @@ class TestPlacementEquivalence:
     def test_no_placement_writes_the_material(self, program, placement):
         """Retries replay a bundle, so nothing may write it: the same
         shares come out when every array of the bundle is read-only (the
-        client's rows already are — they are views of the blob)."""
+        client's rows already are, redrawn from the blob's seed)."""
         images, bundle = _images(program, 1), _bundle(program, 1)
         reference = run_placement(program, images, bundle, placement)
         for _, material in bundle:

@@ -13,7 +13,12 @@ from repro.mpc import (
     compile_program,
 )
 from repro.mpc.dealer import TrustedDealer
-from repro.mpc.preprocessing import MaterialMismatch, RecordingDealer, material_plan
+from repro.mpc.preprocessing import (
+    MaterialMismatch,
+    RecordingDealer,
+    ReplayDealer,
+    material_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,62 @@ class TestPoolDeterminism:
             dealer.comparison_masks_issued,
         )
         assert before == after == (0, 0, 0, 0)
+
+
+class TestBundleSeeds:
+    """Each bundle opens with 32 bytes off the secret stream: the stream
+    position — session, sequence number, rewind — fixes the seed."""
+
+    def test_no_two_bundles_of_a_stream_share_a_seed(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=11)
+        pool.refill(16)
+        seeds = [pool.acquire_bundle().seed for _ in range(16)]
+        assert all(len(seed) == 32 for seed in seeds)
+        assert len(set(seeds)) == 16
+        # The same stream again deals the same seeds in the same order.
+        again = PreprocessingPool(program, batch=1, dealer_seed=11)
+        assert [again.acquire_bundle().seed for _ in range(16)] == seeds
+
+    def test_no_two_sessions_share_a_seed(self, program):
+        from repro.core.c2pi import derive_session_seed
+
+        seeds = set()
+        for session in (None, 0, 1, "alice", "bob"):
+            pool = PreprocessingPool(
+                program, batch=1, dealer_seed=derive_session_seed(5, session)
+            )
+            seeds.update(pool.acquire_bundle().seed for _ in range(3))
+        assert len(seeds) == 15
+
+    def test_inline_and_pooled_dealers_open_their_bundles_alike(self, program, image):
+        """The engine's inline dealer takes each run's seed where a pool
+        seeded alike takes its bundle's: same position, same seed, same
+        shares — run after run."""
+        inline = SecureInferenceEngine.from_program(program, dealer_seed=9, share_seed=5)
+        pooled = SecureInferenceEngine.from_program(program, share_seed=5)
+        pool = PreprocessingPool(program, batch=1, dealer_seed=9)
+        seeds, begin = [], inline.dealer.begin_bundle
+        inline.dealer.begin_bundle = lambda: seeds.append(begin()) or seeds[-1]
+        for _ in range(2):
+            bundle = pool.acquire_bundle()
+            ours = inline.run(image).shares
+            theirs = pooled.run(image, material=ReplayDealer(bundle)).shares
+            np.testing.assert_array_equal(ours, theirs)
+            assert seeds[-1] == bundle.seed
+        assert len(set(seeds)) == 2
+        assert inline.dealer.state() == pool._dealer.state()
+
+    def test_a_rewound_dealer_replays_the_same_seed(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=4)
+        pool.acquire_bundle()
+        state = pool._dealer.state()  # a bundle boundary
+        first = pool.acquire_bundle()
+        pool._dealer.restore_state(state)
+        replay = pool.acquire_bundle()
+        assert replay.seed == first.seed
+        for (_, ours), (_, theirs) in zip(replay, first, strict=True):
+            for key, array in vars(theirs).items():
+                np.testing.assert_array_equal(getattr(ours, key), array)
 
 
 class TestMaterialPlan:

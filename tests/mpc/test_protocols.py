@@ -28,8 +28,6 @@ from repro.mpc.protocols import (
 )
 from repro.mpc.sharing import (
     LOW63_MASK,
-    bit_decompose,
-    pack_bit_words,
     reconstruct_additive,
     reconstruct_boolean,
     reconstruct_boolean_words,
@@ -77,18 +75,17 @@ class TestBeaver:
     def test_boolean_and(self, seed):
         """Bitsliced AND: 128 elements x 63 lanes in one word-parallel call."""
         rng = np.random.default_rng(seed + 100)
-        a = rng.integers(0, 2, size=(128, 63), dtype=np.uint8)
-        b = rng.integers(0, 2, size=(128, 63), dtype=np.uint8)
+        a = rng.integers(0, 2**63, size=(128,), dtype=np.uint64)
+        b = rng.integers(0, 2**63, size=(128,), dtype=np.uint64)
         zs, _ = both(
             seed, boolean_and, share_boolean_words(a, rng), share_boolean_words(b, rng)
         )
-        expected = pack_bit_words((a & b).astype(np.uint8))
-        np.testing.assert_array_equal(reconstruct_boolean_words(*zs), expected)
+        np.testing.assert_array_equal(reconstruct_boolean_words(*zs), a & b)
 
     def test_boolean_and_payload_is_raw_word_bytes(self):
         dealer, channel, rng = setup(1)
-        bits = rng.integers(0, 2, size=(64, 63), dtype=np.uint8)
-        shares = share_boolean_words(bits, rng)
+        words = rng.integers(0, 2**63, size=(64,), dtype=np.uint64)
+        shares = share_boolean_words(words, rng)
         boolean_and(shares, shares, dealer, channel)
         # (d, e) words both ways: 2 * 2 * 8 bytes per element, one round.
         assert channel.total_bytes == 2 * 2 * 8 * 64
@@ -102,7 +99,7 @@ class TestComparison:
         rng = np.random.default_rng(seed + 100)
         z = rng.integers(0, 2**63, size=(50,), dtype=np.uint64)
         r = rng.integers(0, 2**63, size=(50,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(r, 63), rng)
+        r_words = share_boolean_words(r, rng)
         lt, _ = both(
             seed, public_less_than_shared, r_words, public=(z & LOW63_MASK,)
         )
@@ -111,7 +108,7 @@ class TestComparison:
     def test_less_than_equal_values_is_false(self):
         dealer, channel, rng = setup(3)
         z = rng.integers(0, 2**63, size=(20,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(z, 63), rng)
+        r_words = share_boolean_words(z, rng)
         lt = public_less_than_shared(z & LOW63_MASK, r_words, dealer, channel)
         np.testing.assert_array_equal(reconstruct_boolean(*lt), 0)
 
@@ -121,7 +118,7 @@ class TestComparison:
         r = rng.integers(0, 2**63, size=(4,), dtype=np.uint64)
         public_less_than_shared(
             z & LOW63_MASK,
-            share_boolean_words(bit_decompose(r, 63), rng),
+            share_boolean_words(r, rng),
             dealer,
             channel,
         )

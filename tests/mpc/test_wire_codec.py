@@ -331,7 +331,7 @@ class TestRecordedSession:
             }
         from_server, _, _ = reference_decode(resnet_session["server-to-client"])
         blobs = [payload for kind, _, payload in from_server if kind == FRAME_BLOB]
-        assert [len(blob) for blob in blobs] == [2_871_080]  # the one bundle
+        assert [len(blob) for blob in blobs] == [3_920]  # the one bundle: manifest + seed
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("piece", (1, 7, 4096, None))

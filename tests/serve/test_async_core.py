@@ -153,6 +153,59 @@ class TestIdleSessionsAreFree:
             thread.join(timeout=10.0)
 
 
+class TestConnectionChurn:
+    def test_2000_connections_leave_a_bounded_tail_and_exact_totals(self, victim):
+        """A retired connection costs a line in a bounded tail and its
+        share of the running totals — not a ``SessionStats`` (with its
+        whole wire dict) kept for the life of the server."""
+        import gc
+        import tracemalloc
+
+        from repro.serve.remote import _FINISHED_TAIL
+
+        CONNECTIONS = 2000
+        server, thread = _start(victim)
+        bye = _encode_frame(FRAME_JSON, "req", json.dumps({"cmd": "bye"}).encode())
+
+        def churn(count):
+            for _ in range(count):
+                sock = _raw_handshake(server.port)
+                sock.sendall(bye)
+                sock.close()
+            assert server.wait_idle(timeout=30.0)
+
+        try:
+            churn(1)
+            one = server.metrics()["wire"]
+            assert one["frames_sent"] and one["frames_received"] == 2
+            churn(_FINISHED_TAIL + 43)  # the tail is full from here on
+            tracemalloc.start()
+            try:
+                churn(200)
+                gc.collect()  # closed transports sit in reference cycles
+                before = tracemalloc.get_traced_memory()[0]
+                churn(CONNECTIONS - _FINISHED_TAIL - 244)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        assert metrics["connections_served"] == CONNECTIONS
+        assert metrics["connections_failed"] == 0
+        listed = [entry["session_id"] for entry in metrics["sessions"]]
+        assert listed == list(range(CONNECTIONS - _FINISHED_TAIL, CONNECTIONS))
+        assert len(server._finished) == _FINISHED_TAIL
+        # (What the server sent names the session id: not one constant.)
+        for key in ("frames_sent", "frames_received", "control_payload_received"):
+            assert metrics["wire"][key] == CONNECTIONS * one[key], key
+        assert metrics["wire"]["wire_bytes_sent"] > CONNECTIONS * 1000
+        # ~1,500 more connections, and nothing retained for them.
+        assert grown < 64 * 1024, grown
+
+
 class TestOversizedFrame:
     def test_session_is_reaped_and_the_loop_keeps_serving(self, victim):
         """A header declaring an absurd payload is refused on the loop

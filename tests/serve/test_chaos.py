@@ -451,7 +451,9 @@ class TestMalformedBundle:
 class TestBundleReship:
     def test_a_retried_request_key_is_reshipped_the_same_bytes(self, victim, images):
         """The container is a pure function of the retained bundle: the
-        retry of a key ships byte for byte what the first attempt did."""
+        retry of a key ships byte for byte what the first attempt did —
+        the same seed — and a new key ships a new seed under the same
+        manifest."""
         controller = ChaosController([FaultSpec("drop", **PHASES["reveal"])])
         blobs = []
 
@@ -475,6 +477,7 @@ class TestBundleReship:
         assert client.requests_retried == 1
         first, second, retry = blobs  # request 0, request 1, request 1 again
         assert second == retry and first != second
+        assert first[:-32] == second[:-32] and len(first) < 8192
         assert all(reply.offline_bytes == len(first) for reply in replies)
 
 
