@@ -9,7 +9,9 @@ processes:
 1. **handshake** — the server ships a weight-free program manifest (op
    kinds and shapes; the model never leaves the server);
 2. **offline phase** — the server generates a preprocessing bundle,
-   splits it, and ships the client's half;
+   splits it, and ships the client's half: in-band for a connection's
+   first request, then one request ahead — behind each reply, while its
+   pool has a bundle ready — so a later request is ``req`` + online;
 3. **online phase** — both party engines execute the compiled program
    over the socket (every protocol message is a real length-prefixed
    frame);
@@ -29,6 +31,7 @@ Run:  python examples/networked_inference.py
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +41,14 @@ BOUNDARY = 3.5
 SEED = 5
 
 
-def _start_server() -> tuple[subprocess.Popen, int]:
+def _start_server(warm: int = 0) -> tuple[subprocess.Popen, int]:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--listen", "127.0.0.1:0",
             "--arch", "resnet20", "--untrained-width", "0.25",
             "--model-seed", "0", "--boundary", str(BOUNDARY),
-            "--seed", str(SEED), "--once",
+            "--seed", str(SEED), "--warm", str(warm), "--once",
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -65,7 +68,8 @@ def main():
     from repro.mpc import LAN
     from repro.serve.remote import RemoteClient, _demo_victim
 
-    image = np.random.default_rng(7).random((1, 3, 32, 32), dtype=np.float32)
+    rng = np.random.default_rng(7)
+    image, *more = rng.random((3, 1, 3, 32, 32), dtype=np.float32)
 
     print("== in-process reference (both parties in one address space) ==\n")
     victim = _demo_victim("resnet20", 0.25, 0)
@@ -77,21 +81,29 @@ def main():
           f"{reference.crypto_rounds + 1} rounds")
 
     print("\n== the same inference, as two actual processes ==\n")
-    proc, port = _start_server()
+    proc, port = _start_server(warm=3)
     try:
         client = RemoteClient("127.0.0.1", port, noise_magnitude=0.1, seed=SEED)
         print(f"handshake: server model {client.server_model}, "
               f"boundary {client.boundary}, weight-free manifest with "
               f"{len(client.manifest['ops'])} ops")
-        reply = client.infer(image)
+        replies = []
+        for request in (image, *more):
+            start = time.perf_counter()
+            replies.append(client.infer(request))
+            wall_s = time.perf_counter() - start
+            print(f"request {len(replies) - 1}: "
+                  f"{replies[-1].online_s * 1e3:.1f} ms online, "
+                  f"request - online {(wall_s - replies[-1].online_s) * 1e3:.1f} ms "
+                  f"({replies[-1].offline_bytes:,} B offline bundle "
+                  f"{'shipped ahead' if replies[-1].prefetched else 'in-band'})")
+        reply = replies[0]
         client.close()
     finally:
         proc.wait(timeout=120)
         proc.stdout.close()
 
-    print(f"prediction {int(reply.prediction[0])}, "
-          f"{reply.online_s * 1e3:.1f} ms online, "
-          f"{reply.offline_bytes / 1e6:.2f} MB offline bundle shipped")
+    print(f"prediction {int(reply.prediction[0])}")
     identical = np.array_equal(reply.logits, reference.logits)
     print(f"logits byte-identical to the in-process engine: {identical}")
     print(f"socket payload {reply.measured_payload_bytes / 1e6:.2f} MB == "

@@ -823,6 +823,8 @@ def _cmd_dealer(args) -> int:
 
 
 def _cmd_client(args) -> int:
+    import time
+
     from .mpc import LAN, WAN
     from .serve.remote import RemoteClient
 
@@ -856,7 +858,9 @@ def _cmd_client(args) -> int:
     while served < args.requests:
         batch = min(args.batch, args.requests - served)
         images = rng.random((batch, *client.input_shape), dtype=np.float32)
+        start = time.perf_counter()
         reply = client.infer(images, retries=args.retries)
+        off_online_ms = (time.perf_counter() - start - reply.online_s) * 1e3
         served += batch
         total_s += reply.online_s
         total_bytes += reply.traffic.total_bytes
@@ -867,7 +871,9 @@ def _cmd_client(args) -> int:
             f"{reply.online_s * 1e3:8.1f} ms online  "
             f"{reply.traffic.total_bytes / 1e6:6.2f} MB "
             f"in {reply.traffic.rounds} rounds  "
-            f"(+{reply.offline_bytes:,} B offline bundle)"
+            f"(+{reply.offline_bytes:,} B offline bundle "
+            f"{'shipped ahead' if reply.prefetched else 'in-band'}; "
+            f"request - online {off_online_ms:.1f} ms)"
         )
     client.close()
     print(

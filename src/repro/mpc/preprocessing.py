@@ -493,6 +493,23 @@ class PreprocessingPool:
             # loop simply generates another.
             self.refill(1)
 
+    def acquire_ready(self) -> list[tuple[MaterialRequest, object]] | None:
+        """Pop the oldest raw bundle if one is in the deque *now*, else ``None``.
+
+        The ask of a caller that wants material only if it costs
+        nothing: never generates inline, never waits on a pending
+        background refill and — a :class:`DealerBackedPool` inherits this
+        unchanged — never calls the dealer. A pop is an acquisition like
+        any other (``bundles_consumed``, resolved by serve / ``restore``
+        / ``poison``); coming away empty is not a miss, and a parked
+        refill failure stays parked for a caller that asked for work.
+        """
+        with self._lock:
+            if not self._bundles:
+                return None
+            self.stats.bundles_consumed += 1
+            return self._bundles.popleft()
+
 
 # ----------------------------------------------------------------------
 # cross-session batch fusion

@@ -14,7 +14,12 @@ connected by a :class:`~repro.mpc.transport.PeerChannel`:
    session's per-batch :class:`~repro.mpc.preprocessing.PreprocessingPool`
    (its dealer seed is derived from the session key, so every session's
    material stream is independent of how other sessions interleave),
-   splits it, and ships the client's half as an opaque blob.
+   splits it, and ships the client's half as an opaque blob. It rides
+   **one request ahead** whenever it can: behind the ``metrics`` frame
+   of request *n* the server ships the half of the next bundle its pool
+   has *ready* (a *promise*), and request *n+1* is ``req`` + online and
+   nothing else. First request, dry pool and retry exchange it in-band,
+   between ``req`` and round 1, through the same delivery function.
 3. **Online phase.** Both sides execute their
    :class:`~repro.mpc.party.PartyEngine` halves over the socket.
 4. **Reveal + clear phase.** Both sides call
@@ -120,7 +125,7 @@ __all__ = [
     "benchmark_concurrent",
 ]
 
-PROTOCOL_VERSION = 3  # v3: typed retriable busy replies on the bundle slot
+PROTOCOL_VERSION = 4  # v4: a bundle may follow ``metrics``, claimed by the next ``req``
 _FINISHED_TAIL = 256  # retired connections ``metrics()`` still lists one by one
 
 
@@ -183,13 +188,22 @@ class _Inflight:
     * failed after shipping, then abandoned (superseded / ``bye`` /
       server stop without a retry) → ``pool.poison()`` (half-revealed
       material is never resold).
+
+    The same record is every other acquisition too, with ``request``
+    left ``None`` — no retry identity: an anonymous or keyless request's
+    bundle, resolved where it fails, and a *promise*, the bundle shipped
+    one request ahead that its connection holds (``_promises``) until
+    the next ``req`` claims it. A claimed promise is bound to that
+    request's key and lives on as above; an unclaimed one is settled by
+    :meth:`RemoteServer._settle_promise`.
     """
 
-    session: int | str
-    request: int
+    session: int | str | None
+    request: int | None
     batch: int
     pool: PreprocessingPool
     bundle: list
+    offline_s: float = 0.0  # acquire -> client half on the wire, last delivery
     shipped: bool = False
     completed: bool = False
 
@@ -388,6 +402,9 @@ class RemoteServer:
         # _Inflight). One entry per session key — the protocol is serial
         # within a session, so only its newest request can be retried.
         self._inflight: dict[int | str, _Inflight] = {}
+        # Per connection (``session_id``): the bundle shipped one request
+        # ahead that no ``req`` has claimed yet.
+        self._promises: dict[int, _Inflight] = {}
         # Retired connections: the newest in full, all in a running total.
         self._finished: deque[SessionStats] = deque(maxlen=_FINISHED_TAIL)
         self._finished_wire = WireStats()
@@ -399,6 +416,9 @@ class RemoteServer:
         self.requests_retried = 0
         self.requests_busy = 0
         self.sessions_reaped = 0
+        self.bundles_promised = 0
+        self.promises_claimed = 0
+        self.promises_poisoned = 0
 
     # ------------------------------------------------------------------
     def _count(self, name: str, n: int = 1) -> None:
@@ -582,6 +602,8 @@ class RemoteServer:
             leftovers.extend(self._pending)
             stranded = list(self._inflight.values())
             self._inflight.clear()
+            promised = list(self._promises.values())
+            self._promises.clear()
         if started:
             self._commands.append(("shutdown", None))
             self._wake_loop()
@@ -599,6 +621,8 @@ class RemoteServer:
         for record in stranded:
             if not record.completed:
                 record.pool.poison()
+        for record in promised:
+            self._settle_promise(record)
         with self._pools_lock:
             pools = list(self._pools.values())
         for pool in pools:
@@ -966,6 +990,9 @@ class RemoteServer:
         with self._state_lock:
             self._pending.discard(session.transport)
         if session.stats is not None:
+            # Before the key is free again: a named session's next
+            # connection must find its promise back at the pool's front.
+            self._settle_promise(self._take_promise(session.stats))
             self._retire(
                 session.stats, shm if shm is not None else session.transport
             )
@@ -1064,54 +1091,100 @@ class RemoteServer:
         if not record.completed:
             record.pool.poison()
 
+    def _take_promise(self, stats: SessionStats) -> _Inflight | None:
+        with self._state_lock:
+            return self._promises.pop(stats.session_id, None)
+
+    def _settle_promise(self, record: _Inflight | None) -> None:
+        """Resolve a promise no request claimed.
+
+        A named session's goes back to the *front* of its own pool,
+        shipped or not: only that key ever draws from the pool and no
+        request ran on the bundle, so the next in-band acquisition
+        re-ships the same seed and the stream — retried and later logits
+        alike — stays the fault-free one. An anonymous connection's
+        shipped promise is poisoned: its pool is shared, and restoring
+        it would sell one client's seed to the next.
+        """
+        if record is None:
+            return
+        if record.session is None and record.shipped:
+            record.pool.poison()
+            self._count("promises_poisoned")
+        else:
+            record.pool.restore(record.bundle)
+
     def _acquire_for_request(
-        self, request: dict, batch: int, stats: SessionStats
-    ) -> tuple[list, _Inflight | None]:
-        """The request's dealer bundle — replayed on a retry, fresh otherwise.
+        self,
+        request: dict,
+        batch: int,
+        stats: SessionStats,
+        promise: _Inflight | None,
+    ) -> _Inflight:
+        """The request's dealer bundle: replayed on a retry, otherwise
+        the ``promise`` it claimed or, without one, a fresh acquisition.
 
         A *named* session sending an idempotency key gets its bundle
         retained (see :class:`_Inflight`): a retried key replays the
         identical material, a new key supersedes (and resolves) the old
-        record. Anonymous or keyless requests draw fresh material with no
-        retry identity.
+        record and binds the new one — promised or fresh, one ledger.
+        Anonymous or keyless requests have no retry identity.
         """
         key = request.get("request")
-        if stats.session is None or key is None:
-            return self.pool(batch, session=stats.session).acquire_bundle(), None
-        key = int(key)
+        retained = stats.session is not None and key is not None
+        if retained:
+            key = int(key)
+            with self._state_lock:
+                record = self._inflight.get(stats.session)
+                retried = record is not None and record.request == key
+                if retried and record.batch != batch:
+                    raise TransportError(
+                        f"retried request {key} changed batch "
+                        f"{record.batch} -> {batch}; a retry must replay the "
+                        "original request verbatim"
+                    )
+            if retried:
+                self._count("requests_retried")
+                return record
+            # A new key makes the previous record unreachable: resolve it.
+            self._resolve_inflight(stats.session, keep=key, final=True)
+        record = promise
+        if record is None:
+            pool = self.pool(batch, session=stats.session)
+            record = _Inflight(
+                stats.session, None, batch, pool, pool.acquire_bundle()
+            )
         with self._state_lock:
-            record = self._inflight.get(stats.session)
-            retried = record is not None and record.request == key
-            if retried and record.batch != batch:
-                raise TransportError(
-                    f"retried request {key} changed batch "
-                    f"{record.batch} -> {batch}; a retry must replay the "
-                    "original request verbatim"
-                )
-        if retried:
-            self._count("requests_retried")
-            return record.bundle, record
-        # A new key makes the previous record unreachable: resolve it.
-        self._resolve_inflight(stats.session, keep=key, final=True)
-        pool = self.pool(batch, session=stats.session)
-        bundle = pool.acquire_bundle()
-        record = _Inflight(
-            session=stats.session, request=key, batch=batch, pool=pool,
-            bundle=bundle,
-        )
-        with self._state_lock:
-            self._inflight[stats.session] = record
-        return bundle, record
+            self._promises.pop(stats.session_id, None)  # claimed, if it was held
+            if retained:
+                record.request = key
+                self._inflight[stats.session] = record
+        return record
 
     def _serve_inference(
         self, transport: Transport, request: dict, stats: SessionStats
     ) -> bool:
         batch = int(request["batch"])
-        # Offline: draw a bundle, keep our half, ship the client's half.
+        # Offline: draw a bundle, keep our half, ship the client's half —
+        # unless it went out behind the previous reply and this request
+        # claims it.
         offline_start = time.perf_counter()
-        pool = self.pool(batch, session=stats.session)
+        promise = None
+        if request.get("promised"):
+            with self._state_lock:
+                promise = self._promises.get(stats.session_id)
+            if promise is None or promise.batch != batch:
+                raise TransportError(
+                    f"request {request.get('request')} claims a promised "
+                    f"batch-{batch} bundle this connection does not hold — "
+                    "the parties are out of lock-step"
+                )
+        else:
+            # Not claimed (another batch size, a retry): settle it *before*
+            # acquiring, so a restored promise is what this request draws.
+            self._settle_promise(self._take_promise(stats))
         try:
-            bundle, record = self._acquire_for_request(request, batch, stats)
+            record = self._acquire_for_request(request, batch, stats, promise)
         except (PoolExhausted, DealerBusy, DealerUnreachable) as exc:
             # Offline material is momentarily unavailable. Nothing has
             # been written to the wire for this request yet, so the
@@ -1127,66 +1200,85 @@ class RemoteServer:
                 "bundle",
             )
             return False
-        shipped = False
         try:
-            # Lay the container out before flagging: writing the manifest
-            # is the one fallible step before any byte can leave the
-            # server, and the window in which a failed bundle is still
-            # restorable. Once send_blob is attempted, a partial write is
-            # indistinguishable from none: shipped means "maybe".
-            segments = party_bundle_segments(split_bundle(bundle, 0))
-            shipped = True
-            if record is not None:
-                record.shipped = True
-            transport.send_blob(segments, "bundle")
-            material = ReplayDealer(split_bundle(bundle, 1))
-            offline_s = time.perf_counter() - offline_start
-            self._run_request(
-                transport, batch, stats, pool, material, offline_s
-            )
-            if record is not None:
-                record.completed = True
+            if record is promise:
+                self._count("promises_claimed")
+            else:
+                self._deliver(transport, record, offline_start)
+            material = ReplayDealer(split_bundle(record.bundle, 1))
+            self._run_request(transport, stats, record, material)
+            record.completed = True
             return True
         except Exception:
-            if record is None:
+            if record.request is None:
                 # No retry identity: resolve the bundle here and now.
-                if shipped:
-                    pool.poison()
+                if record.shipped:
+                    record.pool.poison()
                 else:
-                    pool.restore(bundle)
+                    record.pool.restore(record.bundle)
             raise
+
+    def _deliver(
+        self, transport: Transport, record: _Inflight, since: float
+    ) -> None:
+        """Ship ``record``'s client half: the one writer of a bundle
+        blob, in-band (between ``req`` and round 1) and one request
+        ahead (behind ``metrics``) alike."""
+        # Lay the container out before flagging: writing the manifest
+        # is the one fallible step before any byte can leave the
+        # server, and the window in which a failed bundle is still
+        # restorable. Once send_blob is attempted, a partial write is
+        # indistinguishable from none: shipped means "maybe".
+        segments = party_bundle_segments(split_bundle(record.bundle, 0))
+        record.shipped = True
+        transport.send_blob(segments, "bundle")
+        record.offline_s = time.perf_counter() - since
 
     def _run_request(
         self,
         transport: Transport,
-        batch: int,
         stats: SessionStats,
-        pool: PreprocessingPool,
+        record: _Inflight,
         material: ReplayDealer,
-        offline_s: float,
     ) -> None:
         # Online: our half of the protocol, then reveal + clear phase.
         before = transport.snapshot()
         online_start = time.perf_counter()
-        execution = self.engine.run(transport, material, batch=batch)
+        execution = self.engine.run(transport, material, batch=record.batch)
         boundary_ring = noised_reveal(
             transport, execution.share[None], [], self.config
         )
         _, logits = clear_tail(self.program, boundary_ring)
         online_s = time.perf_counter() - online_start
-        self._note_served(stats, online_s, offline_s)
+        self._note_served(stats, online_s, record.offline_s)
 
+        # Ride ahead: if the pool has the next bundle *ready*, its client
+        # half follows this reply and the next request skips the bundle
+        # slot. Registered before a byte of it moves, so whatever ends
+        # the connection settles it.
+        promise = None
+        bundle = record.pool.acquire_ready()
+        if bundle is not None:
+            promise = _Inflight(
+                stats.session, None, record.batch, record.pool, bundle
+            )
+            with self._state_lock:
+                self._promises[stats.session_id] = promise
+            self._count("bundles_promised")
         transport.send_tensor(np.asarray(logits, dtype=np.float32), "logits")
         transport.send_obj(
             {
                 "online_s": online_s,
-                "offline_s": offline_s,
+                "offline_s": record.offline_s,
                 "session": stats.session_id,
-                "pool": pool.stats.as_dict(),
+                "pool": record.pool.stats.as_dict(),
                 "traffic": _snapshot_dict(transport.diff(before)),
+                "promised": promise is not None,
             },
             "metrics",
         )
+        if promise is not None:
+            self._deliver(transport, promise, time.perf_counter())
 
     # ------------------------------------------------------------------
     def metrics(self) -> dict:
@@ -1202,6 +1294,9 @@ class RemoteServer:
                 "requests_retried": self.requests_retried,
                 "requests_busy": self.requests_busy,
                 "sessions_reaped": self.sessions_reaped,
+                "bundles_promised": self.bundles_promised,
+                "promises_claimed": self.promises_claimed,
+                "promises_poisoned": self.promises_poisoned,
                 "workers": self.workers,
                 "max_sessions": self.max_sessions,
             }
@@ -1211,7 +1306,9 @@ class RemoteServer:
             for stats, transport in self._active.values():
                 sessions.append({**stats.as_dict(), "wire": transport.stats.as_dict()})
                 wire_total.accumulate(transport.stats)
-            counters["inflight_bundles"] = len(self._inflight)
+            counters["inflight_bundles"] = len(self._inflight) + len(
+                self._promises
+            )
             counters["active_sessions"] = len(self._active)
         sessions.sort(key=lambda entry: entry["session_id"])
         with self._pools_lock:
@@ -1258,6 +1355,7 @@ class RemoteReply:
     measured_payload_bytes: int  # raw socket payload actually moved
     offline_bytes: int  # bundle blob size (control traffic)
     server: dict  # the server's metrics message
+    prefetched: bool = False  # ran from a bundle shipped behind the previous reply
 
     @property
     def prediction(self) -> np.ndarray:
@@ -1330,6 +1428,10 @@ class RemoteClient:
         self.noise = NoiseMechanism(noise_magnitude, seed=seed)
         self.engine: PartyEngine | None = None
         self.transport: Transport | None = None
+        # The expanded half of the bundle the server shipped behind the
+        # last reply, ``(batch, bundle, blob length)``: the next request
+        # of that batch size claims it and skips the bundle slot.
+        self._held: tuple[int, list, int] | None = None
         self.requests_retried = 0
         self._next_request = 0
         if wait_for_slot:
@@ -1419,6 +1521,9 @@ class RemoteClient:
             )
             self.config = self.engine.config
         self.transport = transport
+        # The server holds a promise per connection: on a new one there
+        # is nothing to claim (a named session's comes back in-band).
+        self._held = None
 
     def _reconnect(self) -> None:
         """Re-handshake after a fault, riding out the server-side reap.
@@ -1534,20 +1639,24 @@ class RemoteClient:
         if self.transport is None:
             self._reconnect()
         transport = self.transport
+        batch = int(images.shape[0])
+        held, self._held = self._held, None
+        if held is not None and held[0] != batch:
+            held = None  # for another batch size: the server takes it back
         transport.send_obj(
-            {"cmd": "infer", "batch": int(images.shape[0]), "request": key}, "req"
+            {
+                "cmd": "infer",
+                "batch": batch,
+                "request": key,
+                "promised": held is not None,
+            },
+            "req",
         )
-        kind, payload = transport.recv_reply("bundle")
-        if kind == "obj":
-            # The bundle slot carried a typed refusal: the server is up
-            # and the session is still in lock-step, its offline material
-            # just isn't ready. Retriable on this same connection.
-            raise PoolBusy(
-                f"server deferred request {key}: {payload.get('reason')} "
-                f"({payload.get('detail')})"
-            )
-        blob = payload
-        material = ReplayDealer(unpack_party_bundle(blob))
+        prefetched = held is not None
+        if not prefetched:
+            held = self._recv_bundle(transport, key, batch)
+        _, bundle, offline_bytes = held
+        material = ReplayDealer(bundle)
 
         before = transport.snapshot()
         raw_before = transport.stats.raw_payload_total
@@ -1559,14 +1668,35 @@ class RemoteClient:
         logits = transport.recv_tensor("logits")
         server_metrics = transport.recv_obj("metrics")
         online_s = time.perf_counter() - start
-        return RemoteReply(
+        reply = RemoteReply(
             logits=logits,
             online_s=online_s,
             traffic=transport.diff(before),
             measured_payload_bytes=transport.stats.raw_payload_total - raw_before,
-            offline_bytes=len(blob),
+            offline_bytes=offline_bytes,
             server=server_metrics,
+            prefetched=prefetched,
         )
+        if server_metrics.get("promised"):
+            # The next bundle rides behind this reply; expanding it here
+            # is what keeps it off the next request's path.
+            self._held = self._recv_bundle(transport, key, batch)
+        return reply
+
+    def _recv_bundle(
+        self, transport: Transport, key: int, batch: int
+    ) -> tuple[int, list, int]:
+        """Receive and expand one client half off the ``bundle`` slot."""
+        kind, payload = transport.recv_reply("bundle")
+        if kind == "obj":
+            # The bundle slot carried a typed refusal: the server is up
+            # and the session is still in lock-step, its offline material
+            # just isn't ready. Retriable on this same connection.
+            raise PoolBusy(
+                f"server deferred request {key}: {payload.get('reason')} "
+                f"({payload.get('detail')})"
+            )
+        return batch, unpack_party_bundle(payload), len(payload)
 
     def close(self) -> None:
         if self.transport is None:

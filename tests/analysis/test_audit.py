@@ -112,6 +112,49 @@ def test_dealer_streams_do_not_mix():
     assert len({f.line for f in mixes}) == 6
 
 
+def test_the_serving_layer_ships_a_bundle_from_one_sealed_place(monkeypatch):
+    """``serve/remote.py`` is a byte mover, outside the secrecy scope; the
+    one thing it ships that is not already a staged frame is a client's
+    bundle half — in-band or one request ahead. Held to the in-scope rule
+    it stays clean (the blob is the existing sealed call's result), one
+    function writes it, and what announces a promise is a bare boolean."""
+    import ast
+
+    monkeypatch.setattr(secrecy, "SCOPE", (*secrecy.SCOPE, "serve/remote.py"))
+    report = run_audit(default_root(), passes=(secrecy,))
+    assert not report.findings, [finding.render() for finding in report.findings]
+    assert {"party_bundle_segments", "pack_party_bundle", "_seal_reply"} == (
+        secrecy._SEALED_CALLS
+    )
+
+    tree = ast.parse((default_root() / "serve" / "remote.py").read_text())
+    writers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "send_blob"
+    ]
+    assert writers == ["_deliver"]
+    announced = [
+        value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "promised"
+    ]
+    assert len(announced) == 2  # the server's metrics, the client's req
+    assert all(
+        isinstance(value, ast.Compare)
+        and isinstance(value.ops[0], ast.IsNot)
+        and isinstance(value.comparators[0], ast.Constant)
+        and value.comparators[0].value is None
+        for value in announced
+    )
+
+
 def test_repo_is_audit_clean():
     """The gate the CI lane enforces, as a plain test."""
     report = run_audit(default_root())

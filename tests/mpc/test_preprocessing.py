@@ -420,3 +420,83 @@ class TestRestoreAndPoison:
         )
         assert served == 1
         assert pool.available == 0
+
+
+class TestAcquireReady:
+    """``acquire_ready`` takes what is in the deque now and nothing else:
+    no inline generation, no wait on a refill, no miss."""
+
+    def test_empty_pool_returns_none_without_generating(self, program):
+        pool = PreprocessingPool(program, batch=1)
+        assert pool.acquire_ready() is None
+        strict = PreprocessingPool(program, batch=1, auto_refill=False)
+        assert strict.acquire_ready() is None  # not PoolExhausted either
+        for stats in (pool.stats, strict.stats):
+            assert stats.bundles_generated == 0
+            assert stats.bundles_consumed == 0
+            assert stats.misses == 0
+
+    def test_ready_bundle_is_the_one_acquire_bundle_would_pop(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        twin = PreprocessingPool(program, batch=1, dealer_seed=3)
+        pool.refill(2)
+        twin.refill(2)
+        for _ in range(2):
+            ready, popped = pool.acquire_ready(), twin.acquire_bundle()
+            assert ready.seed == popped.seed and len(ready) == len(popped)
+        assert pool.acquire_ready() is None
+        assert pool.stats.bundles_consumed == 2
+        assert pool.stats.bundles_generated == 2
+        assert pool.stats.misses == 0
+
+    def test_refill_in_flight_is_not_waited_for(self, program):
+        import threading
+        import time
+
+        pool = PreprocessingPool(program, batch=1)
+        entered, release = threading.Event(), threading.Event()
+        original = pool._generate
+
+        def slow_generate(trace):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return original(trace)
+
+        pool._generate = slow_generate
+        refill = pool.refill_async(1)
+        try:
+            assert entered.wait(timeout=30.0)
+            start = time.perf_counter()
+            assert pool.acquire_ready() is None  # acquire_bundle would park here
+            assert time.perf_counter() - start < 1.0
+        finally:
+            release.set()
+            refill.join(timeout=30.0)
+        assert not refill.is_alive()
+        assert pool.acquire_ready() is not None  # the refill landed: ready now
+        assert pool.stats.misses == 0
+
+    def test_parked_refill_failure_stays_parked(self, program):
+        pool = PreprocessingPool(program, batch=1)
+
+        def throwing_generate(trace):
+            raise ValueError("dealer exploded mid-generation")
+
+        pool._generate = throwing_generate
+        pool.refill_async(1).join()
+        assert pool.acquire_ready() is None
+        with pytest.raises(RuntimeError, match="background preprocessing refill"):
+            pool.acquire()  # still there for a caller that asked for work
+
+    def test_restored_bundle_is_ready_and_first(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        pool.refill(2)
+        first = pool.acquire_ready()
+        pool.restore(first)
+        assert pool.acquire_ready() is first
+        pool.poison()
+        stats = pool.stats.as_dict()
+        assert stats["bundles_consumed"] == 2
+        assert stats["bundles_returned"] == 1
+        assert stats["bundles_poisoned"] == 1
+        assert pool.available == 1

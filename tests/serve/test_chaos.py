@@ -662,3 +662,327 @@ class TestRecoveryBookkeeping:
         finally:
             server.stop()
             thread.join(timeout=10.0)
+
+
+# ----------------------------------------------------------------------
+# the bundle that rides one request ahead, on warmed pools
+# ----------------------------------------------------------------------
+STREAM = 4  # requests per session below: 1 in-band + 3 from a promise
+PATIENCE = 1.0  # client deadline where a lost server frame must be waited out
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return np.random.default_rng(17).random((STREAM, 1, 2, 8, 8), np.float32)
+
+
+@pytest.fixture(scope="module")
+def stream_baselines(victim, stream):
+    """Fault-free logits per session from an *unwarmed* server: every
+    bundle in-band. Warmed runs must equal them byte for byte — riding
+    ahead moves a frame, never a draw."""
+    cache = {}
+
+    def baseline(session, seed):
+        if (session, seed) not in cache:
+            server, thread = _start(victim)
+            try:
+                cache[session, seed] = _session_logits(
+                    server.port, stream, session, seed
+                )
+            finally:
+                server.stop()
+                thread.join(timeout=10.0)
+        return cache[session, seed]
+
+    return baseline
+
+
+class _ServerWire:
+    """The server's transport as a server-side fault sees it: the same
+    wire, but closing it stays the session teardown's job (the event
+    loop must unregister a descriptor before its socket closes)."""
+
+    def __init__(self, transport):
+        self._transport = transport
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+    def close(self):
+        pass
+
+
+class _TappedServer(RemoteServer):
+    """A server whose one delivery function records each seed it ships,
+    per session key, and writes session ``"s"``'s through a
+    :class:`ChaosLink`, so a scheduled fault hits the real wire from the
+    server's side."""
+
+    def __init__(self, *args, faults=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.controller = ChaosController(list(faults))
+        self.seeds = {}
+
+    def _deliver(self, transport, record, since):
+        self.seeds.setdefault(record.session, []).append(record.bundle.seed)
+        if record.session == "s":
+            transport = ChaosLink(_ServerWire(transport), self.controller)
+        super()._deliver(transport, record, since)
+
+
+def _start_warm(victim, sessions, faults=(), bundles=STREAM):
+    server = _TappedServer(
+        victim, TINY_BOUNDARY, seed=3, workers=4,
+        request_timeout=REQUEST_TIMEOUT, faults=faults,
+    )
+    server.handshake_timeout = REQUEST_TIMEOUT
+    for session in sessions:
+        server.warm(1, bundles, session=session)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+class TestPromisedBundle:
+    def _faulted_stream(self, victim, stream, server_faults=(), client_faults=()):
+        """Session ``s`` eats the faults while a bystander runs beside
+        it, both on pools warmed for the whole stream."""
+        controller = ChaosController(list(client_faults))
+        server, thread = _start_warm(victim, ("s", "bystander"), server_faults)
+        bystander, errors = [], []
+
+        def beside():
+            try:
+                bystander.extend(
+                    _session_logits(server.port, stream, "bystander", 31)
+                )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        try:
+            worker = threading.Thread(target=beside)
+            worker.start()
+            client = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
+                session="s", timeout=PATIENCE, transport_wrapper=controller.wrap,
+            )
+            replies = [client.infer(batch, retries=3) for batch in stream]
+            client.close()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive() and not errors
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        fired = controller.trace.events + server.controller.trace.events
+        assert len(fired) == len(server_faults) + len(client_faults)
+        return replies, bystander, metrics, server.seeds["s"]
+
+    def _assert_recovered(self, replies, bystander, metrics, stream_baselines):
+        assert [r.logits.tobytes() for r in replies] == stream_baselines("s", 9)
+        assert bystander == stream_baselines("bystander", 31)
+        _assert_pools_balanced(
+            metrics,
+            {"session='s'/batch=1": STREAM, "session='bystander'/batch=1": STREAM},
+        )
+        assert metrics["inflight_bundles"] == 0  # bye left nothing held
+        assert metrics["bundles_poisoned"] == 0  # every retry came
+        assert metrics["promises_poisoned"] == 0
+
+    def test_fault_free_stream_rides_ahead(self, victim, stream, stream_baselines):
+        replies, bystander, metrics, seeds = self._faulted_stream(victim, stream)
+        self._assert_recovered(replies, bystander, metrics, stream_baselines)
+        assert [r.prefetched for r in replies] == [False, True, True, True]
+        assert len(set(seeds)) == len(seeds) == STREAM
+        assert metrics["bundles_promised"] == metrics["promises_claimed"] == 6
+        assert metrics["bundles_returned"] == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fault_on_the_promise_frame(
+        self, victim, stream, stream_baselines, kind
+    ):
+        """The frame behind request 0's ``metrics`` is lost, mangled, torn
+        or stalled: the client does not have request 0 until the promise
+        it was told of is in hand, so it retries; the unclaimed promise
+        went back to the front of the session's pool and is promised
+        again behind the replay."""
+        replies, bystander, metrics, seeds = self._faulted_stream(
+            victim, stream,
+            server_faults=[FaultSpec(kind, label="bundle", occurrence=2)],
+        )
+        self._assert_recovered(replies, bystander, metrics, stream_baselines)
+        first, second, third, fourth = dict.fromkeys(seeds)
+        assert seeds == [first, second, first, second, third, fourth]
+        assert [r.prefetched for r in replies] == [False, True, True, True]
+        assert metrics["requests_retried"] == 1
+        assert metrics["sessions_reaped"] == 1
+        assert metrics["bundles_returned"] == 1  # the promise, restored
+
+    @pytest.mark.parametrize(
+        "spec, shipped",
+        [
+            # The reply-lost window of request 0: the promise was written
+            # behind a reply that never arrived.
+            (FaultSpec("drop", label="logits", direction="recv", request=0), "010123"),
+            (FaultSpec("drop", label="metrics", direction="recv", request=0), "010123"),
+            # Request 1 ran from a promise: the claim bound it to key 1
+            # like any acquisition, so its retry replays it in-band.
+            (FaultSpec("drop", label="metrics", direction="recv", request=1), "012123"),
+            (FaultSpec("corrupt", label="and-open", occurrence=2, request=1), "01123"),
+            # The claiming req itself never arrives: the server reaps an
+            # out-of-step connection with the promise still unclaimed.
+            (FaultSpec("drop", label="req", request=1), "01123"),
+        ],
+        ids=lambda value: value.describe() if isinstance(value, FaultSpec) else None,
+    )
+    def test_retry_around_a_promise_replays_and_re_promises_the_same_seeds(
+        self, victim, stream, stream_baselines, spec, shipped
+    ):
+        """``shipped``: which bundle of the stream each delivery carried.
+        The retried request's comes again in-band, and behind it the very
+        promise that had been made once already."""
+        replies, bystander, metrics, seeds = self._faulted_stream(
+            victim, stream, client_faults=[spec]
+        )
+        self._assert_recovered(replies, bystander, metrics, stream_baselines)
+        order = list(dict.fromkeys(seeds))
+        assert len(order) == STREAM
+        assert seeds == [order[int(index)] for index in shipped]
+        # Only the retried attempt, on its new connection, is in-band.
+        assert [r.prefetched for r in replies] == [
+            index > 0 and index != spec.request for index in range(STREAM)
+        ]
+        assert metrics["requests_retried"] == (spec.label != "req")
+        assert metrics["sessions_reaped"] == 1
+
+    def test_claim_the_server_does_not_hold_is_out_of_lock_step(self, victim):
+        server, thread = _start_warm(victim, ("s",))
+        try:
+            client = RemoteClient(
+                "127.0.0.1", server.port, seed=9, session="s",
+                timeout=CLIENT_TIMEOUT,
+            )
+            client.transport.send_obj(
+                {"cmd": "infer", "batch": 1, "request": 0, "promised": True}, "req"
+            )
+            with pytest.raises(TransportError, match="closed"):
+                client.transport.recv_reply("bundle")
+            client.transport.close()
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        (reaped,) = metrics["sessions"]
+        assert "does not hold" in reaped["error"]
+        assert "out of lock-step" in reaped["error"]
+        assert metrics["sessions_reaped"] == 1
+        assert metrics["promises_claimed"] == 0 and not server.seeds
+        _assert_pools_balanced(metrics, {"session='s'/batch=1": 0})
+
+    def test_promise_for_another_batch_size_goes_back_and_comes_in_band(
+        self, victim, stream
+    ):
+        """A promise is cut for the batch size just served. A next request
+        of another size does not claim it: it returns to the front of its
+        pool, and the next request of that size draws it in-band."""
+        batches = [stream[0], np.concatenate([stream[1], stream[2]]), stream[3]]
+
+        def run(warm):
+            server, thread = _start_warm(victim, ("s",), bundles=warm)
+            try:
+                client = RemoteClient(
+                    "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
+                    session="s", timeout=CLIENT_TIMEOUT,
+                )
+                replies = [client.infer(batch) for batch in batches]
+                client.close()
+                assert server.wait_idle(timeout=10.0)
+                return replies, server.metrics(), server.seeds["s"]
+            finally:
+                server.stop()
+                thread.join(timeout=10.0)
+
+        replies, metrics, seeds = run(warm=3)
+        cold, _, _ = run(warm=0)
+        assert [r.logits.tobytes() for r in replies] == [
+            r.logits.tobytes() for r in cold
+        ]
+        assert not any(r.prefetched for r in replies)
+        assert metrics["bundles_promised"] == 2  # behind requests 0 and 2
+        assert metrics["promises_claimed"] == 0
+        assert seeds[1] == seeds[3]  # promised behind 0, in-band for 2
+        _assert_pools_balanced(
+            metrics, {"session='s'/batch=1": 2, "session='s'/batch=2": 1}
+        )
+        assert metrics["bundles_returned"] == 2 and metrics["inflight_bundles"] == 0
+
+    @pytest.mark.parametrize("ending", ("bye", "vanish", "stop"))
+    @pytest.mark.parametrize("session", ("s", None), ids=("named", "anonymous"))
+    def test_connection_ends_with_a_promise_outstanding(
+        self, victim, stream, stream_baselines, session, ending
+    ):
+        """The three ways a connection ends while it holds a promise. A
+        named session's goes back to the front of its own pool — the next
+        connection of that key continues the stream where the fault-free
+        run would be; an anonymous one's seed was seen by a client that
+        shares its pool with strangers, so it is poisoned, never resold."""
+        server, thread = _start_warm(victim, (session,))
+        pool = f"session={session!r}/batch=1"
+        try:
+            client = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
+                session=session, timeout=CLIENT_TIMEOUT,
+            )
+            first = [client.infer(batch).logits.tobytes() for batch in stream[:2]]
+            assert client._held is not None
+            assert server.metrics()["inflight_bundles"] == 1 + (session is not None)
+            if ending == "bye":
+                client.close()
+            elif ending == "vanish":
+                client.transport.close()
+            else:
+                server.stop(timeout=0.2)
+                client.transport.close()
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+            # The promise is settled; a vanished named session's completed
+            # request stays retained, as ever, for the retry it may send.
+            assert metrics["inflight_bundles"] == (
+                session is not None and ending == "vanish"
+            )
+            _assert_pools_balanced(metrics, {pool: 2})
+            assert metrics["promises_poisoned"] == (session is None)
+            assert metrics["bundles_poisoned"] == (session is None)
+            assert metrics["bundles_returned"] == (session is not None)
+            assert metrics["sessions_reaped"] == (ending != "bye")
+            if ending == "stop":
+                return
+            again = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
+                session=session, timeout=CLIENT_TIMEOUT,
+            )
+            again.engine.restore_share_rng(client.engine.share_rng_state())
+            again.noise.rng.bit_generator.state = client.noise.rng.bit_generator.state
+            rest = [again.infer(batch) for batch in stream[2:]]
+            again.close()
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+        assert [r.prefetched for r in rest] == [False, session is not None]
+        _, _, third, *later = server.seeds[session]
+        if session is None:
+            assert third not in later and len(later) == 2  # never shipped again
+        else:
+            assert later == [third, later[1]] and later[1] != third
+        _assert_pools_balanced(metrics, {pool: STREAM})
+        assert metrics["inflight_bundles"] == 0
+        assert metrics["bundles_poisoned"] == (session is None)  # and no more
+        if session is not None:
+            assert first + [r.logits.tobytes() for r in rest] == stream_baselines(
+                "s", 9
+            )

@@ -31,6 +31,7 @@ from repro.mpc.pool_store import PoolStore
 from repro.mpc.program import compile_program
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.dealer_service import (
+    DealerBackedPool,
     DealerClient,
     DealerError,
     DealerServer,
@@ -455,3 +456,31 @@ class TestKillDashNine:
                     proc.kill()
                     proc.wait(timeout=10.0)
                 proc.stdout.close()
+
+
+class TestAcquireReady:
+    def test_dealer_backed_pool_pops_ready_or_none_without_an_rpc(self, program):
+        """The non-blocking acquire a ride-ahead promise is cut from: what
+        a refill already fetched, or nothing — never a dealer call, so a
+        dealer that is slow, busy or gone cannot reach a reply path."""
+        dealer = _start_dealer(program)
+        client = DealerClient("127.0.0.1", dealer.port)
+        pool = DealerBackedPool(
+            program, 1, dealer_seed=7, client=client, fallback=False,
+            fetch_deadline=0.5,
+        )
+        try:
+            assert pool.acquire_ready() is None
+            assert client.transport is None  # never dialled
+            pool.refill(1)
+            dealer.stop()
+            assert pool.acquire_ready() is not None
+            assert pool.acquire_ready() is None  # acquire_bundle would raise here
+            stats = pool.stats.as_dict()
+            assert stats["bundles_fetched_remote"] == 1
+            assert stats["bundles_consumed"] == 1
+            assert stats["misses"] == 0 and stats["dealer_fallbacks"] == 0
+            assert stats["dealer_rpc_retries"] == 0
+        finally:
+            pool.close()
+            dealer.stop()

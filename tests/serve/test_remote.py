@@ -110,6 +110,95 @@ class TestRemoteServing:
             thread.join(timeout=10.0)
 
 
+class TestRideAhead:
+    """The offline half rides one request ahead: on a warmed pool only a
+    connection's first request waits for its bundle (DESIGN.md section 8).
+    A functional test with margin — one 80 ms round trip is there or it
+    is not — on the tiny victim, so compute is noise beside the link."""
+
+    RTT_S = 0.08
+    REQUESTS = 4
+    BOUNDARY = 1.0  # conv1 only: 3 rounds, so a shaped request is ~0.1 s
+
+    def _stream(self, warm, boundary, **client_kwargs):
+        from repro.serve.chaos_check import tiny_victim
+
+        images = np.random.default_rng(11).random(
+            (self.REQUESTS, 1, 2, 8, 8), np.float32
+        )
+        server = RemoteServer(tiny_victim(0), boundary, seed=3)
+        server.warm(batch=1, bundles=warm)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=3,
+                **client_kwargs,
+            )
+            replies, waits = [], []
+            for image in images:
+                start = time.perf_counter()
+                replies.append(client.infer(image))
+                waits.append(time.perf_counter() - start - replies[-1].online_s)
+            client.close()
+            assert server.wait_idle(timeout=10.0)
+            return images, replies, waits, server.metrics()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+
+    def test_only_the_first_request_pays_the_bundle_round_trip(self):
+        from repro.mpc.network import NetworkModel
+        from repro.serve.chaos_check import tiny_victim
+
+        link = NetworkModel("slow", bandwidth_bytes_per_s=100e6, rtt_s=self.RTT_S)
+        images, ahead, waits, metrics = self._stream(
+            self.REQUESTS, self.BOUNDARY, network=link
+        )
+        _, in_band, in_band_waits, cold = self._stream(0, self.BOUNDARY, network=link)
+
+        assert [r.prefetched for r in ahead] == [False, True, True, True]
+        assert waits[0] >= 0.07  # req -> bundle: one round trip
+        assert max(waits[1:]) <= 0.03  # req + online, nothing else
+        assert not any(r.prefetched for r in in_band)
+        assert min(in_band_waits) >= 0.07
+
+        # Riding ahead moves a frame, never a draw or a byte of it.
+        pipeline = C2PIPipeline(
+            tiny_victim(0), self.BOUNDARY, noise_magnitude=0.1, seed=3
+        )
+        for image, reply, reference in zip(images, ahead, in_band):
+            assert reply.logits.tobytes() == reference.logits.tobytes()
+            assert reply.logits.tobytes() == pipeline.infer(image).logits.tobytes()
+            assert reply.bytes_match
+            assert reply.traffic == reference.traffic
+            assert reply.offline_bytes == reference.offline_bytes > 0
+            # What the server spent preparing the bundle this request ran
+            # from, whenever it was shipped.
+            assert reply.server["offline_s"] > 0
+        assert metrics["bundles_promised"] == metrics["promises_claimed"] == 3
+        assert cold["bundles_promised"] == 0
+        # A promise comes out of the pool: nothing extra drawn or held.
+        (warm_pool,), (cold_pool,) = metrics["pools"].values(), cold["pools"].values()
+        for key in ("generated", "consumed", "returned", "poisoned"):
+            assert warm_pool[f"bundles_{key}"] == cold_pool[f"bundles_{key}"]
+        assert warm_pool["misses"] == 0 and cold_pool["misses"] == self.REQUESTS
+
+    @pytest.mark.parametrize("shm", (False, True), ids=("socket", "shared-memory"))
+    def test_every_carrier_rides_ahead(self, shm):
+        from repro.serve.chaos_check import TINY_BOUNDARY
+
+        _, replies, _, metrics = self._stream(self.REQUESTS, TINY_BOUNDARY, shm=shm)
+        _, in_band, _, _ = self._stream(0, TINY_BOUNDARY, shm=shm)
+        assert [r.prefetched for r in replies] == [False, True, True, True]
+        assert [r.logits.tobytes() for r in replies] == [
+            r.logits.tobytes() for r in in_band
+        ]
+        assert all(r.bytes_match for r in replies)
+        assert metrics["promises_claimed"] == 3
+        assert metrics["inflight_bundles"] == 0
+
+
 class TestClientErrorPaths:
     """Client-side failure handling: typed exceptions, never hangs.
 
