@@ -18,7 +18,8 @@ from repro import nn
 from repro.bench import render_table
 from repro.models.layered import LayeredModel
 from repro.mpc import SecureInferenceEngine
-from repro.mpc.backends import CheetahSuite, DelphiSuite
+from repro.mpc.backends.cheetah import CheetahSuite
+from repro.mpc.backends.delphi import DelphiSuite
 
 
 def _demo_model():

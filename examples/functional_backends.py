@@ -23,7 +23,8 @@ import numpy as np
 from repro import nn
 from repro.models.layered import LayeredModel
 from repro.mpc import SecureInferenceEngine
-from repro.mpc.backends import CheetahSuite, DelphiSuite
+from repro.mpc.backends.cheetah import CheetahSuite
+from repro.mpc.backends.delphi import DelphiSuite
 
 
 def build_demo_model() -> LayeredModel:

@@ -9,9 +9,8 @@ shows the reproduction doing the same:
 2. pre-generate pools of correlated randomness for the program —
    the offline phase;
 3. serve a queue of requests through ``C2PIServer``, which coalesces them
-   into batched secure executions that only *consume* pooled material —
-   and compare against the seed behaviour (one request at a time, dealer
-   generating inline).
+   into batched secure executions that only *consume* pooled material,
+   and read the offline/online split off ``C2PIServer.snapshot()``.
 
 Run:  python examples/serving.py
 """
@@ -21,7 +20,7 @@ import numpy as np
 from repro import nn
 from repro.models import resnet20
 from repro.mpc import compile_program
-from repro.serve import C2PIServer, benchmark_serving
+from repro.serve import C2PIServer
 
 BOUNDARY = 3.5  # stem conv + the first residual block under crypto
 REQUESTS = 8
@@ -65,21 +64,18 @@ def main():
     print(f"online dealer generation: {snapshot['online_dealer_generation']} "
           "(all zero: the online phase only consumed pooled material)")
 
-    print("\n== batched warm-pool serving vs the seed path ==\n")
-    report = benchmark_serving(model, BOUNDARY, images, max_batch=BATCH)
-    baseline, served = report["baseline"], report["served"]
-    print(f"seed path    : {baseline['amortized_s'] * 1e3:8.1f} ms/inference "
-          "(inline preprocessing, one request at a time)")
-    print(f"served path  : {served['amortized_online_s'] * 1e3:8.1f} ms/inference online "
-          f"(+ {served['offline_s']:.2f} s pooled offline)")
-    print(f"online speedup: {report['speedup_online']:.2f}x; "
-          f"predictions agree: {report['predictions_agree']}")
+    print("\n== the offline/online split ==\n")
+    print(f"offline (pooled ahead of time): {snapshot['offline_s']:.2f} s, "
+          f"{sum(p['misses'] for p in snapshot['pools'].values())} pool misses")
+    print(f"online                        : "
+          f"{snapshot['amortized_online_s'] * 1e3:8.1f} ms/inference, "
+          f"{snapshot['online_bytes'] / 1e6:.2f} MB in "
+          f"{snapshot['online_rounds']} rounds")
 
     print("\nwhere the online bytes go (per-label channel breakdown):")
-    for label, bucket in list(report["traffic_by_label"].items())[:5]:
+    for label, bucket in list(snapshot["traffic_by_label"].items())[:5]:
         print(f"  {label:<22} {bucket['bytes'] / 1e3:10.1f} KB in "
               f"{bucket['messages']} messages")
-
 
 if __name__ == "__main__":
     main()

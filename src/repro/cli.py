@@ -12,11 +12,9 @@ any protocol suite — is reachable without writing Python:
     c2pi boundary --arch vgg16 --dataset cifar10 --sigma 0.3
     c2pi costs --arch vgg16 --boundary 9
     c2pi secure-infer --suite cheetah --boundary 2.5
-    c2pi serve-bench --arch resnet20 --requests 8 --batch 4
-    c2pi serve-bench --arch resnet20 --networked         # measured vs modeled
-    c2pi serve-bench --networked --clients 4             # concurrent sessions
+    c2pi serve-bench --check benchmarks/BENCH_serve.json # placement gate
     c2pi bench --json --output benchmarks/BENCH_protocols.json
-    c2pi bench --check benchmarks/BENCH_protocols.json   # perf regression gate
+    c2pi bench --check benchmarks/BENCH_protocols.json   # exact-count gate
     c2pi serve --listen 127.0.0.1:9123 --workers 4       # party 1 (server)
     c2pi client --connect 127.0.0.1:9123 --session alice # party 0 (client)
     c2pi chaos-check                                     # fault-recovery audit
@@ -40,47 +38,23 @@ import sys
 
 import numpy as np
 
-__all__ = ["main", "build_parser", "add_bench_arguments", "add_loadgen_arguments"]
+__all__ = ["main", "build_parser"]
 
 
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``bench`` options, shared with ``benchmarks/bench_protocols.py``.
-
-    Lives here (not in :mod:`repro.bench.protocols`) so registering the
-    subcommand stays import-free — parsing ``c2pi info`` must not pay for
-    the mpc stack. ``--tolerance`` defaults to ``None``; the harness
-    substitutes its ``DEFAULT_TOLERANCE`` (0.10).
-    """
-    parser.add_argument("--elements", type=int, default=8192)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--serve-requests",
-        type=int,
-        default=2,
-        help="end-to-end resnet20 requests (0 = skip the serve bench)",
-    )
+def _add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """What ``bench``, ``serve-bench`` and ``loadgen`` do with their report."""
     parser.add_argument("--json", action="store_true", help="print JSON to stdout")
     parser.add_argument("--output", default=None, help="write the JSON here")
     parser.add_argument(
         "--check",
         default=None,
         metavar="SNAPSHOT",
-        help="compare against a committed snapshot; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="latency regression tolerance (default 0.10)",
+        help="compare every exact count against a committed snapshot; exit 1 "
+        "on drift (times are printed, never compared)",
     )
 
 
-def add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``loadgen`` options, shared with ``repro.serve.loadgen.main``.
-
-    Lives here for the same reason as :func:`add_bench_arguments`:
-    registering the subcommand must stay import-free.
-    """
+def _add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sessions", type=int, default=8)
     parser.add_argument(
         "--rate", type=float, default=50.0, help="offered arrival rate, req/s"
@@ -117,25 +91,12 @@ def add_loadgen_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the serial byte-identity replay (faster, weaker)",
     )
-    parser.add_argument("--json", action="store_true", help="print JSON")
-    parser.add_argument("--output", default=None, help="write the report JSON here")
     parser.add_argument(
         "--histogram",
         default=None,
         help="write the latency-histogram JSON here (the CI artifact)",
     )
-    parser.add_argument(
-        "--check",
-        default=None,
-        metavar="SNAPSHOT",
-        help="compare against a committed snapshot; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="latency regression tolerance for --check (default 0.10)",
-    )
+    _add_report_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,78 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "serve-bench",
-        help="offline/online serving benchmark: batched warm-pool C2PIServer "
-        "vs one-at-a-time inline inference",
-    )
-    _add_victim_args(bench, default_arch="resnet20")
-    bench.add_argument(
-        "--boundary",
-        type=float,
-        default=None,
-        help="crypto/clear boundary (default: 3.5 for resnet20, 2.5 otherwise)",
+        help="placement conformance run: one seeded resnet20 request stream "
+        "served in-process, over a loopback socket and over shared memory, "
+        "logits byte-identical everywhere (BENCH_serve.json)",
     )
     bench.add_argument("--requests", type=int, default=8)
-    bench.add_argument("--batch", type=int, default=4, help="coalescing width")
-    bench.add_argument("--noise", type=float, default=0.1, help="lambda")
-    bench.add_argument(
-        "--networked",
-        action="store_true",
-        help="also serve over a real loopback socket and report measured "
-        "vs modeled LAN/WAN latency side by side",
-    )
-    bench.add_argument(
-        "--networks",
-        default="lan,wan",
-        help="comma-separated shaped links for --networked (lan, wan)",
-    )
-    bench.add_argument(
-        "--clients",
-        type=int,
-        default=0,
-        help="with --networked: serve this many concurrent client sessions "
-        "against one multi-worker server and report throughput scaling vs "
-        "the serialised run (per-session logits pinned byte-identical)",
-    )
-    bench.add_argument(
-        "--clients-network",
-        default="wan",
-        choices=("none", "lan", "wan"),
-        help="link shaping for the --clients benchmark (default: wan — "
-        "concurrency overlaps each session's round-trip waits)",
-    )
-    bench.add_argument("--output", default=None, help="write the benchmark JSON here")
-    bench.add_argument(
-        "--placements",
-        action="store_true",
-        help="run the party-placement bench instead: the same resnet20 "
-        "request stream served in-process, over a loopback socket and "
-        "over shared memory, with byte-identical logits required "
-        "(BENCH_serve.json)",
-    )
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="SNAPSHOT",
-        help="with --placements: compare against a committed snapshot; "
-        "exit 1 on regression (implies --placements)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="latency regression tolerance for --check (default 0.10)",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="with --placements: print JSON"
-    )
+    _add_report_arguments(bench)
 
     proto_bench = sub.add_parser(
         "bench",
         help="protocol micro-benchmarks: per-op online latency/bytes "
-        "(DReLU, ReLU, maxpool, linear), offline material footprint and "
-        "an end-to-end resnet20 serve (BENCH_protocols.json)",
+        "(DReLU, ReLU, maxpool, linear) and offline material footprint "
+        "(BENCH_protocols.json)",
     )
-    add_bench_arguments(proto_bench)
+    proto_bench.add_argument("--elements", type=int, default=8192)
+    proto_bench.add_argument("--repeats", type=int, default=3)
+    _add_report_arguments(proto_bench)
 
     serve = sub.add_parser(
         "serve",
@@ -436,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "SLO accounting, serial byte-identity replay and an optional "
         "--soak chaos layer (DESIGN.md §14)",
     )
-    add_loadgen_arguments(loadgen)
+    _add_loadgen_arguments(loadgen)
 
     audit = sub.add_parser(
         "audit",
@@ -590,7 +495,8 @@ def _cmd_secure_infer(args) -> int:
     from . import nn
     from .models.layered import LayeredModel
     from .mpc import SecureInferenceEngine
-    from .mpc.backends import CheetahSuite, DelphiSuite
+    from .mpc.backends.cheetah import CheetahSuite
+    from .mpc.backends.delphi import DelphiSuite
 
     rng = np.random.default_rng(0)
     body = [
@@ -624,13 +530,6 @@ def _cmd_secure_infer(args) -> int:
     return 0
 
 
-def _networks_from_arg(spec: str):
-    from .mpc import LAN, WAN
-
-    named = {"lan": LAN, "wan": WAN}
-    return tuple(named[name.strip().lower()] for name in spec.split(",") if name.strip())
-
-
 def _parse_endpoint(spec: str) -> tuple[str, int]:
     host, sep, port = spec.rpartition(":")
     if not sep or not port.isdigit():
@@ -639,111 +538,9 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
 
 
 def _cmd_serve_bench(args) -> int:
-    import json
+    from .bench.protocols import run_serve_from_args
 
-    if args.placements or args.check:
-        from .bench.protocols import run_serve_from_args
-
-        return run_serve_from_args(args)
-
-    from .bench import get_victim
-    from .serve import benchmark_serving
-
-    model, dataset, accuracy = get_victim(args.arch, args.dataset)
-    boundary = args.boundary
-    if boundary is None:
-        boundary = 3.5 if args.arch == "resnet20" else 2.5
-    from .mpc import LAN, WAN
-
-    images = dataset.test_images[: args.requests]
-    report = benchmark_serving(
-        model,
-        boundary,
-        images,
-        max_batch=args.batch,
-        noise_magnitude=args.noise,
-        networked=args.networked,
-        networks=_networks_from_arg(args.networks) if args.networked else (),
-        clients=args.clients if args.networked else 0,
-        clients_network={"none": None, "lan": LAN, "wan": WAN}[args.clients_network],
-    )
-    report["victim_accuracy"] = accuracy
-
-    served, baseline = report["served"], report["baseline"]
-    print(
-        f"serve-bench: {model.name} boundary={boundary} "
-        f"requests={report['requests']} batch={report['max_batch']}"
-    )
-    print(
-        f"  seed path   : {baseline['total_s']:.3f} s total "
-        f"({baseline['amortized_s'] * 1e3:.1f} ms/inference, inline preprocessing)"
-    )
-    print(
-        f"  served path : {served['online_s']:.3f} s online "
-        f"({served['amortized_online_s'] * 1e3:.1f} ms/inference) "
-        f"+ {served['offline_s']:.3f} s offline (pooled)"
-    )
-    print(
-        f"  online speedup: {report['speedup_online']:.2f}x  "
-        f"(predictions agree: {report['predictions_agree']})"
-    )
-    generation = served["online_dealer_generation"]
-    print(f"  online dealer generation: {generation} (all zero = clean split)")
-    print("  traffic by label (online):")
-    for label, bucket in report["traffic_by_label"].items():
-        print(
-            f"    {label:<20} {bucket['bytes'] / 1e3:10.1f} KB "
-            f"{bucket['messages']:6d} msgs {bucket['rounds']:5d} rounds"
-        )
-    if report.get("networked"):
-        networked = report["networked"]
-        loopback = networked["loopback"]
-        print("  networked (real loopback socket, two-party split):")
-        print(
-            f"    loopback    : {loopback['online_s']:.3f} s online, "
-            f"{loopback['bytes'] / 1e6:.2f} MB in {loopback['rounds']} rounds "
-            f"(socket payload matches accounting: {loopback['bytes_match']})"
-        )
-        for name, row in networked.items():
-            if not isinstance(row, dict) or "measured_s" not in row:
-                continue
-            print(
-                f"    {name:<12}: measured {row['measured_s']:8.3f} s  "
-                f"vs modeled {row['modeled_s']:8.3f} s  "
-                f"(x{row['measured_over_modeled']:.2f})"
-            )
-        print(
-            "    predictions agree with baseline: "
-            f"{networked['predictions_agree_with_baseline']}"
-        )
-        if networked.get("concurrent"):
-            concurrent = networked["concurrent"]
-            print(
-                f"  concurrent serving ({concurrent['clients']} client(s), "
-                f"{concurrent['workers']} workers, {concurrent['network']} link):"
-            )
-            print(
-                f"    serial      : {concurrent['serial']['wall_s']:8.3f} s  "
-                f"({concurrent['serial']['throughput_rps']:.2f} req/s = "
-                f"{concurrent['serial']['inferences_per_s']:.2f} inf/s, "
-                "sessions one at a time)"
-            )
-            print(
-                f"    concurrent  : {concurrent['concurrent']['wall_s']:8.3f} s  "
-                f"({concurrent['concurrent']['throughput_rps']:.2f} req/s = "
-                f"{concurrent['concurrent']['inferences_per_s']:.2f} inf/s)  "
-                f"-> {concurrent['speedup']:.2f}x throughput"
-            )
-            print(
-                "    per-session logits byte-identical to serial run: "
-                f"{concurrent['logits_match_serial']}  "
-                f"(socket payload matches accounting: {concurrent['bytes_match']})"
-            )
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"  wrote {args.output}")
-    return 0
+    return run_serve_from_args(args)
 
 
 def _cmd_bench(args) -> int:

@@ -20,23 +20,16 @@ Layers (bottom-up):
   the socket :class:`PeerChannel`, thread loopback, LAN/WAN shaping;
 * :mod:`repro.mpc.engine` — the one program executor, and its
   both-parties-in-process entry point under a pluggable protocol suite
-  (:mod:`repro.mpc.backends`: trusted dealer, functional Delphi,
-  functional Cheetah);
+  (:mod:`repro.mpc.backends`: trusted dealer here; the functional
+  Delphi / Cheetah stacks load only when their submodule is imported);
 * :mod:`repro.mpc.party` — the same executor as one party over a
   transport against the peer process, plus the weight-free manifest;
 * :mod:`repro.mpc.authenticated` — SPDZ-style MAC'd shares (the
-  malicious-client extension);
+  malicious-client extension; imported by name, not re-exported here);
 * :mod:`repro.mpc.costs` — calibrated Delphi/CrypTFlow2/Cheetah cost
   profiles.
 """
 
-from .authenticated import (
-    AuthenticatedDealer,
-    AuthenticatedShares,
-    MacCheckError,
-    authenticated_multiply,
-    verified_open,
-)
 from .costs import (
     BackendCostModel,
     CostEstimate,
@@ -152,9 +145,4 @@ __all__ = [
     "relu_offline_material_bytes",
     "dealer_label_traffic",
     "dealer_material_bytes",
-    "AuthenticatedDealer",
-    "AuthenticatedShares",
-    "MacCheckError",
-    "authenticated_multiply",
-    "verified_open",
 ]

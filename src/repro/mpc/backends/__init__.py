@@ -15,16 +15,15 @@ implementations exist:
 The functional suites run the *real* cryptography and are therefore meant
 for small-scale end-to-end validation; the calibrated cost models in
 :mod:`repro.mpc.costs` remain the tool for paper-scale Table II estimates.
+They are imported from their own submodules: the engine needs only
+:mod:`~repro.mpc.backends.suite`, so a serving process never loads
+:mod:`repro.crypto`.
 """
 
-from .cheetah import CheetahSuite
-from .delphi import DelphiSuite
 from .suite import DealerSuite, ProtocolSuite, linear_map_matrix
 
 __all__ = [
     "ProtocolSuite",
     "DealerSuite",
-    "DelphiSuite",
-    "CheetahSuite",
     "linear_map_matrix",
 ]

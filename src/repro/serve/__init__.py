@@ -15,10 +15,13 @@ each session's dealer seed derived from its session key
 (:func:`~repro.core.c2pi.derive_session_seed`), with busy-reply
 backpressure past ``max_sessions`` and graceful drain on ``stop()``.
 
-:mod:`repro.serve.loadgen` (``c2pi loadgen``) drives that server with an
-open-loop sustained load — many concurrent sessions, Poisson or
-fixed-rate arrivals — and gates tail latency, SLO violations and serial
-byte-identity against a committed snapshot.
+:mod:`repro.serve.loadgen` (``c2pi loadgen``) is the one load harness:
+it drives that server with an open-loop sustained load — many concurrent
+sessions, Poisson or fixed-rate arrivals — and gates errors, wedges and
+serial byte-identity against a committed snapshot. Nothing here imports
+:mod:`repro.bench`: the placement conformance run (``c2pi serve-bench``)
+lives there and drives this package from outside, and time is judged in
+``perf/``.
 """
 
 from .chaos_check import run_chaos_check, tiny_victim
@@ -29,32 +32,21 @@ from .remote import (
     RemoteServer,
     ServerBusy,
     SessionStats,
-    benchmark_concurrent,
-    benchmark_networked,
     derive_session_seed,
 )
-from .server import (
-    C2PIServer,
-    InferenceReply,
-    InferenceRequest,
-    ServerMetrics,
-    benchmark_serving,
-)
+from .server import C2PIServer, InferenceReply, InferenceRequest, ServerMetrics
 
 __all__ = [
     "C2PIServer",
     "InferenceReply",
     "InferenceRequest",
     "ServerMetrics",
-    "benchmark_serving",
     "RemoteServer",
     "RemoteClient",
     "RemoteReply",
     "ServerBusy",
     "SessionStats",
     "derive_session_seed",
-    "benchmark_networked",
-    "benchmark_concurrent",
     "run_chaos_check",
     "tiny_victim",
     "run_loadgen",

@@ -32,7 +32,7 @@ from ..mpc.chaos import ChaosController, FaultSpec
 from ..mpc.transport import TransportError
 from .remote import RemoteClient, RemoteServer
 
-__all__ = ["TINY_BOUNDARY", "tiny_victim", "CHAOS_CASES", "run_chaos_check", "main"]
+__all__ = ["TINY_BOUNDARY", "tiny_victim", "CHAOS_CASES", "run_chaos_check"]
 
 #: crypto/clear boundary for :func:`tiny_victim` — the crypto segment
 #: covers conv1/ReLU/maxpool/conv2/ReLU (linear + boolean protocol
@@ -170,19 +170,3 @@ def run_chaos_check(seed: int = 0, request_timeout: float = 0.5,
         total = len(CHAOS_CASES)
         print(f"chaos-check: {total - failures}/{total} cases recovered")
     return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="C2PI chaos self-check")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--request-timeout", type=float, default=0.5)
-    args = parser.parse_args(argv)
-    return 1 if run_chaos_check(args.seed, args.request_timeout) else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -2,10 +2,11 @@
 
 The async session core's claim is a *load* claim — many concurrent
 sessions overlap their network waits on one event loop, bounded protocol
-work on a small worker pool — so it gets the same trajectory discipline
-as the protocol hot path: a measured run, a committed snapshot
-(``benchmarks/BENCH_serve_load.json``) and a machine-normalised
-regression gate (:func:`check_load_snapshot`).
+work on a small worker pool — so it gets a measured run, a committed
+snapshot (``benchmarks/BENCH_serve_load.json``) and a gate over what the
+run determines exactly (:func:`check_load_snapshot`). Latencies are
+measured and printed, never compared: a timing claim is a
+``perf/compare.py`` pair.
 
 The generator is **open-loop**: arrivals follow a fixed-rate or Poisson
 schedule computed up front, independent of completions, and a request's
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bench.protocols import DEFAULT_TOLERANCE, calibration_workload_s
 from ..mpc.chaos import ChaosController
 from .chaos_check import TINY_BOUNDARY, tiny_victim
 from .remote import RemoteClient, RemoteServer
@@ -42,7 +42,6 @@ __all__ = [
     "LATENCY_BUCKETS_MS",
     "build_schedule",
     "check_load_snapshot",
-    "main",
     "render_load_report",
     "run_from_args",
     "run_loadgen",
@@ -54,14 +53,10 @@ LATENCY_BUCKETS_MS = (
     500.0, 1000.0, 2000.0, 5000.0, 10000.0, float("inf"),
 )
 
-# Latency under load rides the host scheduler much harder than the
-# single-stream placement bench: the gate compares the *median* (the
-# p95 of 64 threads on one core swings 2x between identical runs),
-# doubles the relative band and adds a wide absolute floor; tail
-# blowups are caught by the SLO-violation-rate gate instead. Identity
-# metrics (errors, wedges, logits) are exact — they are the point of
-# the harness.
-_LATENCY_ABS_FLOOR_MS = 150.0
+# The share of requests over the absolute ``--slo-ms`` (2 s in CI, ten
+# times the committed run's slowest request) may exceed the snapshot's by
+# this much: a wedge/overload detector, not a latency band — no latency
+# value is ever compared.
 _SLO_RATE_SLACK = 0.10
 
 
@@ -316,7 +311,6 @@ def run_loadgen(
             "chaos_sessions": len(controllers),
             "faults_injected": sum(result.faults for result in results),
         },
-        "calibration_s": calibration_workload_s(),
         "elapsed_s": elapsed_s,
         "offered_duration_s": float(arrivals[-1]),
         "completed": completed,
@@ -346,19 +340,14 @@ def run_loadgen(
     }
 
 
-def check_load_snapshot(
-    fresh: dict, snapshot: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
+def check_load_snapshot(fresh: dict, snapshot: dict) -> list[str]:
     """Gate a fresh load run against the committed snapshot.
 
     Identity metrics are exact: zero errors, zero wedged sessions, every
     offered request completed, logits byte-identical to the serial
     replay, and the workload shape matching the snapshot (a gate over a
-    different offered load would compare nothing). Median latency is
-    gated after calibration normalisation with the widened band
-    sustained-load wall time needs; the tail is gated through the
-    SLO-violation rate, which a wedge or overload regression drives up
-    far more reliably than a one-core p95 stays down.
+    different offered load would compare nothing). No latency is
+    compared; a wedge or overload shows in the SLO-violation rate.
     """
     failures: list[str] = []
     for key in ("sessions", "requests", "rate_rps", "dist", "slo_ms"):
@@ -382,18 +371,6 @@ def check_load_snapshot(
         failures.append(
             "logits are not byte-identical to the serial replay "
             f"(logits_match_serial={fresh.get('logits_match_serial')!r})"
-        )
-    scale = fresh["calibration_s"] / max(snapshot["calibration_s"], 1e-9)
-    budget = (
-        snapshot["latency_ms"]["p50"] * scale * (1.0 + 2.0 * tolerance)
-        + _LATENCY_ABS_FLOOR_MS
-    )
-    if fresh["latency_ms"]["p50"] > budget:
-        failures.append(
-            f"p50 latency regressed: {fresh['latency_ms']['p50']:.1f} ms vs "
-            f"budget {budget:.1f} ms (snapshot "
-            f"{snapshot['latency_ms']['p50']:.1f} ms, machine scale "
-            f"x{scale:.2f})"
         )
     allowed = snapshot.get("slo_violation_rate", 0.0) + _SLO_RATE_SLACK
     if fresh.get("slo_violation_rate", 1.0) > allowed:
@@ -463,29 +440,10 @@ def run_from_args(args) -> int:
     if args.check:
         with open(args.check) as handle:
             snapshot = json.load(handle)
-        tolerance = (
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        )
-        failures = check_load_snapshot(report, snapshot, tolerance)
+        failures = check_load_snapshot(report, snapshot)
         for failure in failures:
             print(f"LOADGEN REGRESSION: {failure}")
         if failures:
             return 1
         print(f"loadgen check against {args.check}: ok")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    from ..cli import add_loadgen_arguments
-
-    parser = argparse.ArgumentParser(description="C2PI open-loop load harness")
-    add_loadgen_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

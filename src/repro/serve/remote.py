@@ -58,13 +58,12 @@ scripted network faults to prove all of this
 
 Measured socket traffic (``WireStats``) and protocol accounting
 (:class:`~repro.mpc.network.Channel` counters) travel back with every
-reply, so callers can verify the wire against the books and compare
-measured latency with the :class:`~repro.mpc.network.NetworkModel`
-prediction on the same run — which is what
-:func:`benchmark_networked` (and ``c2pi serve-bench --networked``) does;
-:func:`benchmark_concurrent` (``--clients N``) additionally measures
-multi-session throughput scaling against a serialised run of the same
-sessions and pins the per-session byte-identity under contention.
+reply, so callers can verify the wire against the books
+(``bytes_match``) and feed the same run's traffic to
+:meth:`~repro.mpc.network.NetworkModel.latency_of`. This module holds
+no benchmark driver: ``c2pi serve-bench`` (exact counts across
+placements), ``c2pi loadgen`` (many sessions) and ``perf/`` (time) drive
+it from outside.
 """
 
 from __future__ import annotations
@@ -121,8 +120,6 @@ __all__ = [
     "RemoteReply",
     "RemoteServer",
     "RemoteClient",
-    "benchmark_networked",
-    "benchmark_concurrent",
 ]
 
 PROTOCOL_VERSION = 4  # v4: a bundle may follow ``metrics``, claimed by the next ``req``
@@ -1707,274 +1704,6 @@ class RemoteClient:
             pass
         self.transport.close()
         self.transport = None
-
-
-# ----------------------------------------------------------------------
-# measured vs modeled benchmark
-# ----------------------------------------------------------------------
-def benchmark_networked(
-    model: LayeredModel,
-    boundary: float,
-    images: np.ndarray,
-    max_batch: int = 4,
-    noise_magnitude: float = 0.1,
-    seed: int = 0,
-    networks: tuple[NetworkModel, ...] = (),
-) -> dict:
-    """Measure real transported serving and compare with the cost model.
-
-    Runs a :class:`RemoteServer` on a loopback socket (in a background
-    thread — use the CLI pair for full process isolation), serves the
-    images in ``max_batch`` coalesced requests, and reports:
-
-    * the unshaped loopback run: measured online seconds, socket payload
-      vs protocol accounting (``bytes_match``);
-    * for each shaped network: the measured wall-clock under token-bucket
-      bandwidth + injected RTT, side by side with the
-      :meth:`NetworkModel.latency` prediction fed the *same run's*
-      directional traffic, rounds and loopback compute time.
-    """
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim == 3:
-        images = images[None]
-    groups = [
-        images[start : start + max_batch]
-        for start in range(0, images.shape[0], max_batch)
-    ]
-
-    server = RemoteServer(model, boundary, seed=seed)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    report: dict = {"listen": f"{server.host}:{server.port}"}
-    try:
-        # --- unshaped loopback: ground truth for compute + accounting.
-        client = RemoteClient(
-            "127.0.0.1", server.port, noise_magnitude=noise_magnitude, seed=seed
-        )
-        loopback_replies = [client.infer(group) for group in groups]
-        client.close()
-        loopback = {
-            "online_s": sum(r.online_s for r in loopback_replies),
-            "offline_bundle_bytes": sum(r.offline_bytes for r in loopback_replies),
-            "bytes": sum(r.traffic.total_bytes for r in loopback_replies),
-            "measured_payload_bytes": sum(
-                r.measured_payload_bytes for r in loopback_replies
-            ),
-            "rounds": sum(r.traffic.rounds for r in loopback_replies),
-            "bytes_match": all(r.bytes_match for r in loopback_replies),
-            "predictions": [int(p) for r in loopback_replies for p in r.prediction],
-        }
-        report["loopback"] = loopback
-
-        # --- shaped runs: measured wall clock vs modeled latency.
-        for network in networks:
-            client = RemoteClient(
-                "127.0.0.1",
-                server.port,
-                noise_magnitude=noise_magnitude,
-                seed=seed,
-                network=network,
-            )
-            measured = 0.0
-            modeled = 0.0
-            for group, loopback_reply in zip(groups, loopback_replies):
-                reply = client.infer(group)
-                measured += reply.online_s
-                modeled += network.latency_of(
-                    reply.traffic, compute_s=loopback_reply.online_s
-                )
-            client.close()
-            report[network.name] = {
-                "measured_s": measured,
-                "modeled_s": modeled,
-                "measured_over_modeled": measured / modeled if modeled else None,
-            }
-    finally:
-        server.stop()
-        thread.join(timeout=10.0)
-    return report
-
-
-# ----------------------------------------------------------------------
-# concurrent multi-session benchmark
-# ----------------------------------------------------------------------
-def benchmark_concurrent(
-    model: LayeredModel,
-    boundary: float,
-    images: np.ndarray,
-    clients: int = 4,
-    max_batch: int = 4,
-    noise_magnitude: float = 0.1,
-    seed: int = 0,
-    workers: int | None = None,
-    network: NetworkModel | None = None,
-) -> dict:
-    """Measure multi-session throughput scaling — with determinism pinned.
-
-    Every client ``c`` runs the identical workload (``images`` coalesced
-    into ``max_batch`` requests) as session ``c`` with client seed
-    ``seed + c``, twice against identically-seeded servers:
-
-    1. **serial** — sessions run one after another, one connection at a
-       time: the single-client baseline, repeated ``clients`` times;
-    2. **concurrent** — all sessions at once against one server with
-       ``workers`` session workers.
-
-    Both passes warm every session's preprocessing pools *before* the
-    timed window (the warm seconds are reported separately as
-    ``offline_warm_s``), so the measurement is online serving
-    throughput — the amortised quantity C2PI's offline/online split
-    optimises for. Warming draws the identical dealer stream the
-    miss-path would have drawn, so it changes no bytes.
-
-    ``network`` shapes every connection (token-bucket bandwidth +
-    injected RTT, each session on its own emulated link). This is where
-    concurrency pays even on one core: a serial accept loop leaves the
-    server idle for every round-trip of the one client it is stuck on,
-    while concurrent sessions overlap their network waits (and, on
-    multi-core hosts, their numpy compute).
-
-    The report carries wall-clock and requests/s for both passes, the
-    speedup, and two correctness pins: every reply's measured socket
-    payload equals its protocol accounting (``bytes_match``), and every
-    session's logits under contention are **byte-identical** to its
-    serial run (``logits_match_serial``) — the per-session dealer-seed
-    derivation at work. This is ``c2pi serve-bench --networked
-    --clients N``.
-    """
-    if clients < 1:
-        raise ValueError("clients must be positive")
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim == 3:
-        images = images[None]
-    groups = [
-        images[start : start + max_batch]
-        for start in range(0, images.shape[0], max_batch)
-    ]
-    workers = clients if workers is None else workers
-    program = compile_program(model, boundary, DEFAULT_CONFIG)
-
-    def run_session(port: int, session: int) -> list[RemoteReply]:
-        client = RemoteClient(
-            "127.0.0.1",
-            port,
-            noise_magnitude=noise_magnitude,
-            seed=seed + session,
-            session=session,
-            network=network,
-        )
-        replies = [client.infer(group) for group in groups]
-        client.close()
-        return replies
-
-    # Per-session pool demand: warmed before the timed window in both
-    # passes, so the measurement is *online* serving throughput (the
-    # offline phase is the amortised cost the paper's split pays ahead
-    # of time). Warming upfront draws the identical dealer stream the
-    # miss-path would have drawn, so logits are unchanged.
-    group_sizes: dict[int, int] = {}
-    for group in groups:
-        size = int(group.shape[0])
-        group_sizes[size] = group_sizes.get(size, 0) + 1
-
-    def run_pass(concurrent: bool):
-        server = RemoteServer(
-            model,
-            boundary,
-            seed=seed,
-            program=program,
-            workers=workers,
-            max_sessions=max(clients, workers),
-        )
-        accept_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        accept_thread.start()
-        replies: dict[int, list[RemoteReply]] = {}
-        try:
-            offline_start = time.perf_counter()
-            for session in range(clients):
-                for size, count in group_sizes.items():
-                    server.warm(size, bundles=count, session=session)
-            offline_s = time.perf_counter() - offline_start
-            start = time.perf_counter()
-            if concurrent:
-                def worker(session: int) -> None:
-                    replies[session] = run_session(server.port, session)
-
-                threads = [
-                    threading.Thread(target=worker, args=(session,))
-                    for session in range(clients)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-            else:
-                for session in range(clients):
-                    replies[session] = run_session(server.port, session)
-            wall_s = time.perf_counter() - start
-        finally:
-            server.stop()
-            accept_thread.join(timeout=10.0)
-        return wall_s, offline_s, replies, server.metrics()
-
-    serial_s, serial_offline_s, serial_replies, _ = run_pass(concurrent=False)
-    concurrent_s, concurrent_offline_s, concurrent_replies, server_metrics = run_pass(
-        concurrent=True
-    )
-
-    # "Requests" are protocol requests (infer round-trips, matching the
-    # server's `requests_served`); each coalesces up to max_batch images.
-    requests_per_client = len(groups)
-    images_per_client = int(images.shape[0])
-    total_requests = clients * requests_per_client
-    total_images = clients * images_per_client
-    logits_match = all(
-        a.logits.tobytes() == b.logits.tobytes()
-        for session in range(clients)
-        for a, b in zip(serial_replies[session], concurrent_replies[session])
-    )
-    bytes_match = all(
-        reply.bytes_match
-        for replies in concurrent_replies.values()
-        for reply in replies
-    )
-    per_session = [
-        {
-            "session": session,
-            "requests": requests_per_client,
-            "images": images_per_client,
-            "online_s": sum(r.online_s for r in concurrent_replies[session]),
-            "predictions": [
-                int(p) for r in concurrent_replies[session] for p in r.prediction
-            ],
-        }
-        for session in range(clients)
-    ]
-
-    def pace(wall_s: float) -> dict:
-        return {
-            "wall_s": wall_s,
-            "throughput_rps": total_requests / wall_s if wall_s else 0.0,
-            "inferences_per_s": total_images / wall_s if wall_s else 0.0,
-        }
-
-    return {
-        "clients": clients,
-        "workers": workers,
-        "max_batch": max_batch,
-        "network": network.name if network else "loopback",
-        "requests_per_client": requests_per_client,
-        "images_per_client": images_per_client,
-        "total_requests": total_requests,
-        "total_images": total_images,
-        "serial": {**pace(serial_s), "offline_warm_s": serial_offline_s},
-        "concurrent": {**pace(concurrent_s), "offline_warm_s": concurrent_offline_s},
-        "speedup": serial_s / concurrent_s if concurrent_s else float("inf"),
-        "bytes_match": bytes_match,
-        "logits_match_serial": logits_match,
-        "per_session": per_session,
-        "server": server_metrics,
-    }
 
 
 # ----------------------------------------------------------------------

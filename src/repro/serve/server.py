@@ -19,11 +19,9 @@
   is byte-identical to the same session running alone;
 * every reply carries its own latency, and the server aggregates
   throughput, online/offline wall-clock and the per-label traffic
-  breakdown of :class:`~repro.mpc.network.Channel`.
-
-:func:`benchmark_serving` measures the batched warm-pool path against the
-seed behaviour (one request at a time, correlated randomness generated
-inline) and is what ``c2pi serve-bench`` reports.
+  breakdown of :class:`~repro.mpc.network.Channel`
+  (:meth:`C2PIServer.snapshot`: the offline/online split, pool misses
+  and the online dealer-generation counters, which must read zero).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "InferenceReply",
     "ServerMetrics",
     "C2PIServer",
-    "benchmark_serving",
 ]
 
 
@@ -333,135 +330,3 @@ class C2PIServer:
             },
             "traffic_by_label": self.metrics.traffic_by_label,
         }
-
-
-# ----------------------------------------------------------------------
-def benchmark_serving(
-    model: LayeredModel,
-    boundary: float,
-    images: np.ndarray,
-    max_batch: int = 4,
-    noise_magnitude: float = 0.1,
-    seed: int = 0,
-    networked: bool = False,
-    networks: tuple = (),
-    clients: int = 0,
-    clients_network=None,
-) -> dict:
-    """Measure batched warm-pool serving against the seed behaviour.
-
-    The *baseline* is what the engine did before the offline/online split:
-    one request at a time, with the dealer generating every piece of
-    correlated randomness inline during ``run()``. The *served* path
-    compiles once, pre-generates pools sized for the workload, then
-    coalesces the same requests into ``max_batch``-sized secure runs.
-    Returns a JSON-able comparison dict.
-
-    With ``networked=True`` the same workload is additionally served over
-    a real loopback socket (:func:`repro.serve.remote.benchmark_networked`)
-    and, for each :class:`~repro.mpc.network.NetworkModel` in
-    ``networks``, under token-bucket LAN/WAN shaping — reporting measured
-    wall-clock next to the cost model's prediction for the same run.
-
-    With ``clients > 0`` the networked report additionally carries a
-    ``concurrent`` section (:func:`repro.serve.remote.benchmark_concurrent`):
-    ``clients`` sessions served at once by one multi-worker
-    :class:`~repro.serve.remote.RemoteServer` over ``clients_network``-shaped
-    connections, with throughput scaling vs the serialised run of the same
-    sessions and byte-identical per-session logits pinned.
-    """
-    images = np.asarray(images, dtype=np.float32)
-    n = images.shape[0]
-    if n == 0:
-        raise ValueError("benchmark needs at least one image")
-
-    # --- baseline: per-request pipeline with inline dealer generation.
-    baseline = C2PIPipeline(model, boundary, noise_magnitude=noise_magnitude, seed=seed)
-    start = time.perf_counter()
-    baseline_results = [baseline.infer(images[i : i + 1]) for i in range(n)]
-    baseline_s = time.perf_counter() - start
-
-    # --- served: compile once, preprocess offline, coalesce online.
-    server = C2PIServer(
-        model,
-        boundary,
-        noise_magnitude=noise_magnitude,
-        seed=seed,
-        max_batch=max_batch,
-        warm_bundles=0,
-    )
-    full_batches, remainder = divmod(n, max_batch)
-    offline_start = time.perf_counter()
-    if full_batches:
-        server.warm(full_batches, batch=max_batch)
-    if remainder:
-        server.warm(1, batch=remainder)
-    offline_s = time.perf_counter() - offline_start
-
-    for i in range(n):
-        server.submit(images[i])
-    replies = server.drain()
-    snapshot = server.snapshot()
-
-    baseline_amortized = baseline_s / n
-    served_amortized = snapshot["amortized_online_s"]
-    agree = all(
-        int(baseline_results[reply.request_id].prediction[0]) == reply.prediction
-        for reply in replies
-    )
-    networked_report = None
-    if networked:
-        from .remote import benchmark_networked
-
-        networked_report = benchmark_networked(
-            model,
-            boundary,
-            images,
-            max_batch=max_batch,
-            noise_magnitude=noise_magnitude,
-            seed=seed,
-            networks=networks,
-        )
-        networked_report["predictions_agree_with_baseline"] = all(
-            int(baseline_results[i].prediction[0]) == prediction
-            for i, prediction in enumerate(networked_report["loopback"]["predictions"])
-        )
-        if clients:
-            from .remote import benchmark_concurrent
-
-            networked_report["concurrent"] = benchmark_concurrent(
-                model,
-                boundary,
-                images,
-                clients=clients,
-                max_batch=max_batch,
-                noise_magnitude=noise_magnitude,
-                seed=seed,
-                network=clients_network,
-            )
-    return {
-        "model": model.name,
-        "boundary": boundary,
-        "requests": n,
-        "max_batch": max_batch,
-        "baseline": {
-            "total_s": baseline_s,
-            "amortized_s": baseline_amortized,
-            "bytes": sum(r.total_bytes for r in baseline_results),
-        },
-        "served": {
-            "online_s": snapshot["online_s"],
-            "amortized_online_s": served_amortized,
-            "offline_s": offline_s,
-            "bytes": snapshot["online_bytes"],
-            "batches": snapshot["batches"],
-            "pool_misses": sum(p["misses"] for p in snapshot["pools"].values()),
-            "online_dealer_generation": snapshot["online_dealer_generation"],
-        },
-        "speedup_online": (
-            baseline_amortized / served_amortized if served_amortized else float("inf")
-        ),
-        "predictions_agree": agree,
-        "traffic_by_label": snapshot["traffic_by_label"],
-        "networked": networked_report,
-    }

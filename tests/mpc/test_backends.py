@@ -5,7 +5,9 @@ import pytest
 
 from repro import nn
 from repro.models.layered import LayeredModel
-from repro.mpc.backends import CheetahSuite, DealerSuite, DelphiSuite, linear_map_matrix
+from repro.mpc.backends import DealerSuite, linear_map_matrix
+from repro.mpc.backends.cheetah import CheetahSuite
+from repro.mpc.backends.delphi import DelphiSuite
 from repro.mpc.backends.suite import PlacementError
 from repro.mpc.engine import SecureInferenceEngine
 from repro.mpc.network import Channel

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.backends import CheetahSuite, DealerSuite, DelphiSuite
+from repro.mpc.backends import DealerSuite
+from repro.mpc.backends.cheetah import CheetahSuite
+from repro.mpc.backends.delphi import DelphiSuite
 from repro.mpc.dealer import TrustedDealer
 from repro.mpc.network import Channel
 from repro.mpc.sharing import reconstruct_additive, share_additive

@@ -27,7 +27,6 @@ from repro.serve.remote import (
     RemoteServer,
     ServerBusy,
     _demo_victim,
-    benchmark_concurrent,
     derive_session_seed,
 )
 
@@ -82,8 +81,12 @@ class TestConcurrentSessions:
         self, victim, images
     ):
         """(a) all replies verify the wire, (b) per-session logits are
-        byte-identical to a serial run with the same session seed."""
+        byte-identical to a serial run with the same session seed, (c)
+        warmed sessions pay no pool miss. Only the contended server is
+        warmed: warming draws the stream the miss path would have drawn."""
         server = RemoteServer(victim, 3.5, seed=7, workers=CLIENTS)
+        for session in range(CLIENTS):
+            server.warm(1, bundles=REQUESTS, session=session)
         thread = _start(server)
         barrier = threading.Barrier(CLIENTS)
         concurrent: dict[int, list] = {}
@@ -141,6 +144,7 @@ class TestConcurrentSessions:
             entry["wire"]["raw_payload_sent"] for entry in metrics["sessions"]
         )
         assert len(metrics["pools"]) == CLIENTS  # one per (session, batch)
+        assert all(pool["misses"] == 0 for pool in metrics["pools"].values())
 
     def test_busy_reply_at_max_sessions(self, victim, images):
         """(c) backpressure: an explicit busy reply, not a hung socket."""
@@ -255,28 +259,6 @@ class TestConcurrentSessions:
             server.stop()
             thread.join(timeout=10.0)
         assert server.connections_served == 1
-
-    def test_benchmark_concurrent_report(self, victim, images):
-        """The serve-bench --clients machinery: request accounting is
-        consistent with the server's, and the two correctness pins hold
-        on an unshaped loopback run."""
-        report = benchmark_concurrent(
-            victim, 3.5, images[:, 0], clients=2, max_batch=2, seed=3
-        )
-        assert report["clients"] == 2
-        assert report["requests_per_client"] == 1  # 2 images, batch 2
-        assert report["images_per_client"] == 2
-        assert report["total_requests"] == 2
-        assert report["total_images"] == 4
-        assert report["logits_match_serial"]
-        assert report["bytes_match"]
-        assert report["network"] == "loopback"
-        assert report["concurrent"]["offline_warm_s"] > 0
-        server = report["server"]
-        assert server["requests_served"] == report["total_requests"]
-        assert server["connections_served"] == 2
-        # Warm pools: the timed window paid no offline misses.
-        assert all(pool["misses"] == 0 for pool in server["pools"].values())
 
     def test_stop_drains_in_flight_sessions(self, victim, images):
         server = RemoteServer(victim, 3.5, seed=0, workers=2)

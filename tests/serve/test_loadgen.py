@@ -155,22 +155,6 @@ class TestSnapshotGate:
         assert any("completed" in f for f in failures)
         assert any("byte-identical" in f for f in failures)
 
-    def test_median_latency_regression_fails_normalized(self, fresh):
-        slow = copy.deepcopy(fresh)
-        slow["latency_ms"]["p50"] = fresh["latency_ms"]["p50"] * 10 + 1000.0
-        failures = check_load_snapshot(slow, fresh)
-        assert any("p50 latency regressed" in f for f in failures)
-        # ...but the same wall time passes when the fresh machine is
-        # itself that much slower than the snapshot machine: the budget
-        # is calibration-normalized, not absolute. (The factor follows
-        # the injected latency: a fixed 50x only covered it while a
-        # request took 17 ms or more.)
-        slow["calibration_s"] = fresh["calibration_s"] * (
-            slow["latency_ms"]["p50"] / fresh["latency_ms"]["p50"]
-        )
-        failures = check_load_snapshot(slow, fresh)
-        assert not any("p50 latency regressed" in f for f in failures)
-
     def test_slo_rate_regression_fails(self, fresh):
         violating = copy.deepcopy(fresh)
         violating["slo_violations"] = fresh["completed"]

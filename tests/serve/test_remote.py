@@ -24,7 +24,6 @@ from repro.serve.remote import (
     RemoteClient,
     RemoteServer,
     _demo_victim,
-    benchmark_networked,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -301,23 +300,28 @@ class TestClientErrorPaths:
             thread.join(timeout=10.0)
 
 
-class TestNetworkedBenchmark:
-    def test_measured_vs_modeled_report(self, victim, image):
-        images = np.repeat(image, 3, axis=0)
-        report = benchmark_networked(
-            victim, 3.5, images, max_batch=2, noise_magnitude=0.0,
-            seed=0, networks=(LAN,),
+class TestMeasuredVsModeled:
+    def test_shaped_request_lands_near_the_cost_model(
+        self, victim, image, threaded_server
+    ):
+        """A LAN-shaped request's measured time and ``NetworkModel``'s
+        prediction, fed the same run's traffic and the loopback run's
+        compute, land in the same ballpark."""
+        images = np.repeat(image, 2, axis=0)
+        replies = {}
+        for name, network in (("loopback", None), ("lan", LAN)):
+            client = RemoteClient(
+                "127.0.0.1", threaded_server.port, noise_magnitude=0.0, seed=0,
+                network=network,
+            )
+            replies[name] = client.infer(images)
+            client.close()
+        measured = replies["lan"].online_s
+        modeled = LAN.latency_of(
+            replies["lan"].traffic, compute_s=replies["loopback"].online_s
         )
-        loopback = report["loopback"]
-        assert loopback["bytes_match"]
-        assert loopback["measured_payload_bytes"] == loopback["bytes"]
-        assert len(loopback["predictions"]) == 3
-        lan = report["LAN"]
-        assert lan["measured_s"] > 0
-        assert lan["modeled_s"] > 0
-        # Shaped measurement and the cost model should land in the same
-        # ballpark when fed the same run's traffic and compute.
-        assert 0.2 < lan["measured_over_modeled"] < 5.0
+        assert replies["lan"].bytes_match
+        assert 0.2 < measured / modeled < 5.0
 
 
 @pytest.mark.slow

@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.core import c2pi
 from repro.models import vgg16
-from repro.serve import C2PIServer, benchmark_serving
+from repro.serve import C2PIServer
 
 
 @pytest.fixture(scope="module")
@@ -143,20 +143,6 @@ class TestRemainderBatches:
         assert server.snapshot()["miss_offline_s"] == pytest.approx(
             reply.offline_miss_s
         )
-
-
-class TestBenchmark:
-    def test_benchmark_serving_report(self, victim, images):
-        report = benchmark_serving(victim, 1.5, images[:4], max_batch=2,
-                                   noise_magnitude=0.0)
-        assert report["requests"] == 4
-        assert report["served"]["online_dealer_generation"] == {
-            "triples": 0, "bit_triples": 0, "dabits": 0, "comparison_masks": 0,
-        }
-        assert report["served"]["pool_misses"] == 0
-        assert report["speedup_online"] > 0
-        assert report["predictions_agree"] in (True, False)
-        assert report["baseline"]["total_s"] > 0
 
 
 class TestStepFaultContainment:

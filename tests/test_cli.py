@@ -30,19 +30,49 @@ class TestParser:
         assert args.arch == "vgg16" and args.dataset == "cifar10"
         assert args.sigma == 0.3 and args.noise == 0.1
 
-    def test_serve_bench_networked_flag(self):
-        args = build_parser().parse_args(["serve-bench", "--networked"])
-        assert args.networked and args.networks == "lan,wan"
-        assert not build_parser().parse_args(["serve-bench"]).networked
+    def test_serve_bench_is_the_placement_run(self):
+        args = build_parser().parse_args(
+            ["serve-bench", "--check", "X", "--requests", "4", "--json",
+             "--output", "Y"]
+        )
+        assert (args.check, args.requests, args.json, args.output) == (
+            "X", 4, True, "Y"
+        )
+        assert build_parser().parse_args(["serve-bench"]).requests == 8
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("serve-bench", "arch", "resnet20"),
+            ("serve-bench", "dataset", "cifar10"),
+            ("serve-bench", "boundary", "3.5"),
+            ("serve-bench", "batch", "4"),
+            ("serve-bench", "noise", "0.1"),
+            ("serve-bench", "networked", None),
+            ("serve-bench", "networks", "lan"),
+            ("serve-bench", "clients", "2"),
+            ("serve-bench", "clients-network", "wan"),
+            ("serve-bench", "placements", None),
+            ("serve-bench", "tolerance", "0.2"),
+            ("bench", "serve-requests", "0"),
+            ("bench", "tolerance", "0.2"),
+            ("loadgen", "tolerance", "0.2"),
+        ],
+    )
+    def test_removed_options_are_rejected(self, command, option, value, capsys):
+        """One serving benchmark, one kind of gate: the drivers' knobs and
+        the latency-band tolerance are gone, not hidden."""
+        argv = [command, f"--{option}"] + ([value] if value else [])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.elements == 8192 and args.repeats == 3
         assert args.check is None and args.output is None and not args.json
-        args = build_parser().parse_args(
-            ["bench", "--json", "--check", "snap.json", "--tolerance", "0.2"]
-        )
-        assert args.json and args.check == "snap.json" and args.tolerance == 0.2
+        args = build_parser().parse_args(["bench", "--json", "--check", "snap.json"])
+        assert args.json and args.check == "snap.json"
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -84,13 +114,6 @@ class TestParser:
         with pytest.raises(SystemExit, match="expected host:port"):
             _parse_endpoint("host:notaport")
 
-    def test_networks_from_arg(self):
-        from repro.cli import _networks_from_arg
-        from repro.mpc import LAN, WAN
-
-        assert _networks_from_arg("lan,wan") == (LAN, WAN)
-        assert _networks_from_arg("wan") == (WAN,)
-
 
 class TestCommands:
     def test_info(self, capsys):
@@ -108,6 +131,13 @@ class TestCommands:
         assert main(["costs", "--arch", "alexnet"]) == 0
         output = capsys.readouterr().out
         assert output.count("full") == 3  # one row per backend (incl. CrypTFlow2)
+
+    def test_serve_bench_alone_runs_the_placement_report(self, capsys):
+        assert main(["serve-bench"]) == 0
+        output = capsys.readouterr().out
+        assert "8 requests, logits identical: True" in output
+        for placement in ("in-process", "socket-loopback", "shared-memory"):
+            assert placement in output
 
     def test_secure_infer_dealer(self, capsys):
         assert main(["secure-infer", "--suite", "dealer", "--boundary", "1.5"]) == 0
