@@ -65,8 +65,9 @@ def main():
           "(all zero: the online phase only consumed pooled material)")
 
     print("\n== the offline/online split ==\n")
+    pools = [*snapshot["pools"].values(), *snapshot["session_pools"].values()]
     print(f"offline (pooled ahead of time): {snapshot['offline_s']:.2f} s, "
-          f"{sum(p['misses'] for p in snapshot['pools'].values())} pool misses")
+          f"{sum(p['misses'] for p in pools)} pool misses")
     print(f"online                        : "
           f"{snapshot['amortized_online_s'] * 1e3:8.1f} ms/inference, "
           f"{snapshot['online_bytes'] / 1e6:.2f} MB in "

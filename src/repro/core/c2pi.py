@@ -52,6 +52,7 @@ from ..mpc.engine import LayerTally, SecureInferenceEngine
 from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from ..mpc.network import Channel, NetworkModel, TrafficSnapshot
 from ..mpc.preprocessing import (
+    Bundle,
     PreprocessingPool,
     ReplayDealer,
     fuse_bundles,
@@ -252,7 +253,9 @@ def clear_tail(
     return server_view, logits
 
 
-def infer_groups(groups: list[tuple[C2PIPipeline, np.ndarray]]) -> C2PIResult:
+def infer_groups(
+    groups: list[tuple[C2PIPipeline, np.ndarray]], fused: Bundle | None = None
+) -> C2PIResult:
     """One in-process C2PI request over row groups, both parties here.
 
     Each ``(pipeline, images)`` group consumes exactly what that pipeline
@@ -261,7 +264,8 @@ def infer_groups(groups: list[tuple[C2PIPipeline, np.ndarray]]) -> C2PIResult:
     noise rng, and its own clear-tail call — so every group's logits are
     byte-identical to the standalone run, however many groups share the
     pass. The crypto segment runs once over all rows (the protocols are
-    element-wise over the batch; the bundles are fused along it).
+    element-wise over the batch; the bundles are fused along it — into
+    ``fused``, the caller's retained buffer, when given).
     A lone group without a pool has the engine's dealer generate inline.
 
     Any failure restores the acquired bundles to their pools' fronts
@@ -293,7 +297,10 @@ def infer_groups(groups: list[tuple[C2PIPipeline, np.ndarray]]) -> C2PIResult:
                 offline_miss_s += pool.stats.offline_seconds - offline_s
         bundles = [bundle for _, bundle in acquired]
         if len(bundles) > 1:  # the plan is only read to fuse
-            bundles = [fuse_bundles(bundles, material_plan(program, int(bounds[-1])))]
+            plan = material_plan(program, int(bounds[-1]))
+            if fused and fused[0][0].shape != plan[0].shape:
+                fused.clear()  # another width: free the old buffer first
+            bundles = [fuse_bundles(bundles, plan, fused)]
         material = ReplayDealer(bundles[0]) if bundles else None
         start = time.perf_counter()
         input_shares = np.concatenate(

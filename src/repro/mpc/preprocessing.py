@@ -526,7 +526,8 @@ _MATERIAL_TYPES = {
 def fuse_bundles(
     bundles: list[list[tuple[MaterialRequest, object]]],
     plan: list[MaterialRequest],
-) -> list[tuple[MaterialRequest, object]]:
+    into: Bundle | None = None,
+) -> Bundle:
     """Fuse ``k`` batch-1 bundles into one bundle matching a batch-``k`` plan.
 
     The protocols are data-oblivious and element-wise over the batch, so a
@@ -539,19 +540,27 @@ def fuse_bundles(
     words (:class:`~repro.mpc.dealer.BitTriple`, comparison low bits) pack
     per element, so concatenation preserves element order.
 
+    ``into`` is the destination, returned: a bundle an earlier call fused
+    for this plan is overwritten in place (no allocation, so no fresh pages
+    to fault in), an empty one — or ``None`` — is filled with new arrays.
+    The fused arrays are read-only except while being written.
+
     Raises :class:`MaterialMismatch` when the bundles do not agree with
-    each other or cannot tile the plan — a program/batch mixup, never a
-    data-dependent condition.
+    each other, cannot tile the plan, or ``into`` holds another plan's
+    fusion — a program/batch mixup, never a data-dependent condition.
+    Everything is checked before the first write, so a mismatch leaves
+    ``into`` untouched.
     """
     if len(bundles) == 1:  # the bundle itself, seed and all
         return Bundle(bundles[0], getattr(bundles[0], "seed", None))
-    for bundle in bundles:
+    into = Bundle() if into is None else into
+    for bundle in (*bundles, *([into] if into else [])):
         if len(bundle) != len(plan):
             raise MaterialMismatch(
                 f"cannot fuse a bundle of {len(bundle)} items into a plan "
                 f"of {len(plan)}"
             )
-    fused: list[tuple[MaterialRequest, object]] = []
+    writes = []  # per plan item: what to write where, once all are checked
     for index, request in enumerate(plan):
         rows = [bundle[index] for bundle in bundles]
         base = rows[0][0]
@@ -584,20 +593,39 @@ def fuse_bundles(
         # Party-stacked fields carry the party axis in front of the
         # request's axes.
         axis = differing[0] + (kind is not LinearCorrelation)
-        fused.append(
-            (
-                request,
-                kind(
-                    **{
-                        f.name: np.concatenate(
-                            [getattr(m, f.name) for m in materials], axis=axis
-                        )
-                        for f in fields(kind)
-                    }
-                ),
-            )
+        parts = {f.name: [getattr(m, f.name) for m in materials] for f in fields(kind)}
+        specs = {name: _fused_spec(arrays, axis) for name, arrays in parts.items()}
+        if into:
+            held_request, held = into[index]
+            if held_request.shape != request.shape or type(held) is not kind or any(
+                (getattr(held, name).shape, getattr(held, name).dtype) != spec
+                for name, spec in specs.items()
+            ):
+                raise MaterialMismatch(
+                    f"the destination holds {held_request.method}"
+                    f"{held_request.shape} at item {index}, not {request.method}"
+                    f"{request.shape}"
+                )
+        writes.append((request, kind, axis, parts, specs))
+    if not into:
+        into.extend(
+            (request, kind(**{name: np.empty(*spec) for name, spec in specs.items()}))
+            for request, kind, _, _, specs in writes
         )
-    return fused
+    for (_, held), (_, _, axis, parts, _) in zip(into, writes):
+        for name, arrays in parts.items():
+            out = getattr(held, name)
+            out.flags.writeable = True
+            np.concatenate(arrays, axis=axis, out=out)
+            out.flags.writeable = False
+    return into
+
+
+def _fused_spec(arrays: list[np.ndarray], axis: int) -> tuple[tuple, np.dtype]:
+    """Shape and dtype of ``arrays`` concatenated along ``axis``."""
+    shape = list(arrays[0].shape)
+    shape[axis] = sum(array.shape[axis] for array in arrays)
+    return tuple(shape), arrays[0].dtype
 
 
 # ----------------------------------------------------------------------

@@ -36,13 +36,19 @@ import numpy as np
 from ..core.c2pi import C2PIPipeline, derive_session_seed, infer_groups
 from ..models.layered import LayeredModel
 from ..mpc.fixedpoint import DEFAULT_CONFIG, FixedPointConfig
+from ..mpc.preprocessing import Bundle
 
 __all__ = [
     "InferenceRequest",
     "InferenceReply",
     "ServerMetrics",
+    "StepInProgress",
     "C2PIServer",
 ]
+
+
+class StepInProgress(RuntimeError):
+    """:meth:`C2PIServer.step` was called while another step was running."""
 
 
 @dataclass
@@ -76,7 +82,7 @@ class InferenceReply:
 
 @dataclass
 class ServerMetrics:
-    """Aggregate serving counters (see :meth:`C2PIServer.metrics`)."""
+    """Aggregate serving counters (the :attr:`C2PIServer.metrics` attribute)."""
 
     requests: int = 0
     batches: int = 0
@@ -139,14 +145,17 @@ class C2PIServer:
         self.metrics = ServerMetrics()
         self._queue: deque[InferenceRequest] = deque()
         # Named sessions' pipelines, created on first use of a key. Only
-        # step() and warm_sessions() touch them — steps are serialized by
-        # construction.
+        # step() and warm_sessions() touch them.
         self._sessions: dict[int | str, C2PIPipeline] = {}
+        # The fused bundle every cross-session step writes into, kept so a
+        # step reuses its pages instead of faulting in fresh ones.
+        self._fused = Bundle()
         self._next_id = 0
         # Concurrent submitters (e.g. a request thread feeding a serving
         # loop) only contend on the queue and the counters; the secure
         # execution itself stays single-engine.
         self._queue_lock = threading.Lock()
+        self._stepping = False
         if warm_bundles:
             self.warm(warm_bundles)
 
@@ -201,8 +210,13 @@ class C2PIServer:
         the longest named prefix (any mix of session keys) is one batch-1
         group per request on its session's pipeline. Either way the
         groups make one :func:`~repro.core.c2pi.infer_groups` pass.
+
+        Steps share one engine and one fused bundle, so one called while
+        another runs raises :class:`StepInProgress`, queue untouched.
         """
         with self._queue_lock:
+            if self._stepping:
+                raise StepInProgress("another step() of this server is running")
             if not self._queue:
                 return []
             named = self._queue[0].session is not None
@@ -212,6 +226,15 @@ class C2PIServer:
                     break
                 take += 1
             requests = [self._queue.popleft() for _ in range(take)]
+            self._stepping = True
+        try:
+            return self._serve(requests, named)
+        finally:
+            self._stepping = False
+
+    def _serve(self, requests, named: bool) -> list[InferenceReply]:
+        """Run one step's dequeued requests; on failure, requeue them."""
+        take = len(requests)
         # Queue wait ends here: whatever follows (pool creation, a
         # cold-pool miss generating a bundle) is offline work, reported
         # separately rather than inflating queued_s.
@@ -226,7 +249,7 @@ class C2PIServer:
         try:
             for pipeline, images in groups:
                 pipeline.prepare_offline(batch=len(images), bundles=0)
-            result = infer_groups(groups)
+            result = infer_groups(groups, self._fused)
         except Exception:
             # A failed secure execution must not swallow the requests it
             # coalesced: infer_groups has put bundles and rngs back, put
@@ -296,10 +319,14 @@ class C2PIServer:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-able metrics: request/batch counters, offline/online split,
-        dealer counters and the per-label traffic breakdown."""
+        dealer counters (summed over every session) and the per-label
+        traffic breakdown."""
         pools = self.pipeline.pool_stats()
-        offline_s = sum(stats["offline_seconds"] for stats in pools.values())
-        dealer = self.pipeline.engine.dealer
+        pipelines = [self.pipeline, *self._sessions.values()]
+        offline_s = sum(
+            s["offline_seconds"] for p in pipelines for s in p.pool_stats().values()
+        )
+        dealers = [pipeline.engine.dealer for pipeline in pipelines]
         return {
             "requests": self.metrics.requests,
             "batches": self.metrics.batches,
@@ -323,10 +350,8 @@ class C2PIServer:
                 for session, pipeline in self._sessions.items()
             },
             "online_dealer_generation": {
-                "triples": dealer.triples_issued,
-                "bit_triples": dealer.bit_triples_issued,
-                "dabits": dealer.dabits_issued,
-                "comparison_masks": dealer.comparison_masks_issued,
+                key: sum(getattr(dealer, f"{key}_issued") for dealer in dealers)
+                for key in ("triples", "bit_triples", "dabits", "comparison_masks")
             },
             "traffic_by_label": self.metrics.traffic_by_label,
         }

@@ -11,6 +11,8 @@ anonymous path's bytes are untouched by fused traffic interleaved around
 it.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from repro.core import c2pi
 from repro.core.c2pi import C2PIPipeline
 from repro.mpc.preprocessing import (
     MaterialMismatch,
+    MaterialRequest,
     PreprocessingPool,
+    ReplayDealer,
     fuse_bundles,
     material_plan,
 )
@@ -235,9 +239,109 @@ class TestFusionFailureContainment:
                 - stats["bundles_poisoned"]
             ) == 1
 
+    def test_retry_on_a_warm_fused_buffer_reproduces_fault_free_bytes(
+        self, victim, monkeypatch
+    ):
+        """The same failure after one successful fused step: the retry
+        fuses into the buffer that step left behind."""
+        sessions = ["alice", "bob"]
+        images = _images(4, seed=31)
+
+        def serve(fault):
+            server = C2PIServer(
+                victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
+                max_batch=2, warm_bundles=0,
+            )
+            server.warm_sessions(sessions, bundles=2)
+            for image, session in zip(images[:2], sessions):
+                server.submit(image, session=session)
+            replies = server.step()
+            for image, session in zip(images[2:], sessions):
+                server.submit(image, session=session)
+            if fault:
+                with monkeypatch.context() as patch:
+                    patch.setattr(c2pi, "clear_tail", _exploding_tail)
+                    with pytest.raises(RuntimeError, match="injected tail failure"):
+                        server.step()
+                assert server.pending == 2
+            replies += server.step()
+            assert [reply.request_id for reply in replies] == [0, 1, 2, 3]
+            pools = [server.snapshot()["session_pools"][key] for key in sessions]
+            return [reply.logits.tobytes() for reply in replies], pools
+
+        clean, _ = serve(fault=False)
+        retried, pools = serve(fault=True)
+        assert retried == clean
+        for stats in pools:
+            assert stats["bundles_returned"] == 1
+            assert stats["misses"] == 0
+            assert (
+                stats["bundles_consumed"]
+                - stats["bundles_returned"]
+                - stats["bundles_poisoned"]
+            ) == 2
+
 
 def _exploding_tail(program, boundary_ring):
     raise RuntimeError("injected tail failure")
+
+
+class TestRetainedFusedBuffer:
+    def test_alternating_widths_match_standalone_pipelines(self, victim):
+        """Widths 3 -> 2 -> 3 -> 3: the buffer is replaced, then reused,
+        and every row still equals its session running alone."""
+        sessions = ["alice", "bob", "carol"]
+        images = _images(11, seed=37)
+        server = C2PIServer(
+            victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
+            max_batch=3, warm_bundles=0,
+        )
+        sent = {session: [] for session in sessions}
+        replies = {}
+        feed = iter(images)
+        for width in (3, 2, 3, 3):
+            for session in sessions[:width]:
+                image = next(feed)
+                sent[session].append((server.submit(image, session=session), image))
+            step = server.step()
+            assert [reply.batch_size for reply in step] == [width] * width
+            replies.update((reply.request_id, reply) for reply in step)
+        for session, requests in sent.items():
+            serial = _serial_logits(victim, session, [image for _, image in requests])
+            assert [replies[rid].logits.tobytes() for rid, _ in requests] == serial
+
+    def test_snapshot_offline_split_counts_named_sessions(self, victim):
+        """A server that only fuses named sessions reports the offline
+        seconds its session pools spent, not the anonymous pipeline's 0."""
+        server = C2PIServer(
+            victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
+            max_batch=2, warm_bundles=0,
+        )
+        server.warm_sessions(["alice", "bob"], bundles=1)
+        for image, session in zip(_images(2, seed=41), ("alice", "bob")):
+            server.submit(image, session=session)
+        server.step()
+        snapshot = server.snapshot()
+        pools = [*snapshot["pools"].values(), *snapshot["session_pools"].values()]
+        assert snapshot["offline_s"] == pytest.approx(
+            sum(stats["offline_seconds"] for stats in pools)
+        )
+        assert snapshot["offline_s"] > 0
+        assert set(snapshot["online_dealer_generation"].values()) == {0}
+
+
+def _pooled_bundles(program, count, dealer_seed=3):
+    pool = PreprocessingPool(program, 1, dealer_seed=dealer_seed)
+    pool.refill(count)
+    return [pool.acquire_bundle() for _ in range(count)]
+
+
+def _arrays(bundle):
+    return [getattr(material, f.name) for _, material in bundle for f in fields(material)]
+
+
+def _bundle_bytes(bundle):
+    return [array.tobytes() for array in _arrays(bundle)]
 
 
 class TestFuseBundlesContract:
@@ -259,3 +363,87 @@ class TestFuseBundlesContract:
         assert [request.shape for request, _ in fused] == [
             request.shape for request in plan
         ]
+
+    @pytest.fixture
+    def program(self, victim):
+        return C2PIPipeline(victim, TINY_BOUNDARY, seed=SEED).program
+
+    def test_destination_matches_allocating_fusion_byte_for_byte(self, program):
+        plan = material_plan(program, 3)
+        bundles = _pooled_bundles(program, 3)
+        dest = fuse_bundles(_pooled_bundles(program, 3, dealer_seed=4), plan)
+        reference = fuse_bundles(bundles, plan)
+        assert fuse_bundles(bundles, plan, dest) is dest
+        assert [r.shape for r, _ in dest] == [r.shape for r, _ in reference]
+        assert _bundle_bytes(dest) == _bundle_bytes(reference)
+
+    def test_prefilled_destination_is_fully_overwritten(self, program):
+        plan = material_plan(program, 2)
+        bundles = _pooled_bundles(program, 2)
+        dest = fuse_bundles(bundles, plan)
+        for array in _arrays(dest):
+            array.flags.writeable = True
+            array.view(np.uint8)[...] = 0xFF
+            array.flags.writeable = False
+        fuse_bundles(bundles, plan, dest)
+        assert _bundle_bytes(dest) == _bundle_bytes(fuse_bundles(bundles, plan))
+
+    def test_destination_arrays_are_reused(self, program):
+        plan = material_plan(program, 2)
+        dest = fuse_bundles(_pooled_bundles(program, 2), plan)
+        before = _arrays(dest)
+        fuse_bundles(_pooled_bundles(program, 2, dealer_seed=5), plan, dest)
+        after = _arrays(dest)
+        assert len(after) == len(before)
+        assert all(np.shares_memory(a, b) for a, b in zip(before, after))
+
+    def test_destination_of_another_width_or_program_is_rejected(self, victim, program):
+        bundles = _pooled_bundles(program, 2)
+        wider = fuse_bundles(_pooled_bundles(program, 3), material_plan(program, 3))
+        with pytest.raises(MaterialMismatch):
+            fuse_bundles(bundles, material_plan(program, 2), wider)
+        other = C2PIPipeline(victim, 1.5, seed=SEED).program
+        foreign = fuse_bundles(_pooled_bundles(other, 2), material_plan(other, 2))
+        with pytest.raises(MaterialMismatch):
+            fuse_bundles(bundles, material_plan(program, 2), foreign)
+
+    def test_mismatch_leaves_destination_untouched(self, program):
+        plan = material_plan(program, 2)
+        dest = fuse_bundles(_pooled_bundles(program, 2), plan)
+        before = _bundle_bytes(dest)
+        bundles = _pooled_bundles(program, 2, dealer_seed=6)
+        # Only the last item disagrees: every earlier one would fuse.
+        request, material = bundles[1][-1]
+        bundles[1][-1] = (MaterialRequest(request.method, (*request.shape, 1)), material)
+        with pytest.raises(MaterialMismatch, match=f"item {len(plan) - 1}"):
+            fuse_bundles(bundles, plan, dest)
+        assert _bundle_bytes(dest) == before
+
+    def test_writing_into_fused_material_while_the_engine_runs_raises(
+        self, victim, monkeypatch
+    ):
+        """A protocol that wrote into its material would corrupt the next
+        step's; the fused arrays are read-only, so it raises instead —
+        and the step requeues as for any other failure."""
+        server = C2PIServer(
+            victim, TINY_BOUNDARY, noise_magnitude=NOISE, seed=SEED,
+            max_batch=2, warm_bundles=0,
+        )
+        images = _images(2, seed=43)
+        for image, session in zip(images, ("alice", "bob")):
+            server.submit(image, session=session)
+        replay = ReplayDealer._material
+
+        def writing(self, method, shape, ring_fn=None):
+            material = replay(self, method, shape, ring_fn)
+            getattr(material, fields(material)[0].name)[...] = 0
+            return material
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReplayDealer, "_material", writing)
+            with pytest.raises(ValueError, match="read-only"):
+                server.step()
+        assert server.pending == 2
+        replies = server.step()
+        for session, image, reply in zip(("alice", "bob"), images, replies):
+            assert reply.logits.tobytes() == _serial_logits(victim, session, [image])[0]

@@ -1,5 +1,7 @@
 """The batched C2PI serving layer: coalescing, metrics, warm pools."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import nn
 from repro.core import c2pi
 from repro.models import vgg16
 from repro.serve import C2PIServer
+from repro.serve.server import StepInProgress
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +172,56 @@ class TestStepFaultContainment:
         replies = server.drain()
         assert [r.request_id for r in replies] == [0, 1, 2]
         assert server.snapshot()["requests"] == 3
+
+
+class TestStepConcurrency:
+    def test_concurrent_step_raises_and_books_balance(
+        self, victim, images, monkeypatch
+    ):
+        """A second step() while one runs fails at once with a typed error,
+        touching neither the queue nor a pool."""
+        server = C2PIServer(
+            victim, boundary=1.5, noise_magnitude=0.0, max_batch=2, warm_bundles=2
+        )
+        for image in images[:4]:
+            server.submit(image)
+        entered, release = threading.Event(), threading.Event()
+        tail = c2pi.clear_tail
+
+        def parked_tail(program, boundary_ring):
+            entered.set()
+            release.wait(timeout=30)
+            return tail(program, boundary_ring)
+
+        replies, errors = [], []
+
+        def step():
+            try:
+                replies.extend(server.step())
+            except StepInProgress as exc:
+                errors.append(exc)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(c2pi, "clear_tail", parked_tail)
+            first = threading.Thread(target=step)
+            first.start()
+            assert entered.wait(timeout=30)
+            second = threading.Thread(target=step)
+            second.start()
+            second.join(timeout=30)
+            assert not second.is_alive()
+            release.set()
+            first.join(timeout=30)
+            assert not first.is_alive()
+        assert len(errors) == 1
+        assert [r.request_id for r in replies] == [0, 1]
+        assert server.pending == 2
+        replies += server.drain()
+        assert [r.request_id for r in replies] == [0, 1, 2, 3]
+        snapshot = server.snapshot()
+        assert snapshot["requests"] == 4
+        stats = snapshot["pools"][2]
+        assert stats["bundles_returned"] == 0
+        assert (
+            stats["bundles_consumed"] - stats["bundles_returned"] - stats["bundles_poisoned"]
+        ) == 2
