@@ -57,11 +57,11 @@ _BLOCKING_CALLS = {
     # thread / time
     "sleep", "join",
     # sockets
-    "recv", "recv_into", "recvfrom", "sendall", "send_raw", "accept",
-    "connect", "select",
+    "recv", "recv_into", "recvfrom", "sendall", "sendmsg", "send_raw",
+    "accept", "connect", "select", "poll",
     # transport round-trips and framing
     "push", "pull", "swap", "open_add", "open_xor", "open_bits", "hand",
-    "send_obj", "recv_obj", "send_blob", "recv_blob",
+    "send_obj", "recv_obj", "send_blob", "recv_blob", "wait_peer_gone",
     "read_into", "write",
     # offline material: dealer generation and pool draws
     "refill", "generate", "_generate", "acquire_bundle", "acquire",

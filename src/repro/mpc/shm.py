@@ -26,7 +26,7 @@ receiving reads the ring into whatever buffer the decoder names — so a
 bad header, a checksum failure or a torn stream is the same typed,
 terminal error here as on a socket.
 
-Unlike :class:`~repro.mpc.transport.PeerChannel` there is **no reader
+As with :class:`~repro.mpc.transport.PeerChannel` there is **no reader
 thread**: the ring itself buffers frames until the consumer wants them,
 so :meth:`ShmChannel._recv_frame` reads synchronously on the protocol
 thread. That thread is idle precisely when it waits, which is what makes
@@ -67,7 +67,9 @@ import time
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 
-from .transport import FrameAssembler, Transport, TransportError, _frame_layout
+from .transport import (
+    FrameAssembler, PeerChannel, Transport, TransportError, _frame_layout,
+)
 
 __all__ = ["ShmRing", "ShmChannel", "DEFAULT_RING_BYTES"]
 
@@ -232,8 +234,9 @@ class ShmChannel(Transport):
     synchronous on the protocol thread (see the module docstring for
     why). ``carrier`` is
     the TCP transport that negotiated the placement: its ``WireStats``
-    is adopted (one stats object for the whole session) and its
-    ``peer_gone`` event doubles as the liveness signal a shared-memory
+    is adopted (one stats object for the whole session) and its EOF —
+    read without blocking whenever a ring wait goes idle, since nothing
+    else reads the carrier — is the liveness signal a shared-memory
     segment cannot provide by itself.
     """
 
@@ -277,7 +280,12 @@ class ShmChannel(Transport):
         return cls(party=0, rx=s2c, tx=c2s, carrier=carrier)
 
     def _abort(self) -> bool:
-        return self._closed.is_set() or self.carrier.peer_gone.is_set()
+        carrier = self.carrier
+        if isinstance(carrier, PeerChannel):
+            # No reader thread watches a socket carrier: look at it,
+            # without blocking, for the EOF of a vanished peer.
+            carrier.wait_peer_gone(0)
+        return self._closed.is_set() or carrier.peer_gone.is_set()
 
     def wait_peer_gone(self, timeout: float | None = None) -> bool:
         return self.carrier.wait_peer_gone(timeout)

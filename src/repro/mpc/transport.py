@@ -27,9 +27,10 @@ TCP's own checksum does not survive middleboxes, proxies or buggy
 framing code, and a single flipped byte in a share would otherwise
 surface only as wrong logits. The format is written in one place
 (:func:`_frame_layout`) and read in one place (:class:`FrameAssembler`,
-which verifies the CRC of every received frame); the carriers — the
-:class:`PeerChannel` reader thread, the :class:`LoopChannel` event loop,
-the shared-memory rings of :mod:`repro.mpc.shm` — only move the bytes
+which verifies the CRC of every received frame); the carriers — a
+:class:`PeerChannel` read by the thread that consumes it, a
+:class:`LoopChannel` read by an event loop while its session idles, the
+shared-memory rings of :mod:`repro.mpc.shm` — only move the bytes
 between a socket or ring and the buffers those two name. The in-memory
 :class:`QueueTransport` moves frames as objects and has nothing to
 encode, parse or checksum.
@@ -60,6 +61,7 @@ from __future__ import annotations
 import json
 import math
 import queue
+import select
 import socket
 import struct
 import threading
@@ -105,6 +107,9 @@ _VERSION = 2
 # batch 1, linear in batch and ReLU count); 1 GiB leaves them two orders
 # of magnitude and still refuses anything a header can lie about.
 MAX_FRAME_BYTES = 1 << 30
+# Linux's UIO_MAXIOV: the most buffers one sendmsg takes. A frame has a
+# few segments; only a blob of very many arrays takes more than one call.
+_IOV_MAX = 1024
 
 FRAME_RAW = 0  # online protocol payload (counted against Channel accounting)
 FRAME_JSON = 1  # control messages (handshake, requests, metrics)
@@ -458,11 +463,11 @@ class BufferPool:
       previous frame alive while the next one is being received (the
       peer runs at most one lock-step round ahead), but must drop them
       before a third same-key frame arrives;
-    * **wire** buffers stage header+payload scatter-writes inside one
-      transport send call and are never visible outside it.
+    * **wire** buffers join a multi-segment raw frame inside one
+      :class:`QueueTransport` send call and are never visible outside it.
 
-    The three tables are touched by disjoint threads (application thread:
-    send/wire; reader thread: recv), so no locking is needed.
+    Sends and receives each run on one thread at a time (the protocol
+    thread, or an idle session's event loop for receives): no locking.
     """
 
     def __init__(self, depth: int = 2):
@@ -499,7 +504,7 @@ class BufferPool:
         return self._frame("recv", label, nbytes)
 
     def wire_frame(self, label: str, nbytes: int) -> memoryview:
-        """Scratch for scatter-writing header + payload inside one send."""
+        """Scratch for joining a frame's segments inside one send."""
         return self._frame("wire", label, nbytes)
 
     def presize(self, plan: dict) -> None:
@@ -539,6 +544,9 @@ class LinkShaper:
     processes or machines it is skewed by an unknown offset, which would
     silently inflate or zero the injected latency. Both endpoints of a
     link should use the same shaper settings.
+
+    :class:`PeerChannel` passes :meth:`send_delay` / :meth:`delivery_delay`
+    reading, so a frame that lands during a wait is stamped as it lands.
     """
 
     def __init__(
@@ -560,8 +568,9 @@ class LinkShaper:
     def for_network(cls, network: NetworkModel) -> "LinkShaper":
         return cls(network.bandwidth_bytes_per_s, network.rtt_s)
 
-    def throttle_send(self, num_bytes: int) -> None:
-        """Block until the token bucket admits ``num_bytes``."""
+    def send_delay(self, num_bytes: int) -> float:
+        """Charge ``num_bytes`` to the token bucket; the seconds the
+        sender must wait before they are admitted."""
         with self._lock:
             now = time.monotonic()
             self._tokens = min(
@@ -570,22 +579,30 @@ class LinkShaper:
             )
             self._stamp = now
             self._tokens -= num_bytes
-            wait = max(0.0, -self._tokens / self.bandwidth_bytes_per_s)
+            return max(0.0, -self._tokens / self.bandwidth_bytes_per_s)
+
+    def throttle_send(self, num_bytes: int) -> None:
+        """Block until the token bucket admits ``num_bytes``."""
+        wait = self.send_delay(num_bytes)
         if wait > 0.0:
             time.sleep(wait)
 
-    def delay_delivery(self, arrived_at: float) -> None:
-        """Hold a received frame until one-way latency has elapsed.
+    def delivery_delay(self, arrived_at: float) -> float:
+        """How long a received frame is still held back.
 
         ``arrived_at`` is the receiver-side ``time.monotonic()`` stamp
         taken when the frame was fully read off the wire (so time the
         frame spent queued behind earlier deliveries counts toward its
-        latency). The residual sleep is clamped to ``[0, rtt/2]``: a
+        latency). The residual wait is clamped to ``[0, rtt/2]``: a
         skewed or bogus stamp can never inject more than one-way latency,
         and never a negative delay.
         """
         remaining = arrived_at + self.rtt_s / 2.0 - time.monotonic()
-        remaining = min(max(remaining, 0.0), self.rtt_s / 2.0)
+        return min(max(remaining, 0.0), self.rtt_s / 2.0)
+
+    def delay_delivery(self, arrived_at: float) -> None:
+        """Hold a received frame until one-way latency has elapsed."""
+        remaining = self.delivery_delay(arrived_at)
         if remaining > 0.0:
             time.sleep(remaining)
 
@@ -1037,10 +1054,14 @@ class QueueTransport(Transport):
 class PeerChannel(Transport):
     """Socket transport: runs the secure program between two processes.
 
-    A daemon reader thread drains the socket into an inbox queue, so a
-    :meth:`swap` (both parties send before either receives) can never
-    deadlock on full kernel buffers, whatever the tensor sizes.
+    Read by its consumer, no reader thread: a receive ``poll``s (bounded
+    by ``timeout``), then drains all the kernel holds, so back-to-back
+    frames are stamped when they arrived. A frame is one ``sendmsg``;
+    while the send buffer is full the sender reads, so a :meth:`swap`
+    never deadlocks, whatever the frame sizes. Shaper waits read too.
     """
+
+    loop_reads = False  # an event loop reads instead (:class:`LoopChannel`)
 
     def __init__(
         self,
@@ -1048,53 +1069,29 @@ class PeerChannel(Transport):
         party: int,
         shaper: LinkShaper | None = None,
         timeout: float | None = 120.0,
-        *,
-        reader: bool = True,
     ):
         super().__init__(party, shaper)
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock.setblocking(False)  # every wait is our own poll()
+        self._fd = sock.fileno()
+        self._poller = select.poll()
         self._write_lock = threading.Lock()
-        self._inbox: queue.Queue = queue.Queue()
+        self._inbox: deque = deque()
         self._closed = threading.Event()
         self.timeout = timeout
-        # Write deadline: a peer that stops draining its socket must not
-        # park a sender in sendall() forever once the kernel buffer fills.
-        # SO_SNDTIMEO bounds sends only — the reader thread keeps its
-        # blocking recv (receive waits are bounded by the inbox timeout).
-        if timeout is not None:
-            self._set_write_deadline(timeout)
-        # Set once the read loop exits: the peer closed, vanished, or we
-        # closed. Lets callers (the chaos layer's stall fault, session
-        # reapers) wait for peer death without polling.
+        # Set once the stream has ended: the peer closed, vanished, or we
+        # closed. Callers (the chaos layer's stall fault, the shared-memory
+        # liveness check) wait for it through :meth:`wait_peer_gone`.
         self.peer_gone = threading.Event()
         self._decoder = FrameAssembler(self)
         self._eof_delivered = False
-        # ``reader=False`` (the LoopChannel subclass) skips the per-
-        # connection reader thread: an external event loop moves the
-        # socket's bytes into the decoder instead of a dedicated thread.
-        self._reader: threading.Thread | None = None
-        if reader:
-            self._reader = threading.Thread(
-                target=self._pump,
-                name=f"c2pi-peer-reader-p{party}",
-                daemon=True,
-            )
-            self._reader.start()
-
-    def _set_write_deadline(self, seconds: float) -> None:
-        try:
-            self._sock.setsockopt(
-                socket.SOL_SOCKET,
-                socket.SO_SNDTIMEO,
-                struct.pack("ll", int(seconds), int((seconds % 1.0) * 1e6)),
-            )
-        except (OSError, struct.error):  # pragma: no cover - platform dependent
-            pass
 
     def wait_peer_gone(self, timeout: float | None = None) -> bool:
-        """Block until the peer side of the connection is gone."""
-        return self.peer_gone.wait(timeout)
+        """Block until the peer side of the connection is gone (``0``:
+        look once, without blocking). What arrives meanwhile is decoded
+        and kept for the consumer."""
+        return self._await(self.peer_gone.is_set, timeout)
 
     # -- connection helpers ---------------------------------------------
     @classmethod
@@ -1132,11 +1129,6 @@ class PeerChannel(Transport):
         for _ in range(attempts):
             try:
                 sock = socket.create_connection((host, port), timeout=timeout)
-                # The timeout above governs the connect attempt only: a
-                # lingering recv timeout would kill the reader thread on
-                # any idle gap (receive waits are bounded by the inbox
-                # timeout instead).
-                sock.settimeout(None)
                 return cls(sock, party=0, shaper=shaper, timeout=timeout)
             except OSError as exc:  # server may not be listening yet
                 last = exc
@@ -1145,7 +1137,7 @@ class PeerChannel(Transport):
 
     # -- framing ---------------------------------------------------------
     def _send_frame(self, kind: int, label: str, segments) -> None:
-        """Scatter write: head, then each segment, no payload join.
+        """One frame, one ``sendmsg``: head and payload segments scattered.
 
         A two-segment Beaver ``(d, e)`` round therefore costs zero
         concatenation copies on the sender; the receiver reads the frame
@@ -1153,61 +1145,74 @@ class PeerChannel(Transport):
         """
         head, segments, total = _frame_layout(kind, label, segments)
         if self.shaper is not None:
-            self.shaper.throttle_send(total)
-        copied = 0
-        if total > 65536:
-            # Avoid copying multi-megabyte tensors just to prepend a
-            # ~24-byte header.
-            wire_parts = [head, *segments]
-        elif self.pool is not None:
-            # Scatter head + payload into one pooled wire frame: a
-            # single sendall with zero fresh allocations.
-            staged = self.pool.wire_frame(label, len(head) + total)
-            offset = 0
-            for part in (head, *segments):
-                staged[offset : offset + len(part)] = part
-                offset += len(part)
-            wire_parts = [staged]
-        else:
-            # One segment for small frames (TCP_NODELAY is on).
-            if kind in (FRAME_RAW, FRAME_RAW_BATCH):
-                copied = total
-            wire_parts = [b"".join((head, *segments))]
+            self._await(lambda: False, self.shaper.send_delay(total))
         with self._write_lock:
-            try:
-                for part in wire_parts:
-                    self._sock.sendall(part)
-            except OSError as exc:
-                raise TransportError(f"peer connection lost on send: {exc}") from exc
-        if copied:
-            self._count_copied(label, copied)
+            self._write([memoryview(head), *segments])
         self._count_sent(kind, label, total)
 
-    def _pump(self, flags: int = 0) -> tuple[int, bool]:
-        """Move the socket's bytes into the decoder, its items into the inbox.
+    def _write(self, parts: list) -> None:
+        """``sendmsg`` until every byte of ``parts`` is out. While the send
+        buffer is full, read: the peer may be blocked writing to us, and
+        only our reading frees it. ``timeout`` with neither fails the link."""
+        while True:
+            try:
+                sent = self._sock.sendmsg(parts[:_IOV_MAX])
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError as exc:
+                raise TransportError(f"peer connection lost on send: {exc}") from exc
+            while parts and sent >= parts[0].nbytes:
+                sent -= parts.pop(0).nbytes
+            if not parts:
+                return
+            if sent:
+                parts[0] = parts[0][sent:]
+            reading = not (self._eof_delivered or self.loop_reads)
+            events = self._poll(
+                select.POLLOUT | (select.POLLIN if reading else 0), self.timeout
+            )
+            if not events:
+                raise TransportError("peer connection lost on send: timed out")
+            if events & select.POLLIN and reading:
+                self._pump()
+
+    def _poll(self, mask: int, timeout: float | None) -> int:
+        """Wait up to ``timeout`` seconds (whole milliseconds) for one of
+        the ``mask`` events; returns the events that fired (0: none)."""
+        self._poller.register(self._fd, mask)
+        ready = self._poller.poll(None if timeout is None else int(timeout * 1e3))
+        return ready[0][1] if ready else 0
+
+    def _pump(self) -> tuple[int, bool]:
+        """Move what the socket holds into the decoder, its items into the inbox.
 
         The whole read side of the carrier: the decoder says where the
-        stream's next bytes go, ``recv_into`` puts them there. Runs until
-        the stream ends — or, with ``MSG_DONTWAIT``, until the socket has
-        nothing more — and returns ``(items delivered, stream ended)``.
+        stream's next bytes go, ``recv_into`` puts them there. Never
+        blocks — reads until the kernel has nothing more or the stream
+        ends — and returns ``(items delivered, stream ended)``.
         """
+        if self._eof_delivered:
+            return 0, True
         decoder = self._decoder
         delivered = 0
         while not self._closed.is_set():
+            want = decoder.want()
             try:
-                got = self._sock.recv_into(decoder.want(), 0, flags)
+                got = self._sock.recv_into(want)
             except (BlockingIOError, InterruptedError):
                 return delivered, False
             except OSError:
                 got = 0
             item = decoder.advance(got) if got else None
             if item is not None:
-                self._inbox.put(item)
+                self._inbox.append(item)
                 delivered += 1
             if not got or decoder.failed is not None:
                 # EOF, or the stream's integrity is gone (bad header /
                 # CRC): nothing after this point can be trusted.
                 break
+            if got < len(want):
+                return delivered, False  # a short read: the kernel is empty
         return delivered + self._mark_eof(), True
 
     def _mark_eof(self) -> int:
@@ -1218,25 +1223,52 @@ class PeerChannel(Transport):
         delivered = 1
         torn = None if self._closed.is_set() else self._decoder.eof()
         if torn is not None:
-            self._inbox.put(torn)
+            self._inbox.append(torn)
             delivered += 1
         self.peer_gone.set()
-        self._inbox.put(None)
+        self._inbox.append(None)
         return delivered
 
+    def _await(self, done, timeout: float | None) -> bool:
+        """Read what arrives until ``done()`` holds or ``timeout`` seconds
+        have passed (``None``: no limit); returns ``done()``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not done():
+            if deadline is None:
+                self._read(None)
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining < 1e-3:
+                # Below poll()'s resolution: sleep it out, look once more.
+                if remaining > 0:
+                    time.sleep(remaining)
+                self._read(0)
+                return bool(done())
+            self._read(remaining)
+        return True
+
+    def _read(self, timeout: float | None) -> None:
+        """Wait up to ``timeout`` seconds for the socket to turn readable,
+        then drain it; once the stream has ended there is nothing to read."""
+        if self._eof_delivered:
+            time.sleep(timeout or 0.0)
+        elif self._poll(select.POLLIN, timeout):
+            self._pump()
+
     def _recv_frame(self) -> tuple[int, str, bytes]:
-        try:
-            item = self._inbox.get(timeout=self.timeout)
-        except queue.Empty as exc:
+        inbox = self._inbox
+        if not inbox and not self._await(lambda: inbox, self.timeout):
             raise TransportError(
                 f"party {self.party} timed out waiting for the peer"
-            ) from exc
+            )
+        item = inbox.popleft()
         if item is None:
+            inbox.appendleft(None)  # ended for every later receive too
             raise TransportError("peer closed the connection")
         if isinstance(item, TransportError):
             raise item
         if self.shaper is not None:
-            self.shaper.delay_delivery(item[3])
+            self._await(lambda: False, self.shaper.delivery_delay(item[3]))
         return self._delivered(item)
 
     def send_raw(self, data: bytes) -> None:
@@ -1247,37 +1279,35 @@ class PeerChannel(Transport):
         serving stack calls it.
         """
         with self._write_lock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise TransportError(f"peer connection lost on send: {exc}") from exc
+            self._write([memoryview(data)])
 
     def close(self) -> None:
         self._closed.set()
         try:
+            # Wakes a poll() on this socket in another thread.
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
-        self.peer_gone.set()
-        if self._reader is not None:
-            self._reader.join(timeout=5.0)
+        self._mark_eof()
 
 
 # ----------------------------------------------------------------------
-# event-loop (non-blocking) read path
+# event-loop read path
 # ----------------------------------------------------------------------
 class LoopChannel(PeerChannel):
-    """A :class:`PeerChannel` whose reads are driven by an event loop.
+    """A :class:`PeerChannel` that an event loop reads while it idles.
 
-    No per-connection reader thread: the owning loop watches the socket
-    for readability and calls :meth:`on_readable`, which moves whatever
-    the kernel has (``MSG_DONTWAIT``, so a spurious wakeup never blocks
-    the loop) straight into the decoder's buffers and its items into the
-    same inbox the consumer API reads from. Send paths, timeouts,
-    shaping, statistics and close semantics are all inherited unchanged
-    — a protocol worker using this transport cannot tell it from a
-    threaded one.
+    While :attr:`loop_reads` is set, the owning loop watches the socket
+    and calls :meth:`on_readable`, which moves whatever the kernel has
+    straight into the decoder's buffers and its items into the inbox
+    (never blocking, so a spurious wakeup never stalls the loop); a
+    receive waits for those deliveries. The owner clears
+    :attr:`loop_reads` once the loop has stopped watching — from then on
+    the consumer reads its own socket exactly like a :class:`PeerChannel`
+    — and sets it again before handing the socket back. Send paths,
+    timeouts, shaping, statistics and close semantics are all inherited
+    unchanged: a protocol worker cannot tell it from a :class:`PeerChannel`.
     """
 
     def __init__(
@@ -1287,7 +1317,9 @@ class LoopChannel(PeerChannel):
         shaper: LinkShaper | None = None,
         timeout: float | None = 120.0,
     ):
-        super().__init__(sock, party, shaper, timeout, reader=False)
+        super().__init__(sock, party, shaper, timeout)
+        self.loop_reads = True
+        self._arrival = threading.Condition()
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -1300,11 +1332,13 @@ class LoopChannel(PeerChannel):
         consumer's next receive raises ``exc`` exactly as if the read
         path had produced it.
         """
-        self._inbox.put(exc)
+        with self._arrival:
+            self._inbox.append(exc)
+            self._arrival.notify_all()
 
     def frame_waiting(self) -> bool:
         """Whether the consumer's next receive returns without waiting."""
-        return not self._inbox.empty()
+        return bool(self._inbox)
 
     def on_readable(self) -> tuple[int, bool]:
         """Drain the socket without blocking; deliver complete frames.
@@ -1315,13 +1349,19 @@ class LoopChannel(PeerChannel):
         unwatch the descriptor; the transport itself stays open until
         its owner closes it).
         """
-        return self._pump(socket.MSG_DONTWAIT)
+        delivered, ended = self._pump()
+        if delivered:
+            with self._arrival:
+                self._arrival.notify_all()
+        return delivered, ended
+
+    def _await(self, done, timeout: float | None) -> bool:
+        if not self.loop_reads:
+            return super()._await(done, timeout)
+        with self._arrival:
+            return bool(self._arrival.wait_for(done, timeout))
 
     def close(self) -> None:
-        # No reader thread will deliver the EOF sentinel on close: put it
-        # ourselves so a consumer blocked on the inbox wakes immediately
-        # instead of waiting out its full receive timeout.
         super().close()
-        if not self._eof_delivered:
-            self._eof_delivered = True
-            self._inbox.put(None)
+        with self._arrival:  # a waiting consumer sees the EOF sentinel now
+            self._arrival.notify_all()

@@ -30,13 +30,15 @@ connected by a :class:`~repro.mpc.transport.PeerChannel`:
    :func:`~repro.core.c2pi.clear_tail` and returns the logits.
 
 The server is **concurrent** around an event loop: one selector thread
-owns the listener and every session's socket, so an idle-on-the-wire
+owns the listener and every idle session's socket, so an idle-on-the-wire
 session costs one file descriptor — not a parked thread — and sessions
 are handed to a bounded worker pool only when a complete request frame
-has actually arrived. Sessions beyond ``max_sessions`` get the busy
-reply instead of a hung socket, a malformed client costs only its own
-connection, and :meth:`RemoteServer.stop` drains in-flight sessions
-before tearing the listener down. Per-session dealer-seed derivation
+has actually arrived; the worker then reads the request's rounds off
+the socket itself, with no hop through the loop. Sessions beyond
+``max_sessions`` get the busy reply instead of a hung socket, a
+malformed client costs only its own connection, and
+:meth:`RemoteServer.stop` drains in-flight sessions before tearing the
+listener down. Per-session dealer-seed derivation
 (:func:`~repro.core.c2pi.derive_session_seed`) is what keeps every session's material
 stream — and therefore its logits, bit for bit — identical to a serial
 single-client run with the same session key, no matter how requests from
@@ -208,14 +210,13 @@ class _Inflight:
 class _Session:
     """One accepted connection's event-loop record.
 
-    The loop thread owns the file descriptor (``transport`` is a
-    :class:`~repro.mpc.transport.LoopChannel`); a worker owns the
-    session only between a dispatch and the matching return to
-    ``idle``. ``state`` transitions — ``handshake`` → (``queued`` ⇄
-    ``running`` ⇄ ``idle``) → ``dead``, or sideways to ``shm`` — happen
-    under the server's ``_dispatch_lock``, which is what closes the
-    deliver-while-going-idle race: the loop re-checks dispatchability
-    under the same lock the worker used to park the session.
+    The loop thread watches and reads the file descriptor of a session
+    in ``handshake`` or ``idle`` (``transport`` is a
+    :class:`~repro.mpc.transport.LoopChannel`); a dispatch unwatches it,
+    and the worker reads its own rounds until the matching return to
+    ``idle`` hands the descriptor back. ``state`` transitions —
+    ``handshake`` → (``queued`` ⇄ ``running`` ⇄ ``idle``) → ``dead``, or
+    sideways to ``shm`` — happen under the server's ``_dispatch_lock``.
     """
 
     __slots__ = (
@@ -255,13 +256,15 @@ class RemoteServer:
 
     Concurrency model (DESIGN.md sections 8 and 14):
 
-    * one **event-loop thread** owns the listener and every session's
-      socket: accepts and socket reads are non-blocking waits
+    * one **event-loop thread** owns the listener and every idle
+      session's socket: accepts and idle reads are non-blocking waits
       multiplexed on a selector, so an idle session costs one fd, not a
       parked thread — thousands of connected-but-quiet clients are fine;
     * ``workers`` pool threads execute the protocol; a session is
       dispatched to the pool only when a complete frame is waiting, and
-      the worker is held per *request*, not per session. At most
+      the worker is held per *request*, not per session. It reads the
+      request's rounds itself (the loop unwatches the fd at dispatch and
+      watches it again once the worker parks the session). At most
       ``workers`` engine executions run at a time (``_worker_slots``
       also covers shared-memory sessions, which keep a dedicated pump
       thread because ring buffers are not selectable);
@@ -674,6 +677,13 @@ class RemoteServer:
             if command == "close":
                 self._unwatch(payload)
                 payload.transport.close()
+            elif command == "watch" and direct:
+                # Parked as the loop went down: nothing will watch it,
+                # so close it and let a worker retire it.
+                payload.transport.close()
+                self._maybe_dispatch(payload)
+            elif command == "watch":
+                self._watch(payload)
             elif command == "stop-accepting" and not direct:
                 self._unwatch_listener()
                 self._close_listener()
@@ -736,8 +746,11 @@ class RemoteServer:
             # after the full (120 s) protocol timeout.
             session.deadline = time.monotonic() + self.handshake_timeout
             session.fd = transport.fileno()
-            self._watched[session.fd] = session
-            self._selector.register(transport, selectors.EVENT_READ, session)
+            self._watch(session)
+
+    def _watch(self, session: _Session) -> None:
+        self._watched[session.fd] = session
+        self._selector.register(session.transport, selectors.EVENT_READ, session)
 
     def _service_readable(self, session: _Session) -> None:
         delivered, closed = session.transport.on_readable()
@@ -778,6 +791,9 @@ class RemoteServer:
                 return  # queued/running/shm/dead: someone owns it
             session.state = "queued"
             session.deadline = None
+        # The worker reads the whole request off the socket itself.
+        self._unwatch(session)
+        session.transport.loop_reads = False
         self._dispatch.put(session)
 
     def _loop_finish(self) -> None:
@@ -901,8 +917,8 @@ class RemoteServer:
         if shm_channel is not None:
             # Everything after the hello rides the rings, which are not
             # selectable: a dedicated pump thread serves this session
-            # (still one protocol slot per request). The TCP connection
-            # stays watched underneath as the liveness carrier.
+            # (still one protocol slot per request) and reads the TCP
+            # connection underneath, the liveness carrier, itself.
             session.shm_channel = shm_channel
             with self._state_lock:
                 self._active[stats.session_id] = (stats, shm_channel)
@@ -923,9 +939,10 @@ class RemoteServer:
         The dispatch contract guarantees a complete frame is waiting on
         entry, so the only blocking receives a pool worker ever performs
         are *inside* one request's protocol execution — where the client
-        is actively streaming its rounds. A shared-memory session never
-        parks (its rings are not selectable): its pump thread stays in
-        this loop, waiting on the ring, until ``bye``.
+        is actively streaming its rounds, and the worker reads them off
+        the socket itself, under ``_worker_slots``. A shared-memory
+        session never parks (its rings are not selectable): its pump
+        thread stays in this loop, waiting on the ring, until ``bye``.
         """
         shm = session.shm_channel
         transport = shm if shm is not None else session.transport
@@ -947,16 +964,19 @@ class RemoteServer:
 
     def _park_idle(self, session: _Session) -> bool:
         """Between requests: hand the session back to the loop if its
-        inbox is empty. The loop's ``_maybe_dispatch`` takes the same
-        lock after delivering frames, so a frame that races this park
-        either lands before the emptiness check (we keep serving) or
-        re-dispatches the now-idle session — never lost either way."""
+        inbox is empty. Only the loop touches the selector, so the fd
+        goes back with a ``watch`` command; bytes that land before the
+        loop registers it leave the fd readable, and the loop's first
+        select delivers them — a frame that races this park is never
+        lost."""
         with self._dispatch_lock:
             if session.transport.frame_waiting():
                 return False  # the next frame is already here
             session.state = "idle"
             session.deadline = time.monotonic() + self.request_timeout
-        self._wake_loop()  # recompute the loop's sleep for the deadline
+        session.transport.loop_reads = True
+        self._commands.append(("watch", session))
+        self._wake_loop()
         return True
 
     def _finish_session(

@@ -17,6 +17,13 @@ class ConvoyServer:
         with self._lock:
             time.sleep(0.1)
 
+    def socket_wait_under_state_lock(self, sock, poller, parts):
+        # A consumer reading its own socket: the wait and the scattered
+        # write both park the thread while every other one queues here.
+        with self._lock:
+            poller.poll(1000)
+            sock.sendmsg(parts)
+
     def forward(self):
         with self._lock:
             with self._pool_lock:

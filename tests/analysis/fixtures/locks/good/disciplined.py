@@ -16,6 +16,18 @@ class DisciplinedServer:
         with self._write_lock:
             sock.sendall(frame)
 
+    def serialized_scatter_write(self, sock, poller, parts):
+        # The write lock again: sendmsg and the poll() that waits for
+        # room in the send buffer are the serialized operation.
+        with self._write_lock:
+            poller.poll(1000)
+            sock.sendmsg(parts)
+
+    def socket_wait_outside(self, poller):
+        with self._lock:
+            timeout = 1000
+        poller.poll(timeout)
+
     def serialized_generation(self, dealer):
         # Generation lock: serializes the rng stream by design.
         with self._generation_lock:

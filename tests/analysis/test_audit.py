@@ -90,6 +90,19 @@ def test_good_fixtures_stay_silent(name):
     )
 
 
+def test_socket_waits_of_a_self_reading_consumer_are_blocking():
+    """A transport's consumer waits in ``poll()`` and writes with
+    ``sendmsg()``: both are flagged under a state lock, neither under the
+    write lock that serializes them."""
+    report = run_audit(FIXTURES / "locks" / "bad", passes=(locks,))
+    flagged = {
+        finding.message.split("calls blocking ")[1].split("(")[0]
+        for finding in report.findings
+        if "calls blocking " in finding.message
+    }
+    assert {"poll", "sendmsg"} <= flagged
+
+
 def test_noised_reveal_is_cleared_only_by_perturb_share():
     """The one declassification has its own rule: a raw share, a masked
     share and a half-perturbed batch all fire; a mask operand that would

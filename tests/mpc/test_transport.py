@@ -466,3 +466,232 @@ class TestLinkShaper:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             LinkShaper(0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# the consumer reads its own socket
+# ----------------------------------------------------------------------
+SMALL_BUFFER = 1 << 16
+
+
+def _shrink(sock: socket.socket) -> socket.socket:
+    for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+        sock.setsockopt(socket.SOL_SOCKET, option, SMALL_BUFFER)
+    return sock
+
+
+def _pair(timeout: float = 10.0, shrink: bool = False, **shapers):
+    """A connected (client, server) PeerChannel pair; with ``shrink`` both
+    sockets get 64 KiB kernel buffers before they connect."""
+    listener = PeerChannel.listen()
+    raw = socket.socket()
+    if shrink:
+        _shrink(listener)
+        _shrink(raw)
+    raw.connect(listener.getsockname())
+    sock, _ = listener.accept()
+    listener.close()
+    return (
+        PeerChannel(raw, party=0, timeout=timeout, shaper=shapers.get("client")),
+        PeerChannel(sock, party=1, timeout=timeout, shaper=shapers.get("server")),
+    )
+
+
+def _both(client_side, server_side) -> dict:
+    """Run the two sides at once; a side's exception is re-raised."""
+    out = {}
+
+    def run(name, side):
+        try:
+            out[name] = side()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            out[name] = exc
+
+    thread = threading.Thread(target=run, args=("server", server_side))
+    thread.start()
+    run("client", client_side)
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    for value in out.values():
+        if isinstance(value, Exception):
+            raise value
+    return out
+
+
+def _reader_threads() -> list[str]:
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("c2pi-peer-reader")
+    ]
+
+
+def _serve(victim, boundary, shrink=False, **kwargs):
+    from repro.serve.remote import RemoteServer
+
+    server = RemoteServer(victim, boundary, seed=5, **kwargs)
+    if shrink:
+        _shrink(server._listener)  # accepted sockets inherit the sizes
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+class TestReadWhileSend:
+    """A swap whose frames overflow both kernel buffers completes: a
+    blocked sender reads, which is what unblocks its peer."""
+
+    def test_8_mib_swap_between_peer_channels(self):
+        client, server = _pair(shrink=True)
+        payloads = [
+            np.random.default_rng(party).integers(0, 256, 8 << 20, np.uint8).tobytes()
+            for party in (0, 1)
+        ]
+        out = _both(
+            lambda: client.swap(payloads[0], "bulk"),
+            lambda: server.swap(payloads[1], "bulk"),
+        )
+        assert bytes(out["client"]) == payloads[1]
+        assert bytes(out["server"]) == payloads[0]
+        client.close()
+        server.close()
+
+    def test_batch_8_request_against_a_server_worker(self):
+        """resnet20 at batch 8 swaps 512 KiB ``beaver-open`` frames, four
+        times the shrunk buffers of both ends; the logits equal a run
+        over default buffers byte for byte."""
+        from repro.serve.remote import RemoteClient, _demo_victim
+
+        victim = _demo_victim("resnet20", 0.25, 0)
+        images = np.random.default_rng(3).random((8, 3, 32, 32), np.float32)
+        logits = []
+        for shrink in (False, True):
+            server, thread = _serve(victim, 3.5, shrink=shrink, request_timeout=10.0)
+            try:
+                client = RemoteClient(
+                    "127.0.0.1", server.port, seed=5, timeout=10.0,
+                    transport_wrapper=(
+                        (lambda io: (_shrink(io._sock), io)[1]) if shrink else None
+                    ),
+                )
+                reply = client.infer(images)
+                client.close()
+            finally:
+                server.stop()
+                thread.join(timeout=10.0)
+            assert reply.bytes_match
+            logits.append(reply.logits.tobytes())
+        assert logits[0] == logits[1]
+
+
+class TestShapedArrival:
+    """A shaped receiver stamps a frame when it lands, not when it is
+    wanted: frames queued behind a one-way-latency wait, or behind the
+    receiver's own bandwidth wait, do not pay ``rtt/2`` twice."""
+
+    RTT = 0.1
+    SLACK = 0.03
+
+    def test_back_to_back_frames_each_pay_one_way_latency_once(self):
+        client, server = _pair(server=LinkShaper(1e9, rtt_s=self.RTT))
+        sent = []
+        for index in range(3):
+            sent.append(time.monotonic())
+            client.push(bytes([index]) * 64, "rt")
+        delivered = []
+        for index in range(3):
+            assert server.pull("rt") == bytes([index]) * 64
+            delivered.append(time.monotonic())
+        for at, got in zip(sent, delivered):
+            assert got - at <= self.RTT / 2 + self.SLACK, (sent, delivered)
+        client.close()
+        server.close()
+
+    def test_a_frame_landing_during_throttle_send_is_stamped_on_arrival(self):
+        # 1 MB/s with a 1 KiB bucket: the client's 61 KiB frame waits
+        # 60 ms for tokens, and the server's frame lands 5 ms into it.
+        shaper = LinkShaper(1e6, rtt_s=self.RTT, burst_bytes=1024)
+        client, server = _pair(client=shaper)
+        started = threading.Event()
+        sent = {}
+
+        def server_side():
+            started.wait(5.0)
+            time.sleep(0.005)
+            sent["at"] = time.monotonic()
+            server.push(b"landed", "rt")
+            return server.pull("bulk")
+
+        def client_side():
+            started.set()
+            client.push(bytes(61 * 1024), "bulk")
+            payload = client.pull("rt")
+            return payload, time.monotonic()
+
+        out = _both(client_side, server_side)
+        payload, delivered = out["client"]
+        assert payload == b"landed" and len(out["server"]) == 61 * 1024
+        assert delivered - sent["at"] <= self.RTT / 2 + self.SLACK
+        client.close()
+        server.close()
+
+
+class TestSilentPeer:
+    """A peer that stops talking is a typed timeout on either side, and
+    no reader thread outlives a connection — there are none."""
+
+    def test_client_times_out_within_its_timeout(self):
+        listener = PeerChannel.listen()
+        client = PeerChannel.connect("127.0.0.1", listener.getsockname()[1], timeout=0.5)
+        silent, _ = listener.accept()
+        assert not _reader_threads()
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="party 0 timed out waiting for the peer"):
+            client.pull("never")
+        assert 0.5 <= time.monotonic() - start < 1.5
+        client.close()
+        assert not _reader_threads()
+        silent.close()
+        listener.close()
+
+    def test_server_worker_times_out_within_request_timeout(self):
+        from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
+        from repro.serve.remote import PROTOCOL_VERSION
+
+        server, thread = _serve(tiny_victim(0), TINY_BOUNDARY, request_timeout=0.5)
+        try:
+            client = PeerChannel.connect("127.0.0.1", server.port, timeout=10.0)
+            client.send_obj({"session": "quiet"}, "link")
+            assert client.recv_obj("hello")["protocol"] == PROTOCOL_VERSION
+            client.send_obj({"cmd": "infer", "batch": 1, "request": 0}, "req")
+            client.recv_blob("bundle")
+            # The worker now waits for our input share, which never comes.
+            start = time.monotonic()
+            assert server.wait_idle(timeout=5.0)
+            assert time.monotonic() - start < 0.5 + 0.5
+            (session,) = server.metrics()["sessions"]
+            assert session["error"] == (
+                "TransportError: party 1 timed out waiting for the peer"
+            )
+            with pytest.raises(TransportError, match="peer closed"):
+                client.pull("input-share")
+            client.close()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
+
+    def test_no_reader_thread_after_bye(self):
+        from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
+        from repro.serve.remote import RemoteClient
+
+        server, thread = _serve(tiny_victim(0), TINY_BOUNDARY)
+        try:
+            client = RemoteClient("127.0.0.1", server.port, seed=5)
+            client.infer(np.random.default_rng(7).random((1, 2, 8, 8), np.float32))
+            assert not _reader_threads()
+            client.close()  # says bye
+            assert server.wait_idle(timeout=5.0)
+            assert not _reader_threads()
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
