@@ -242,15 +242,23 @@ def clear_tail(
     """The server's clear phase: ``(server_view, logits)``.
 
     Decodes the noised boundary activation and runs the remaining layers
-    in plaintext. Batched float BLAS sums in a different order than
-    batch-1 calls, so the bytes depend on how many rows one call covers.
+    in plaintext. A row is the unit of byte identity: its logits do not
+    depend on which rows share the call. Every conv, BatchNorm, ReLU,
+    residual add, pool and Flatten already computes a row the same at any
+    batch, so the suffix runs over all rows at once; only ``nn.Linear``
+    does not (a GEMM over M rows sums differently from the M = 1 call),
+    so each Linear runs one row at a time.
     """
     server_view = program.config.decode(boundary_ring)
+    h = nn.Tensor(server_view)
     with nn.no_grad():
-        logits = program.model.forward_from(
-            nn.Tensor(server_view), program.boundary
-        ).data
-    return server_view, logits
+        for module in program.model.suffix(program.boundary):
+            if isinstance(module, nn.Linear):
+                rows = [module(h[i : i + 1]).data for i in range(h.shape[0])]
+                h = nn.Tensor(np.concatenate(rows))
+            else:
+                h = module(h)
+    return server_view, h.data
 
 
 def infer_groups(
@@ -260,12 +268,13 @@ def infer_groups(
 
     Each ``(pipeline, images)`` group consumes exactly what that pipeline
     running ``images`` alone would: the next bundle of its pool for that
-    batch size, the next draw of its share rng, the next draw of its
-    noise rng, and its own clear-tail call — so every group's logits are
-    byte-identical to the standalone run, however many groups share the
-    pass. The crypto segment runs once over all rows (the protocols are
-    element-wise over the batch; the bundles are fused along it — into
-    ``fused``, the caller's retained buffer, when given).
+    batch size, the next draw of its share rng and the next draw of its
+    noise rng — so every group's logits are byte-identical to the
+    standalone run, however many groups share the pass. The crypto
+    segment runs once over all rows (the protocols are element-wise over
+    the batch; the bundles are fused along it — into ``fused``, the
+    caller's retained buffer, when given), and so does the clear tail:
+    :func:`clear_tail` is row-separable, so one call serves every group.
     A lone group without a pool has the engine's dealer generate inline.
 
     Any failure restores the acquired bundles to their pools' fronts
@@ -323,7 +332,7 @@ def infer_groups(
             [(pipeline.noise, part) for (pipeline, _), part in zip(groups, rows)],
             config,
         )
-        tails = [clear_tail(program, boundary_ring[part]) for part in rows]
+        server_view, logits = clear_tail(program, boundary_ring)
         online_s = time.perf_counter() - start
     except Exception:
         for pool, bundle in reversed(acquired):
@@ -332,8 +341,8 @@ def infer_groups(
             rng.bit_generator.state = state
         raise
     return C2PIResult(
-        logits=np.concatenate([logits for _, logits in tails]),
-        server_view=np.concatenate([view for view, _ in tails]),
+        logits=logits,
+        server_view=server_view,
         boundary=lead.boundary,
         crypto_bytes=crypto_bytes,
         crypto_rounds=crypto_rounds,

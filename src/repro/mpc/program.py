@@ -151,8 +151,12 @@ class ConvOp(ProgramOp):
         def apply(x: np.ndarray) -> np.ndarray:
             n = x.shape[0]
             cols, out_h, out_w = im2col(x, kernel, kernel, stride, padding, dilation)
-            out = np.matmul(w_mat, cols)  # uint64 matmul wraps mod 2^64
-            return out.reshape(n, out_channels, out_h, out_w)
+            # One 2-D product over im2col's contiguous (K, L, N) base: numpy's
+            # stacked integer matmul loops per sample. Exact, since uint64
+            # wraps mod 2^64 in any summation order.
+            base = cols.transpose(1, 2, 0).reshape(cols.shape[1], -1)
+            out = np.dot(w_mat, base).reshape(out_channels, out_h * out_w, n)
+            return out.transpose(2, 0, 1).reshape(n, out_channels, out_h, out_w)
 
         return apply
 

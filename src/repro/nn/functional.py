@@ -143,12 +143,23 @@ def col2im(
     padding: int = 0,
     dilation: int = 1,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter patch gradients back to NCHW."""
+    """Adjoint of :func:`im2col`: scatter patch gradients back to NCHW.
+
+    One strided add per kernel offset, in offset order: every pixel sums
+    its patches in the order ``np.add.at`` over the im2col index would,
+    so the bytes are the same, without its per-element loop.
+    """
     n, c, h, w = x_shape
     h_padded, w_padded = h + 2 * padding, w + 2 * padding
+    out_h = conv_output_size(h, kh, stride, padding, dilation)
+    out_w = conv_output_size(w, kw, stride, padding, dilation)
     out = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
-    channels, rows, colidx, _, _ = _col_indices(c, h, w, kh, kw, stride, padding, dilation)
-    np.add.at(out, (slice(None), channels, rows, colidx), cols)
+    patches = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for i in range(kh):
+        rows = slice(i * dilation, i * dilation + stride * out_h, stride)
+        for j in range(kw):
+            cols_j = slice(j * dilation, j * dilation + stride * out_w, stride)
+            out[:, :, rows, cols_j] += patches[:, :, i, j]
     if padding > 0:
         out = out[:, :, padding:-padding, padding:-padding]
     return out
@@ -170,7 +181,11 @@ def conv2d(
 
     cols, out_h, out_w = im2col(x.data, kh, kw, stride, padding, dilation)
     w_mat = weight.data.reshape(out_channels, -1)
-    out = np.matmul(w_mat, cols)  # (N, O, out_h*out_w)
+    # Each sample's patch matrix made contiguous: the product is then one
+    # BLAS call per sample, the same call a batch-1 forward makes, so a
+    # row's output cannot depend on its batch. On the strided (N, K, L)
+    # view numpy falls back to its own loop, about ten times slower.
+    out = np.matmul(w_mat, np.ascontiguousarray(cols))  # (N, O, out_h*out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1)
     out = out.reshape(n, out_channels, out_h, out_w)

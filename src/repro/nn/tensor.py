@@ -416,7 +416,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        data = np.where(mask, self.data, 0.0).astype(self.data.dtype)
+        data = np.where(mask, self.data, 0.0).astype(self.data.dtype, copy=False)
 
         def backward(grad):
             return (grad * mask,)

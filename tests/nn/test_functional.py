@@ -76,11 +76,59 @@ class TestConv2d:
             [x, w],
         )
 
+    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
+    def test_a_row_does_not_depend_on_its_batch(self, rng, stride, padding, dilation):
+        """A batch-8 forward makes the batch-1 product once per row, so
+        each row's bytes equal that row convolved alone."""
+        x = rng.standard_normal((8, 16, 12, 12)).astype(np.float32)
+        w = rng.standard_normal((24, 16, 3, 3)).astype(np.float32)
+
+        def conv(rows):
+            return F.conv2d(
+                Tensor(rows), Tensor(w), stride=stride, padding=padding, dilation=dilation
+            ).data
+
+        alone = np.concatenate([conv(x[i : i + 1]) for i in range(len(x))])
+        assert conv(x).tobytes() == alone.tobytes()
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 5, 5)))
         w = Tensor(rng.standard_normal((2, 4, 3, 3)))
         with pytest.raises(ValueError, match="channel mismatch"):
             F.conv2d(x, w)
+
+
+class TestCol2im:
+    @staticmethod
+    def reference_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
+        """The element-wise ``np.add.at`` scatter over the im2col index."""
+        n, c, h, w = x_shape
+        out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+        channels, rows, colidx, _, _ = F._col_indices(
+            c, h, w, kh, kw, stride, padding, dilation
+        )
+        np.add.at(out, (slice(None), channels, rows, colidx), cols)
+        if padding > 0:
+            out = out[:, :, padding:-padding, padding:-padding]
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "kernel,stride,padding,dilation",
+        [(3, 1, 1, 1), (3, 2, 1, 1), (4, 3, 2, 1), (3, 1, 2, 2), (2, 2, 0, 1), (1, 2, 0, 1)],
+    )
+    def test_bytes_equal_add_at(self, rng, dtype, kernel, stride, padding, dilation):
+        """Overlapping patches sum in the same order as ``np.add.at``:
+        the gradient bytes do not move, at any stride or dilation."""
+        x_shape = (3, 2, 9, 8)
+        out_h = F.conv_output_size(9, kernel, stride, padding, dilation)
+        out_w = F.conv_output_size(8, kernel, stride, padding, dilation)
+        scale = 10.0 ** rng.integers(-6, 6, (3, 2 * kernel * kernel, out_h * out_w))
+        cols = (rng.standard_normal(scale.shape) * scale).astype(dtype)
+        got = F.col2im(cols, x_shape, kernel, kernel, stride, padding, dilation)
+        want = self.reference_col2im(cols, x_shape, kernel, kernel, stride, padding, dilation)
+        assert got.dtype == want.dtype and got.shape == want.shape == x_shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConvTranspose2d:
