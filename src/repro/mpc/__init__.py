@@ -39,9 +39,6 @@ from .costs import (
     dealer_label_traffic,
     dealer_material_bytes,
     delphi_costs,
-    drelu_label_bytes,
-    relu_label_bytes,
-    relu_offline_material_bytes,
 )
 from .chaos import (
     ChaosController,
@@ -140,9 +137,6 @@ __all__ = [
     "delphi_costs",
     "cryptflow2_costs",
     "cheetah_costs",
-    "drelu_label_bytes",
-    "relu_label_bytes",
-    "relu_offline_material_bytes",
     "dealer_label_traffic",
     "dealer_material_bytes",
 ]

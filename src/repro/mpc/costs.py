@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dealer import CLIENT_MASKS
 from .engine import LayerTally
 from .network import NetworkModel
-from .protocols import SUFFIX_STEPS
 
 __all__ = [
     "OpCost",
@@ -40,10 +40,6 @@ __all__ = [
     "cryptflow2_costs",
     "CostEstimate",
     "WORD_BYTES",
-    "SUFFIX_AND_ROUNDS",
-    "drelu_label_bytes",
-    "relu_label_bytes",
-    "relu_offline_material_bytes",
     "dealer_label_traffic",
     "dealer_material_bytes",
     "PROTOCOL_WIRE_LABELS",
@@ -59,16 +55,13 @@ __all__ = [
 # the dealer suite's own packed-circuit byte model
 # ----------------------------------------------------------------------
 # The functional dealer engine is not a modeled backend — its traffic is
-# exact. These constants re-derive the per-label byte counts of the
-# bitsliced comparison circuit so tests (and the networked CI smoke job)
-# can assert that measured socket payload equals the model: one uint64
-# word per ring element per boolean wire, 6 suffix-AND doubling rounds
-# plus the strict AND, raw word bytes on the wire (no per-call bit
-# packing).
+# exact. The tables below give what one consumed material batch opens
+# and occupies, so the bytes of any material plan (a program's, or one
+# ReLU's ``protocols.RELU_MATERIAL``) follow from them and tests (and the
+# networked CI smoke job) can assert that measured socket payload equals
+# the model: one uint64 word per ring element per boolean wire, raw word
+# bytes on the wire (no per-call bit packing).
 WORD_BYTES = 8
-# The doubling levels plus the final strict AND — derived from the
-# circuit's own step schedule so the byte model cannot drift from it.
-SUFFIX_AND_ROUNDS = len(SUFFIX_STEPS) + 1
 
 # Single source of truth for the packed layout, keyed by dealer method.
 # Online: consuming one material item over n elements opens exactly one
@@ -82,17 +75,14 @@ _METHOD_TRAFFIC: dict[str, tuple[str, callable]] = {
     # The masked input travels client -> server only.
     "linear_correlation": ("linear-masked-input", lambda n: WORD_BYTES * n),
 }
-# Offline: material bytes per element, both parties' halves. Linear
-# correlations are excluded — their output-offset size depends on the
-# layer's ring function, not on the request shape.
+# Offline: material bytes per element, both parties' halves — one item of
+# every field's dtype per element and party. Linear correlations are
+# excluded — their output-offset size depends on the layer's ring
+# function, not on the request shape.
 _METHOD_MATERIAL_BYTES = {
-    # (a, b, c) x 2 shares x one word per element.
-    "bit_triples": 3 * 2 * WORD_BYTES,
-    # r (2 x u64) + packed low bits (2 x u64) + msb (2 x u8).
-    "comparison_masks": 2 * WORD_BYTES + 2 * WORD_BYTES + 2,
-    # boolean half (2 x u8) + arithmetic half (2 x u64).
-    "dabits": 2 + 2 * WORD_BYTES,
-    "beaver_triples": 3 * 2 * WORD_BYTES,
+    method: 2 * sum(mask.dtype.itemsize for mask in masks.values())
+    for method, masks in CLIENT_MASKS.items()
+    if method != "linear_correlation"
 }
 
 
@@ -190,44 +180,6 @@ def _elements(shape) -> int:
     for dim in shape:
         total *= int(dim)
     return total
-
-
-def _drelu_methods() -> list[str]:
-    """The dealer methods one DReLU consumes (the comparison circuit)."""
-    return ["comparison_masks"] + ["bit_triples"] * SUFFIX_AND_ROUNDS
-
-
-def _relu_methods() -> list[str]:
-    """One ReLU: the DReLU circuit plus daBit B2A and the Beaver mux."""
-    return _drelu_methods() + ["dabits", "beaver_triples"]
-
-
-def _label_traffic_of(methods: list[str], elements: int) -> dict[str, int]:
-    traffic: dict[str, int] = {}
-    for method in methods:
-        label, payload = _METHOD_TRAFFIC[method]
-        traffic[label] = traffic.get(label, 0) + payload(elements)
-    return traffic
-
-
-def drelu_label_bytes(elements: int) -> dict[str, int]:
-    """Exact online bytes (both directions) of one DReLU batch, per label."""
-    return _label_traffic_of(_drelu_methods(), elements)
-
-
-def relu_label_bytes(elements: int) -> dict[str, int]:
-    """Exact online bytes of one ReLU batch (DReLU + B2A + Beaver mux)."""
-    return _label_traffic_of(_relu_methods(), elements)
-
-
-def relu_offline_material_bytes(elements: int) -> dict[str, int]:
-    """Preprocessing material bytes (both parties' halves) per ReLU batch."""
-    sizes: dict[str, int] = {}
-    for method in _relu_methods():
-        sizes[method] = (
-            sizes.get(method, 0) + _METHOD_MATERIAL_BYTES[method] * elements
-        )
-    return sizes
 
 
 def dealer_label_traffic(plan) -> dict[str, int]:

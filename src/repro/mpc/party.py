@@ -52,7 +52,6 @@ from .program import (
     ReluOp,
     SaveOp,
     SecureProgram,
-    frame_plan,
 )
 from .transport import Transport
 
@@ -227,7 +226,6 @@ class PartyEngine:
         ops: list[ProgramOp],
         party: int,
         input_shape: tuple[int, ...],
-        output_shape: tuple[int, ...],
         config: FixedPointConfig = DEFAULT_CONFIG,
         share_seed: int = 1,
     ):
@@ -236,7 +234,6 @@ class PartyEngine:
         self.ops = ops
         self.party = party
         self.input_shape = tuple(input_shape)
-        self.output_shape = tuple(output_shape)
         self.config = config
         self._share_rng = np.random.default_rng(share_seed)
         self._executor = ProgramExecutor(ops, self.input_shape, config)
@@ -251,7 +248,6 @@ class PartyEngine:
             program.ops,
             party,
             program.input_shape,
-            program.output_shape,
             config=program.config,
             share_seed=share_seed,
         )
@@ -263,7 +259,6 @@ class PartyEngine:
             ops_from_manifest(manifest),
             party=0,
             input_shape=tuple(manifest["input_shape"]),
-            output_shape=tuple(manifest["output_shape"]),
             config=FixedPointConfig(frac_bits=manifest["frac_bits"]),
             share_seed=share_seed,
         )
@@ -302,15 +297,7 @@ class PartyEngine:
             raise ValueError(
                 f"engine is party {self.party} but transport is party {io.party}"
             )
-        # All frame sizes are static per (program, batch): pay the pool
-        # growth before the first round, once per transport and batch.
-        pool = io.ensure_pool()
-        n = x.shape[0] if x is not None else batch
-        if n is not None and n not in pool.presized:
-            pool.presize(
-                frame_plan(self.ops, n, self.input_shape, self.output_shape)
-            )
-            pool.presized.add(n)
+        io.ensure_pool()
         shares = self._executor.share_input(io, self._share_rng, x=x, batch=batch)
         shares, tallies = self._executor.run(shares, DealerSuite(material), io)
         return PartyExecutionResult(

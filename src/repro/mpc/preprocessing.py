@@ -54,7 +54,7 @@ from .dealer import (
 )
 from .fixedpoint import FixedPointConfig
 from .program import AvgPoolOp, ConvOp, LinearOp, MaxPoolOp, ReluOp, SecureProgram
-from .protocols import SUFFIX_STEPS
+from .protocols import RELU_MATERIAL
 from .transport import MAX_FRAME_BYTES
 
 __all__ = [
@@ -201,23 +201,6 @@ class ReplayDealer(_DealerFace):
         return material
 
 
-def _relu_requests(shape: tuple[int, ...], out: list[MaterialRequest]) -> None:
-    """The dealer requests one ``secure_relu`` over ``shape`` consumes.
-
-    As :func:`repro.mpc.protocols.secure_relu` draws them: one comparison
-    mask, the bitsliced 63-lane suffix-AND circuit (6 doubling rounds + the
-    final strict AND, each one batched ``bit_triples`` call over one
-    packed ``uint64`` word per element), one daBit batch for B2A and one
-    Beaver triple batch for the multiplexing multiply.
-    """
-    out.append(MaterialRequest("comparison_masks", shape))
-    for _ in SUFFIX_STEPS:  # suffix-AND by doubling
-        out.append(MaterialRequest("bit_triples", shape))
-    out.append(MaterialRequest("bit_triples", shape))  # strict AND
-    out.append(MaterialRequest("dabits", shape))
-    out.append(MaterialRequest("beaver_triples", shape))
-
-
 def material_plan(program: SecureProgram, batch: int) -> list[MaterialRequest]:
     """The dealer requests one execution of ``program`` consumes, in order.
 
@@ -237,7 +220,8 @@ def material_plan(program: SecureProgram, batch: int) -> list[MaterialRequest]:
             )
         elif isinstance(op, ReluOp):
             # DealerSuite.relu flattens before calling secure_relu.
-            _relu_requests((batch * int(np.prod(op.in_shape)),), plan)
+            shape = (batch * int(np.prod(op.in_shape)),)
+            plan.extend(MaterialRequest(method, shape) for method in RELU_MATERIAL)
         elif isinstance(op, MaxPoolOp):
             # The engine's k*k tournament: each level merges `half` pairs
             # with one batched secure_maximum (a ReLU on the differences).
@@ -246,7 +230,8 @@ def material_plan(program: SecureProgram, batch: int) -> list[MaterialRequest]:
             candidates = op.kernel_size**2
             while candidates > 1:
                 half = candidates // 2
-                _relu_requests((half, batch * c, windows), plan)
+                shape = (half, batch * c, windows)
+                plan.extend(MaterialRequest(method, shape) for method in RELU_MATERIAL)
                 candidates -= half
         elif isinstance(op, AvgPoolOp):
             pass  # local sums + public-constant multiply: no material

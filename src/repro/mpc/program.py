@@ -53,7 +53,6 @@ __all__ = [
     "SecureProgram",
     "compile_program",
     "deferred_reveal_flags",
-    "frame_plan",
     "fold_batch_norm",
     "split_macs",
 ]
@@ -316,7 +315,7 @@ class SecureProgram:
 
 
 # ----------------------------------------------------------------------
-# static frame analysis (reveal fusion + buffer-pool presizing)
+# static frame analysis (reveal fusion)
 # ----------------------------------------------------------------------
 def deferred_reveal_flags(ops: list[ProgramOp]) -> list[bool]:
     """Which linear ops may defer their masked-input reveal (per op).
@@ -337,67 +336,6 @@ def deferred_reveal_flags(ops: list[ProgramOp]) -> list[bool]:
         elif isinstance(op, (ConvOp, LinearOp)):
             flags[index] = carrier_behind
     return flags
-
-
-def frame_plan(
-    ops: list[ProgramOp],
-    batch: int,
-    input_shape: tuple[int, ...],
-    output_shape: tuple[int, ...],
-) -> dict[str, set[int]]:
-    """Every online frame size the program will use, keyed by pool label.
-
-    All payload sizes are static per (program, batch), so a transport's
-    :class:`~repro.mpc.transport.BufferPool` can allocate every ring
-    before the first round (``pool.presize(frame_plan(...))``) instead of
-    growing during it. Handed messages (the input share, linear masked
-    inputs, the noised reveal) are listed under the ``@slot`` staging keys
-    :meth:`~repro.mpc.transport.Transport.hand` queues them under: the
-    slot counts same-label messages waiting for the same carrier frame.
-    """
-    plan: dict[str, set[int]] = {}
-
-    def add(label: str, nbytes: int) -> None:
-        plan.setdefault(label, set()).add(int(nbytes))
-
-    def add_relu(elements: int) -> None:
-        # One ReLU of m elements: masked reveal (8m), seven AND openings
-        # on packed words (paired (d, e): 16m), the packed B2A bit open,
-        # and the final Beaver opening pair.
-        add("masked-reveal", 8 * elements)
-        add("and-open", 16 * elements)
-        add("b2a-open", max(1, (elements + 7) // 8))
-        add("beaver-open", 16 * elements)
-
-    # A message that travels alone is received under its bare wire label.
-    for key in ("input-share@0", "input-share"):
-        add(key, 8 * batch * int(np.prod(input_shape)))
-    for key in ("noised-reveal@0", "noised-reveal"):
-        add(key, 8 * batch * int(np.prod(output_shape)))
-    flags = deferred_reveal_flags(ops)
-    slot = 0
-    for op, deferred in zip(ops, flags):
-        if isinstance(op, (ConvOp, LinearOp)):
-            nbytes = 8 * batch * int(np.prod(op.in_shape))
-            add(f"linear-masked-input@{slot}", nbytes)
-            if deferred:
-                slot += 1
-            else:
-                add("linear-masked-input", nbytes)
-        elif isinstance(op, ReluOp):
-            slot = 0
-            add_relu(batch * int(np.prod(op.in_shape)))
-        elif isinstance(op, MaxPoolOp):
-            slot = 0
-            count = op.kernel_size * op.kernel_size
-            windows = batch * int(np.prod(op.out_shape))
-            # The pairwise tournament: each level compares `half` stacked
-            # window slices at once.
-            while count > 1:
-                half = count // 2
-                add_relu(half * windows)
-                count = half + (count - 2 * half)
-    return plan
 
 
 # ----------------------------------------------------------------------

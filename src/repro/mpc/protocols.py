@@ -67,6 +67,8 @@ from .sharing import LOW63_MASK
 
 __all__ = [
     "SUFFIX_STEPS",
+    "DRELU_MATERIAL",
+    "RELU_MATERIAL",
     "RingLinearFunction",
     "beaver_multiply",
     "boolean_and",
@@ -234,6 +236,14 @@ def secure_msb(x: np.ndarray, dealer, channel: Channel) -> np.ndarray:
     return msb
 
 
+#: The dealer methods one ``secure_drelu`` draws, in order: the comparison
+#: mask, one bit-triple batch per suffix-AND doubling step and one for the
+#: strict AND. Each draw covers the call's elements and opens one round.
+#: The material plans and byte models expand this tuple, so a new
+#: comparison circuit edits it here and nowhere else.
+DRELU_MATERIAL = ("comparison_masks",) + ("bit_triples",) * (len(SUFFIX_STEPS) + 1)
+
+
 def secure_drelu(x: np.ndarray, dealer, channel: Channel) -> np.ndarray:
     """XOR shares of ``DReLU(x) = 1 - MSB(x)`` (1 where x >= 0)."""
     drelu = secure_msb(x, dealer, channel)
@@ -255,6 +265,10 @@ def bit_to_arithmetic(b: np.ndarray, dealer, channel: Channel) -> np.ndarray:
     if first is not None:
         shares[first] += e
     return shares
+
+
+#: One ``secure_relu``: the DReLU circuit, the daBit B2A, the Beaver mux.
+RELU_MATERIAL = DRELU_MATERIAL + ("dabits", "beaver_triples")
 
 
 def secure_relu(x: np.ndarray, dealer, channel: Channel) -> np.ndarray:

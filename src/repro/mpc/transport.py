@@ -442,27 +442,33 @@ class WireStats:
 # ----------------------------------------------------------------------
 # reusable frame buffers
 # ----------------------------------------------------------------------
+# Buffers per ring: a consumer may hold the previous same-key frame while
+# the next one lands (lock-step overlap), so 2 is the least that is safe.
+_POOL_DEPTH = 2
+
+
 class BufferPool:
     """Reusable per-``(label, size)`` buffers for the online hot path.
 
     Every protocol round used to allocate its frames fresh: the sender
     built ``ascontiguousarray(...).tobytes()`` staging copies, the
     receiver materialized a new ``bytes`` payload per frame. All of those
-    sizes are static per compiled program, so this pool keeps one small
-    ring of buffers per ``(label, nbytes)`` key and hands them out
-    round-robin.
+    sizes are static per compiled program and batch, so this pool keeps
+    one small ring of ``_POOL_DEPTH`` buffers per ``(label, nbytes)`` key,
+    created the first time the key is used, and hands them out
+    round-robin: after the first request of a batch size it never grows.
 
     Buffer ownership and lifetime (see DESIGN.md §10):
 
     * a **send** buffer belongs to the caller from :meth:`send_frame`
-      until the frame has been handed to the wire; after ``depth`` more
-      send frames of the same key it is recycled;
+      until the frame has been handed to the wire; after ``_POOL_DEPTH``
+      more send frames of the same key it is recycled;
     * a **recv** buffer belongs to the consumer from delivery until its
       next pull of the same ``(label, nbytes)`` key has been *processed*
-      — with the default ``depth`` of 2 a consumer may keep views of the
-      previous frame alive while the next one is being received (the
-      peer runs at most one lock-step round ahead), but must drop them
-      before a third same-key frame arrives;
+      — a consumer may keep views of the previous frame alive while the
+      next one is being received (the peer runs at most one lock-step
+      round ahead), but must drop them before a third same-key frame
+      arrives;
     * **wire** buffers join a multi-segment raw frame inside one
       :class:`QueueTransport` send call and are never visible outside it.
 
@@ -470,29 +476,18 @@ class BufferPool:
     thread, or an idle session's event loop for receives): no locking.
     """
 
-    def __init__(self, depth: int = 2):
-        if depth < 2:
-            raise ValueError("pool depth must be at least 2 (lock-step overlap)")
-        self.depth = depth
+    def __init__(self):
         self._tables: dict[str, dict] = {"send": {}, "recv": {}, "wire": {}}
-        # Batch sizes whose frame plans have been presized (owned by the
-        # engine driving this pool; lives here so a fresh transport after
-        # a reconnect starts with a clean slate).
-        self.presized: set[int] = set()
 
-    def _ring(self, table: str, label: str, nbytes: int) -> list:
+    def _frame(self, table: str, label: str, nbytes: int) -> memoryview:
         rings = self._tables[table]
         key = (label, nbytes)
         entry = rings.get(key)
         if entry is None:
-            entry = [[bytearray(nbytes) for _ in range(self.depth)], 0]
-            rings[key] = entry
-        return entry
-
-    def _frame(self, table: str, label: str, nbytes: int) -> memoryview:
-        entry = self._ring(table, label, nbytes)
+            buffers = [bytearray(nbytes) for _ in range(_POOL_DEPTH)]
+            entry = rings[key] = [buffers, 0]
         buffers, index = entry
-        entry[1] = (index + 1) % len(buffers)
+        entry[1] = (index + 1) % _POOL_DEPTH
         return memoryview(buffers[index])
 
     def send_frame(self, label: str, nbytes: int) -> memoryview:
@@ -506,20 +501,6 @@ class BufferPool:
     def wire_frame(self, label: str, nbytes: int) -> memoryview:
         """Scratch for joining a frame's segments inside one send."""
         return self._frame("wire", label, nbytes)
-
-    def presize(self, plan: dict) -> None:
-        """Allocate every ring up front from a ``label -> sizes`` plan.
-
-        The compiled program knows all frame sizes statically (see
-        :func:`repro.mpc.program.frame_plan`), so a session can pay all
-        pool growth before its first round instead of during it. Unknown
-        keys still allocate lazily — the plan is an optimization, not a
-        contract.
-        """
-        for label, sizes in plan.items():
-            for nbytes in sizes:
-                self._ring("send", label, int(nbytes))
-                self._ring("recv", label, int(nbytes))
 
     def nbytes(self) -> int:
         """Total bytes currently held across all rings."""

@@ -9,7 +9,8 @@ from pathlib import Path
 from repro.analysis import default_root, run_audit, schedule
 from repro.analysis.core import load_modules
 from repro.analysis.schedule import extract_schedule
-from repro.mpc.costs import _relu_methods, method_wire_labels
+from repro.mpc.costs import method_wire_labels
+from repro.mpc.protocols import RELU_MATERIAL
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "schedule"
 
@@ -37,15 +38,15 @@ def test_real_tree_is_clean():
 
 
 def test_relu_schedule_matches_cost_model():
-    """The extracted per-label opening counts of the ReLU are exactly the
-    cost model's own method list mapped through the traffic table —
-    ``_METHOD_TRAFFIC`` cannot drift from the implementation."""
+    """The extracted per-label opening counts of the ReLU are exactly its
+    declared ``RELU_MATERIAL`` mapped through the traffic table — neither
+    the list nor ``_METHOD_TRAFFIC`` can drift from the implementation."""
     table = extract_schedule(load_modules(default_root()))
     labels = method_wire_labels()
-    expected = Counter(labels[m] for m in _relu_methods())
+    expected = Counter(labels[m] for m in RELU_MATERIAL)
     entry = table["protocols"]["secure_relu"]
     assert entry["opens"] == dict(expected), entry["opens"]
-    assert entry["consumes"] == dict(Counter(_relu_methods()))
+    assert entry["consumes"] == dict(Counter(RELU_MATERIAL))
 
 
 def test_every_primitive_resolves():

@@ -12,8 +12,10 @@ from repro.bench.protocols import (
     render_report,
     run_bench,
 )
-from repro.mpc.costs import drelu_label_bytes, relu_label_bytes
+from repro.mpc.costs import dealer_label_traffic
 from repro.mpc.dealer import TrustedDealer
+from repro.mpc.preprocessing import MaterialRequest
+from repro.mpc.protocols import DRELU_MATERIAL, RELU_MATERIAL
 from repro.serve.loadgen import check_load_snapshot
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -32,12 +34,11 @@ class TestHarness:
             assert entry["online_bytes"] > 0
             assert entry["rounds"] > 0
         # The measured per-op bytes equal the packed-circuit cost model.
-        assert report["ops"]["drelu"]["online_bytes"] == sum(
-            drelu_label_bytes(128).values()
-        )
-        assert report["ops"]["relu"]["online_bytes"] == sum(
-            relu_label_bytes(128).values()
-        )
+        for op, methods in (("drelu", DRELU_MATERIAL), ("relu", RELU_MATERIAL)):
+            plan = [MaterialRequest(method, (128,)) for method in methods]
+            assert report["ops"][op]["online_bytes"] == sum(
+                dealer_label_traffic(plan).values()
+            )
         assert report["offline"]["bit_triple_bytes_per_element"] == 336
 
     def test_material_nbytes_counts_all_halves(self):

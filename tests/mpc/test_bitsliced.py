@@ -27,17 +27,10 @@ from hypothesis import strategies as st
 from placements import run_parties, run_placements
 
 from repro.mpc import Channel, FixedPointConfig, TrustedDealer
-from repro.mpc.costs import (
-    SUFFIX_AND_ROUNDS,
-    WORD_BYTES,
-    dealer_label_traffic,
-    dealer_material_bytes,
-    drelu_label_bytes,
-    relu_label_bytes,
-    relu_offline_material_bytes,
-)
+from repro.mpc.costs import WORD_BYTES, dealer_label_traffic, dealer_material_bytes
 from repro.mpc.party import PartyEngine, program_manifest
 from repro.mpc.preprocessing import (
+    MaterialRequest,
     PreprocessingPool,
     RecordingDealer,
     ReplayDealer,
@@ -47,6 +40,8 @@ from repro.mpc.preprocessing import (
 )
 from repro.mpc.program import compile_program
 from repro.mpc.protocols import (
+    DRELU_MATERIAL,
+    RELU_MATERIAL,
     public_less_than_shared,
     secure_drelu,
     secure_msb,
@@ -344,6 +339,11 @@ class TestLogitsPin:
         )
 
 
+def one_op(methods, n):
+    """The material requests of one protocol call over ``n`` elements."""
+    return [MaterialRequest(method, (n,)) for method in methods]
+
+
 class TestCostModelMatchesReality:
     def test_drelu_label_bytes_exact(self):
         rng = np.random.default_rng(0)
@@ -353,12 +353,12 @@ class TestCostModelMatchesReality:
         )
         channel = Channel()
         secure_drelu(x, TrustedDealer(seed=0), channel)
-        predicted = drelu_label_bytes(n)
+        predicted = dealer_label_traffic(one_op(DRELU_MATERIAL, n))
         measured = {
             label: snap.total_bytes for label, snap in channel.by_label.items()
         }
         assert measured == predicted
-        assert channel.rounds == 1 + SUFFIX_AND_ROUNDS
+        assert channel.rounds == 1 + DRELU_MATERIAL.count("bit_triples")
 
     def test_relu_label_bytes_exact(self):
         rng = np.random.default_rng(1)
@@ -371,7 +371,7 @@ class TestCostModelMatchesReality:
         measured = {
             label: snap.total_bytes for label, snap in channel.by_label.items()
         }
-        assert measured == relu_label_bytes(n)
+        assert measured == dealer_label_traffic(one_op(RELU_MATERIAL, n))
 
     def test_relu_offline_material_bytes_exact(self):
         """The modeled material footprint equals the generated arrays."""
@@ -389,7 +389,7 @@ class TestCostModelMatchesReality:
             measured[request.method] = measured.get(
                 request.method, 0
             ) + material_nbytes(material)
-        assert measured == relu_offline_material_bytes(n)
+        assert measured == dealer_material_bytes(one_op(RELU_MATERIAL, n))
         # The packed bit-triple footprint: 336 B/element (was 2646).
         assert measured["bit_triples"] == 336 * n
 

@@ -4,10 +4,11 @@ The online hot path must not allocate per round: every raw frame's
 payload is staged in (and delivered into) a reusable
 :class:`~repro.mpc.transport.BufferPool` buffer, observable through
 ``WireStats.frames_pooled`` / ``WireStats.bytes_copied``. These tests
-pin the pool mechanics (rotation, presizing, counting) and the
-end-to-end regression: a full resnet20 two-party pass with **zero**
-copied raw bytes on either side (that the pooled pass is byte-identical to
-the in-process placement is pinned by ``tests/mpc/test_party.py``).
+pin the pool mechanics (rotation, counting) and the end-to-end
+regressions: a full resnet20 two-party pass with **zero** copied raw
+bytes on either side, and pools that stop growing after a session's
+first request (that the pooled pass is byte-identical to the in-process
+placement is pinned by ``tests/mpc/test_party.py``).
 """
 
 import threading
@@ -20,13 +21,12 @@ from repro.models import resnet20
 from repro.mpc import compile_program
 from repro.mpc.party import PartyEngine, program_manifest
 from repro.mpc.preprocessing import PreprocessingPool, ReplayDealer, split_bundle
-from repro.mpc.program import frame_plan
-from repro.mpc.transport import FRAME_RAW, BufferPool, QueueTransport
+from repro.mpc.transport import BufferPool, QueueTransport
 
 
 class TestBufferPool:
     def test_same_key_rotates_through_depth(self):
-        pool = BufferPool(depth=2)
+        pool = BufferPool()
         first = pool.send_frame("x", 64)
         second = pool.send_frame("x", 64)
         third = pool.send_frame("x", 64)
@@ -39,18 +39,6 @@ class TestBufferPool:
         assert pool.send_frame("a", 32).obj is not pool.send_frame("a", 64).obj
         assert pool.send_frame("a", 32).obj is not pool.recv_frame("a", 32).obj
 
-    def test_depth_below_lockstep_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            BufferPool(depth=1)
-
-    def test_presize_allocates_send_and_recv_rings(self):
-        pool = BufferPool(depth=2)
-        pool.presize({"masked-reveal": {128}, "and-open": {256, 64}})
-        # (128 + 256 + 64) bytes x depth 2 x two tables (send + recv).
-        assert pool.nbytes() == (128 + 256 + 64) * 2 * 2
-        before = pool.nbytes()
-        pool.send_frame("masked-reveal", 128)  # presized: no growth
-        assert pool.nbytes() == before
 
 
 class TestTransportStaging:
@@ -155,15 +143,32 @@ class TestResnetAllocationRegression:
                 assert io.stats.raw_by_label.get(label, 0) > 0
                 assert label not in io.stats.copied_by_label
 
-    def test_frame_plan_covers_every_pooled_ring(self, program, two_party_run):
-        """Presizing is complete: no pool ring grew during the run."""
-        plan = frame_plan(
-            program.ops, 1, program.input_shape, program.output_shape
+    @pytest.mark.parametrize("placement", ("queue", "tcp"))
+    def test_pools_stop_growing_after_the_first_request(self, program, placement):
+        """Rings grow on first use, never after: three requests on one
+        link, and each party's pool holds the same bytes after each."""
+        images = np.random.default_rng(7).random((3, 1, 3, 32, 32), dtype=np.float32)
+        pool = PreprocessingPool(program, batch=1, dealer_seed=11)
+        bundles = [pool.acquire_bundle() for _ in images]
+        client = PartyEngine.from_manifest(program_manifest(program), share_seed=5)
+        server = PartyEngine.from_program(program, party=1)
+
+        def requests(party, run):
+            def side(io):
+                held = []
+                for image, bundle in zip(images, bundles):
+                    run(io, ReplayDealer(split_bundle(bundle, party)), image)
+                    held.append(io.pool.nbytes())
+                return held
+
+            return side
+
+        out, ios = run_parties(
+            requests(0, lambda io, material, image: client.run(io, material, x=image)),
+            requests(1, lambda io, material, _: server.run(io, material, batch=1)),
+            placement,
         )
-        for io in two_party_run["ios"]:
-            for table in ("send", "recv"):
-                for label, nbytes in io.pool._tables[table]:
-                    assert label in plan, f"unplanned pool ring {label!r}"
-                    assert nbytes in plan[label], (
-                        f"unplanned size {nbytes} for {label!r}"
-                    )
+        for held in out.values():
+            assert held[0] > 0 and held == [held[0]] * 3, held
+        for io in ios:
+            assert io.stats.bytes_copied == 0, io.stats.copied_by_label
