@@ -19,7 +19,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=2.0", "scipy>=1.10"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["c2pi=repro.cli:main"]},
 )

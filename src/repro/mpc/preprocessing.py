@@ -86,10 +86,22 @@ class MaterialRequest:
     ring_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def draw(self, dealer):
-        """Generate this request's material from ``dealer``."""
+        """Generate this request's material from ``dealer``, read-only.
+
+        Material is replayed on a retry, so nothing may write it: every
+        array is frozen here (a flags flip, not a copy), as fused bundles
+        and unpacked halves are, and an in-place write raises instead of
+        corrupting the replay.
+        """
         if self.method == "linear_correlation":
-            return dealer.linear_correlation(self.shape, self.ring_fn)
-        return getattr(dealer, self.method)(self.shape)
+            material = dealer.linear_correlation(self.shape, self.ring_fn)
+        else:
+            material = getattr(dealer, self.method)(self.shape)
+        for field in fields(material):
+            array = getattr(material, field.name)
+            if array is not None:
+                array.flags.writeable = False
+        return material
 
 
 class Bundle(list):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .. import nn
 from ..models.layered import LayeredModel
-from ..nn.functional import conv_output_size
+from ..nn.functional import conv_output_size, im2row
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .network import TrafficSnapshot
 
@@ -138,24 +138,22 @@ class ConvOp(ProgramOp):
 
     def ring_fn(self):
         """The integer linear map over Z_2^64 (numpy uint64 wrap = mod 2^64)."""
-        from ..nn.functional import im2col
-
         weight = self.weight_ring
         if weight is None:
             raise ValueError(f"{self.name}: program compiled without encoded weights")
-        w_mat = weight.reshape(weight.shape[0], -1)
+        w_t = weight.reshape(weight.shape[0], -1).T  # (K, O): each filter K-contiguous
         out_channels, kernel, stride = self.out_channels, self.kernel_size, self.stride
         padding, dilation = self.padding, self.dilation
 
         def apply(x: np.ndarray) -> np.ndarray:
             n = x.shape[0]
-            cols, out_h, out_w = im2col(x, kernel, kernel, stride, padding, dilation)
-            # One 2-D product over im2col's contiguous (K, L, N) base: numpy's
-            # stacked integer matmul loops per sample. Exact, since uint64
-            # wraps mod 2^64 in any summation order.
-            base = cols.transpose(1, 2, 0).reshape(cols.shape[1], -1)
-            out = np.dot(w_mat, base).reshape(out_channels, out_h * out_w, n)
-            return out.transpose(2, 0, 1).reshape(n, out_channels, out_h, out_w)
+            patches, out_h, out_w = im2row(x, kernel, kernel, stride, padding, dilation)
+            # One 2-D product over the (N*L, K) patch rows: numpy's integer
+            # dot walks both operands along K, where they are contiguous.
+            # Exact, since uint64 wraps mod 2^64 in any summation order.
+            out = np.dot(patches.reshape(-1, patches.shape[-1]), w_t)
+            out = out.reshape(n, out_h * out_w, out_channels).transpose(0, 2, 1)
+            return np.ascontiguousarray(out).reshape(n, out_channels, out_h, out_w)
 
         return apply
 

@@ -61,7 +61,6 @@ from typing import Callable
 
 import numpy as np
 
-from .fixedpoint import FixedPointConfig
 from .network import Channel
 from .sharing import LOW63_MASK
 
@@ -100,23 +99,13 @@ _FILL_WORDS = {
 _ONE = np.uint64(1)
 _TWO = np.uint64(2)
 _MSB_SHIFT = np.uint64(63)
-# Parity fold shifts for a 64-lane word.
-_PARITY_SHIFTS = tuple(np.uint64(s) for s in (32, 16, 8, 4, 2, 1))
 
 
-def word_parity(words: np.ndarray, reuse: bool = False) -> np.ndarray:
-    """XOR of all 64 lanes of each word (uint8 0/1) — a local XOR fold.
-
-    ``reuse=True`` folds in place: only for callers handing over a fresh
-    scratch array they will never read again (e.g. the output of the
-    final ``boolean_and``), which saves the defensive copy per round.
-    """
-    folded = np.asarray(words, dtype=np.uint64)
-    if not reuse:
-        folded = folded.copy()
-    for shift in _PARITY_SHIFTS:
-        folded ^= folded >> shift
-    return (folded & _ONE).astype(np.uint8)
+def word_parity(words: np.ndarray) -> np.ndarray:
+    """XOR of all 64 lanes of each word (uint8 0/1): the popcount's low bit."""
+    parity = np.bitwise_count(np.asarray(words, dtype=np.uint64))
+    parity &= 1
+    return parity
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +126,15 @@ def beaver_multiply(
     np.subtract(y, triple.b, out=opening[:, 1])
     d, e = channel.open_add(opening, "beaver-open")
 
-    z = triple.c + d * triple.b + e * triple.a
+    # z = c + d*b + e*a (+ d*e on party 0), accumulated into one array;
+    # the triple is the dealer's and is never written.
+    z = np.multiply(d, triple.b)
+    z += triple.c
+    scratch = np.multiply(e, triple.a)
+    z += scratch
     first = channel.row(0)
     if first is not None:
-        z[first] += d * e
+        z[first] += np.multiply(d, e, out=scratch[first])
     return z
 
 
@@ -163,10 +157,14 @@ def boolean_and(
     np.bitwise_xor(y, triple.b, out=opening[:, 1])
     d, e = channel.open_xor(opening, "and-open")
 
-    z = triple.c ^ (d & triple.b) ^ (e & triple.a)
+    # z = c ^ (d & b) ^ (e & a) (^ d & e on party 0), as in beaver_multiply.
+    z = np.bitwise_and(d, triple.b)
+    z ^= triple.c
+    scratch = np.bitwise_and(e, triple.a)
+    z ^= scratch
     first = channel.row(0)
     if first is not None:
-        z[first] ^= d & e
+        z[first] ^= np.bitwise_and(d, e, out=scratch[first])
     return z
 
 
@@ -187,8 +185,9 @@ def public_less_than_shared(
     """
     first = channel.row(0)
     # t_i = r_i AND (NOT z_i): affine in the shared bit (z public). Lane
-    # 63 stays zero on every share (not_z masks it off).
-    not_z = ~np.asarray(z_low, dtype=np.uint64) & LOW63_MASK
+    # 63 stays zero on every share: z_low's lane 63 is zero, and the XOR
+    # flips only lanes 0..62.
+    not_z = np.bitwise_xor(z_low, LOW63_MASK)
     t = r_words & not_z
 
     # eq_i = 1 XOR z_i XOR r_i: party 0 absorbs the public part. A copy —
@@ -215,9 +214,8 @@ def public_less_than_shared(
         strict[first] |= _FILL_WORDS[1]
     term = boolean_and(t, strict, dealer, channel)
 
-    # Disjoint OR == XOR == parity across the word's lanes (local); the
-    # term is this call's own scratch, so the fold may consume it.
-    return word_parity(term, reuse=True)
+    # Disjoint OR == XOR == parity across the word's lanes (local).
+    return word_parity(term)
 
 
 def secure_msb(x: np.ndarray, dealer, channel: Channel) -> np.ndarray:
@@ -227,12 +225,11 @@ def secure_msb(x: np.ndarray, dealer, channel: Channel) -> np.ndarray:
     np.add(x, mask.r, out=masked)
     z = channel.open_add(masked, "masked-reveal")
 
-    borrow = public_less_than_shared(z & LOW63_MASK, mask.low_bits, dealer, channel)
-
-    msb = mask.msb ^ borrow
+    msb = public_less_than_shared(z & LOW63_MASK, mask.low_bits, dealer, channel)
+    msb ^= mask.msb
     first = channel.row(0)
     if first is not None:
-        msb[first] ^= ((z >> _MSB_SHIFT) & _ONE).astype(np.uint8)
+        msb[first] ^= (z >> _MSB_SHIFT).astype(np.uint8)
     return msb
 
 
@@ -259,8 +256,9 @@ def bit_to_arithmetic(b: np.ndarray, dealer, channel: Channel) -> np.ndarray:
     e = channel.open_bits(b ^ dabit.boolean, "b2a-open").astype(np.uint64)
 
     # b = e XOR d = e + d - 2 e d, with e public: flip is 1 or -1 mod 2^64.
-    flip = _ONE - _TWO * e
-    shares = flip * dabit.arithmetic
+    flip = np.multiply(e, _TWO)
+    np.subtract(_ONE, flip, out=flip)
+    shares = np.multiply(dabit.arithmetic, flip)
     first = channel.row(0)
     if first is not None:
         shares[first] += e
@@ -317,15 +315,16 @@ def secure_linear(
     )
     channel.tick_round("linear")
 
-    rows: list = [None] * len(x)
+    offset = correlation.client_offset if client is not None else correlation.server_offset
+    y = np.empty((len(x), *offset.shape), dtype=np.uint64)
     if client is not None:
-        rows[client] = correlation.client_offset
+        y[client] = correlation.client_offset
     if server is not None:
-        y = ring_linear_fn(masked + x[server]) + correlation.server_offset
+        row = y[server]
+        np.add(ring_linear_fn(masked + x[server]), correlation.server_offset, out=row)
         if bias_2f is not None:
-            y += bias_2f
-        rows[server] = y
-    return np.stack(rows)
+            row += bias_2f
+    return y
 
 
 def truncate_shares(
@@ -343,9 +342,10 @@ def truncate_shares(
     if client is not None:
         np.right_shift(shares[client], shift, out=truncated[client])
     if server is not None:
-        truncated[server] = FixedPointConfig.neg(
-            FixedPointConfig.neg(shares[server]) >> shift
-        )
+        row = truncated[server]
+        np.negative(shares[server], out=row)  # uint64 negation wraps mod 2^64
+        row >>= shift
+        np.negative(row, out=row)
     return truncated
 
 

@@ -17,6 +17,7 @@ from .tensor import Tensor
 
 __all__ = [
     "im2col",
+    "im2row",
     "conv_output_size",
     "col2im",
     "conv2d",
@@ -100,6 +101,41 @@ def _flat_gather(
     return flat, channels.shape[0], rows.shape[1], out_h, out_w
 
 
+@lru_cache(maxsize=128)
+def _row_gather(
+    c: int,
+    h: int,
+    w: int,
+    kh: int,
+    kw: int,
+    stride: int,
+    padding: int,
+    dilation: int,
+) -> tuple[np.ndarray, int, int, int, int]:
+    """:func:`_flat_gather`'s index reordered to (L, K): output position
+    by output position, each one's K patch elements adjacent."""
+    flat, k, patch_cols, out_h, out_w = _flat_gather(
+        c, h, w, kh, kw, stride, padding, dilation
+    )
+    rows = flat.reshape(k, patch_cols).T.ravel()
+    rows.setflags(write=False)
+    return rows, k, patch_cols, out_h, out_w
+
+
+def _padded_rows(x: np.ndarray, padding: int) -> np.ndarray:
+    """The NCHW ``x`` zero-padded on both spatial axes, one row per sample."""
+    n, c, h, w = x.shape
+    if padding > 0:
+        # Hand-rolled zero pad: np.pad's generality costs more Python
+        # time than the whole gather for small feature maps.
+        padded = np.zeros(
+            (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
+        )
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    return x.reshape(n, -1)
+
+
 def im2col(
     x: np.ndarray,
     kh: int,
@@ -110,14 +146,6 @@ def im2col(
 ) -> tuple[np.ndarray, int, int]:
     """Lower an NCHW array into a (N, C*kh*kw, out_h*out_w) patch matrix."""
     n, c, h, w = x.shape
-    if padding > 0:
-        # Hand-rolled zero pad: np.pad's generality costs more Python
-        # time than the whole gather for small feature maps.
-        padded = np.zeros(
-            (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
-        )
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded
     flat, k, patch_cols, out_h, out_w = _flat_gather(
         c, h, w, kh, kw, stride, padding, dilation
     )
@@ -126,11 +154,30 @@ def im2col(
     # so every downstream float reduction keeps its summation order and
     # the pinned logits stay bit-identical.
     patches = (
-        x.reshape(n, -1)
+        _padded_rows(x, padding)
         .T.take(flat, axis=0)
         .reshape(k, patch_cols, n)
         .transpose(2, 0, 1)
     )
+    return patches, out_h, out_w
+
+
+def im2row(
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> tuple[np.ndarray, int, int]:
+    """Lower an NCHW array into contiguous (N, out_h*out_w, C*kh*kw) patch
+    rows: :func:`im2col` transposed, each output position's patch adjacent
+    in memory."""
+    n, c, h, w = x.shape
+    rows, k, patch_cols, out_h, out_w = _row_gather(
+        c, h, w, kh, kw, stride, padding, dilation
+    )
+    patches = _padded_rows(x, padding).take(rows, axis=1).reshape(n, patch_cols, k)
     return patches, out_h, out_w
 
 
@@ -179,13 +226,17 @@ def conv2d(
     if in_channels != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {in_channels}")
 
-    cols, out_h, out_w = im2col(x.data, kh, kw, stride, padding, dilation)
+    flat, k, patch_cols, out_h, out_w = _flat_gather(
+        c, h, w, kh, kw, stride, padding, dilation
+    )
+    # Each sample's patch matrix gathered contiguous: the product is then
+    # one BLAS call per sample, the same call a batch-1 forward makes, so
+    # a row's output cannot depend on its batch. On im2col's strided
+    # (N, K, L) view numpy falls back to its own loop, about ten times
+    # slower.
+    cols = _padded_rows(x.data, padding).take(flat, axis=1).reshape(n, k, patch_cols)
     w_mat = weight.data.reshape(out_channels, -1)
-    # Each sample's patch matrix made contiguous: the product is then one
-    # BLAS call per sample, the same call a batch-1 forward makes, so a
-    # row's output cannot depend on its batch. On the strided (N, K, L)
-    # view numpy falls back to its own loop, about ten times slower.
-    out = np.matmul(w_mat, np.ascontiguousarray(cols))  # (N, O, out_h*out_w)
+    out = np.matmul(w_mat, cols)  # (N, O, out_h*out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1)
     out = out.reshape(n, out_channels, out_h, out_w)
@@ -195,7 +246,10 @@ def conv2d(
 
     def backward(grad):
         grad_mat = grad.reshape(n, out_channels, -1)
-        grad_w = np.einsum("nol,nkl->ok", grad_mat, cols).reshape(weight.shape)
+        # The weight gradient reads im2col's (K, L, N) layout: einsum's
+        # summation order follows the strides, and these are its bytes.
+        strided = np.ascontiguousarray(cols.transpose(1, 2, 0)).transpose(2, 0, 1)
+        grad_w = np.einsum("nol,nkl->ok", grad_mat, strided).reshape(weight.shape)
         grad_cols = np.matmul(w_mat.T, grad_mat)
         grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding, dilation)
         if bias is None:

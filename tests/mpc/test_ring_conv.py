@@ -63,3 +63,43 @@ def test_ring_fn_equals_per_sample_matmul(conv, batch):
     assert got.dtype == np.uint64
     assert got.shape == want.shape == (batch, *op.out_shape)
     assert np.array_equal(got, want)
+
+
+SERVED = {  # c_in, c_out, size, kernel, stride, padding, dilation
+    "stem-K27": (3, 4, 10, 3, 1, 1, 1),
+    "projection-1x1-s2": (4, 8, 10, 1, 2, 0, 1),
+    "wide-16to32": (16, 32, 6, 1, 1, 0, 1),
+    "dilated-d2": (4, 6, 11, 3, 1, 2, 2),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("conv", SERVED)
+def test_patch_rows_equal_per_sample_matmul(conv, batch):
+    """The (N*L, K) patch-row product at the served nets' shapes: the
+    3-channel stem (K = 27), a 1x1 stride-2 projection, O > K and a
+    dilated conv, on full-range words. A patch row must hold one output
+    position's K elements: a (K, L)-ordered gather scrambles it."""
+    c_in, c_out, size, kernel, stride, padding, dilation = SERVED[conv]
+    rng = np.random.default_rng([c_in, c_out, kernel, stride, dilation, batch])
+    out = conv_output_size(size, kernel, stride, padding, dilation)
+    op = ConvOp(
+        kind="conv",
+        name=f"conv-{conv}",
+        in_shape=(c_in, size, size),
+        out_shape=(c_out, out, out),
+        in_channels=c_in,
+        out_channels=c_out,
+        kernel_size=kernel,
+        stride=stride,
+        padding=padding,
+        dilation=dilation,
+        weight_ring=_full_range(rng, (c_out, c_in, kernel, kernel)),
+    )
+    x = _full_range(rng, (batch, c_in, size, size))
+
+    got = op.ring_fn()(x)
+    want = _per_sample_reference(op, x)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.shape == want.shape == (batch, *op.out_shape)
+    assert np.array_equal(got, want)

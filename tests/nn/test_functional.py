@@ -98,6 +98,50 @@ class TestConv2d:
             F.conv2d(x, w)
 
 
+class TestConv2dBytes:
+    """A batched ``conv2d`` gathers its patches straight into a contiguous
+    (N, K, L) array and rebuilds im2col's strided layout only for the
+    weight gradient. Its forward output and every gradient byte-equal the
+    path it replaced, kept here as the reference: ``matmul`` over
+    ``ascontiguousarray(im2col(...))`` forward, and the einsum over
+    im2col's strided cols backward (einsum sums in stride order, so a
+    weight gradient read off the contiguous cols would differ)."""
+
+    @staticmethod
+    def reference(x, w, b, grad, stride, padding, dilation):
+        n = x.shape[0]
+        out_channels, _, kh, kw = w.shape
+        cols, out_h, out_w = F.im2col(x, kh, kw, stride, padding, dilation)
+        w_mat = w.reshape(out_channels, -1)
+        out = np.matmul(w_mat, np.ascontiguousarray(cols)) + b.reshape(1, -1, 1)
+        grad_mat = grad.reshape(n, out_channels, -1)
+        grad_w = np.einsum("nol,nkl->ok", grad_mat, cols).reshape(w.shape)
+        grad_cols = np.matmul(w_mat.T, grad_mat)
+        grad_x = F.col2im(grad_cols, x.shape, kh, kw, stride, padding, dilation)
+        grad_b = grad_mat.sum(axis=(0, 2))
+        return out.reshape(n, out_channels, out_h, out_w), grad_x, grad_w, grad_b
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_im2col_path(self, dtype, stride, padding, dilation, batch):
+        rng = np.random.default_rng([stride, padding, dilation, batch])
+        x = rng.standard_normal((batch, 6, 11, 10)).astype(dtype)
+        w = rng.standard_normal((7, 6, 3, 3)).astype(dtype)
+        b = rng.standard_normal(7).astype(dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=padding, dilation=dilation)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(grad)
+
+        want = self.reference(x, w, b, grad, stride, padding, dilation)
+        for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestCol2im:
     @staticmethod
     def reference_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
