@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--listen", default="127.0.0.1:0", help="host:port (port 0 = ephemeral)"
     )
-    serve.add_argument("--boundary", type=float, default=None)
+    _add_boundary_arg(serve)
     serve.add_argument("--seed", type=int, default=0, help="dealer seed")
     serve.add_argument("--once", action="store_true", help="serve one connection")
     serve.add_argument(
@@ -231,13 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="per-RPC timeout (s) on dealer fetches; a fetch retries "
-        "through faults for 4x this before falling back",
-    )
-    serve.add_argument(
-        "--no-dealer-fallback",
-        action="store_true",
-        help="never generate inline when the dealer is unavailable; "
-        "affected requests get a typed retriable busy reply instead",
+        "through faults for 4x this, then the request gets a typed "
+        "retriable busy reply",
     )
 
     dealer = sub.add_parser(
@@ -270,12 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dealer.add_argument("--model-seed", type=int, default=0)
     dealer.add_argument(
-        "--boundary",
-        type=float,
+        "--tiny",
+        type=int,
         default=None,
-        help="crypto/clear boundary (default matches `serve`: 3.5 for "
-        "resnet20, 2.5 otherwise)",
+        metavar="SEED",
+        help="serve the tiny chaos-check victim with this weight seed "
+        "(test/CI mode; overrides --arch and --untrained-width)",
     )
+    _add_boundary_arg(dealer)
     dealer.add_argument(
         "--generation-slots",
         type=int,
@@ -386,6 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
         "label sets) as JSON",
     )
     return parser
+
+
+def _add_boundary_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--boundary",
+        type=float,
+        default=None,
+        help="crypto/clear boundary (default: 3.5 for resnet20, 2.5 "
+        "otherwise — equal for `serve` and `dealer`, whose program "
+        "fingerprints must match)",
+    )
+
+
+def _boundary(args) -> float:
+    """``--boundary``, or the default for the victim (``--tiny`` overrides
+    ``--arch``)."""
+    if args.boundary is not None:
+        return args.boundary
+    resnet = args.arch == "resnet20" and getattr(args, "tiny", None) is None
+    return 3.5 if resnet else 2.5
 
 
 def _add_victim_args(parser: argparse.ArgumentParser, default_arch: str = "vgg16") -> None:
@@ -558,9 +575,7 @@ def _cmd_serve(args) -> int:
         from .bench import get_victim
 
         model, _, _ = get_victim(args.arch, args.dataset)
-    boundary = args.boundary
-    if boundary is None:
-        boundary = 3.5 if args.arch == "resnet20" else 2.5
+    boundary = _boundary(args)
     host, port = _parse_endpoint(args.listen)
     dealer = _parse_endpoint(args.dealer) if args.dealer else None
     server = RemoteServer(
@@ -575,7 +590,6 @@ def _cmd_serve(args) -> int:
         allow_shm=not args.no_shm,
         dealer=dealer,
         dealer_timeout=args.dealer_timeout,
-        dealer_fallback=not args.no_dealer_fallback,
     )
     if args.warm:
         server.warm(args.warm_batch, args.warm)
@@ -601,22 +615,39 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_dealer(args) -> int:
-    from .serve.dealer_service import main as dealer_main
+    from .mpc.pool_store import PoolStore
+    from .mpc.program import compile_program
+    from .serve.dealer_service import DealerServer
+    from .serve.remote import _demo_victim
 
-    boundary = args.boundary
-    if boundary is None:
-        boundary = 3.5 if args.arch == "resnet20" else 2.5
-    dealer_args = [
-        "--listen", args.listen,
-        "--arch", args.arch,
-        "--untrained-width", str(args.untrained_width),
-        "--model-seed", str(args.model_seed),
-        "--boundary", str(boundary),
-        "--generation-slots", str(args.generation_slots),
-    ]
-    if args.store:
-        dealer_args += ["--store", args.store]
-    return dealer_main(dealer_args)
+    if args.tiny is not None:
+        from .serve.chaos_check import tiny_victim
+
+        model = tiny_victim(args.tiny)
+    else:
+        model = _demo_victim(args.arch, args.untrained_width, args.model_seed)
+    program = compile_program(model, _boundary(args))
+    host, port = _parse_endpoint(args.listen)
+    store = PoolStore(args.store) if args.store else None
+    server = DealerServer(
+        program,
+        store=store,
+        host=host,
+        port=port,
+        max_active_generations=args.generation_slots,
+    )
+    # The launcher (tests, CI, an operator) reads the bound endpoint from
+    # stdout; no protocol value is in scope here.
+    print(f"dealer listening on {server.host}:{server.port}", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive use
+        pass
+    finally:
+        server.stop()
+        if store is not None:
+            store.close()
+    return 0
 
 
 def _cmd_client(args) -> int:

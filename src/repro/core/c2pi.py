@@ -125,16 +125,12 @@ class C2PIPipeline:
         self._pools: dict[int, PreprocessingPool] = {}
 
     # ------------------------------------------------------------------
-    def prepare_offline(
-        self, batch: int = 1, bundles: int = 1, background: bool = False
-    ) -> PreprocessingPool:
+    def prepare_offline(self, batch: int = 1, bundles: int = 1) -> PreprocessingPool:
         """Run the offline phase: pool ``bundles`` sets of correlated
         randomness for ``batch``-sized requests.
 
         The pool's dealer is seeded like the engine's, so warm-pool
-        inference is byte-identical to the single-shot path. With
-        ``background=True`` generation happens in a daemon thread and
-        ``infer`` joins it on demand.
+        inference is byte-identical to the single-shot path.
         """
         pool = self._pools.get(batch)
         if pool is None:
@@ -143,7 +139,7 @@ class C2PIPipeline:
             )
             self._pools[batch] = pool
         if bundles:
-            (pool.refill_async if background else pool.refill)(bundles)
+            pool.refill(bundles)
         return pool
 
     def pool_stats(self) -> dict[int, dict]:

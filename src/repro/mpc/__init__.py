@@ -60,7 +60,6 @@ from .network import LAN, WAN, Channel, NetworkModel, TrafficSnapshot
 from .party import PartyEngine, PartyExecutionResult, program_manifest
 from .preprocessing import (
     MaterialRequest,
-    PoolExhausted,
     PoolStats,
     PreprocessingPool,
     ReplayDealer,
@@ -112,7 +111,6 @@ __all__ = [
     "compile_program",
     "split_macs",
     "PreprocessingPool",
-    "PoolExhausted",
     "PoolStats",
     "ReplayDealer",
     "MaterialRequest",

@@ -14,8 +14,8 @@ real:
   request stream depends only on shapes) and generates whole
   per-inference **bundles** of
   :class:`~repro.mpc.dealer.LinearCorrelation` /
-  :class:`~repro.mpc.dealer.ComparisonMask` / triple material, eagerly or
-  in a background thread.
+  :class:`~repro.mpc.dealer.ComparisonMask` / triple material, on the
+  caller's thread.
 * :class:`ReplayDealer` serves one bundle back in consumption order —
   the one material consumer of both placements: a whole bundle for the
   in-process engine, one party's row view (:func:`split_bundle`, or a
@@ -62,7 +62,6 @@ __all__ = [
     "MaterialRequest",
     "draw_bundle",
     "MaterialMismatch",
-    "PoolExhausted",
     "RecordingDealer",
     "ReplayDealer",
     "PoolStats",
@@ -123,10 +122,6 @@ def draw_bundle(dealer: TrustedDealer, trace: list[MaterialRequest]) -> Bundle:
 
 class MaterialMismatch(RuntimeError):
     """A replayed bundle was asked for material it does not hold next."""
-
-
-class PoolExhausted(RuntimeError):
-    """``acquire()`` on an empty pool with automatic refill disabled."""
 
 
 class _DealerFace:
@@ -272,12 +267,10 @@ class PoolStats:
     offline_seconds: float = 0.0
     material_items: int = 0
     # Crypto-producer offload (zero for purely local pools): bundles that
-    # arrived from a remote dealer process, dealer RPC attempts that had
-    # to be retried, and bundles generated inline because the dealer was
-    # unreachable past its deadline (the graceful-degradation path).
+    # arrived from a remote dealer process, and dealer RPC attempts that
+    # had to be retried.
     bundles_fetched_remote: int = 0
     dealer_rpc_retries: int = 0
-    dealer_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -297,49 +290,25 @@ class PreprocessingPool:
     dealer_seed:
         Seed of the generating dealer. Match the engine's ``dealer_seed``
         to reproduce the inline (single-shot) results byte for byte.
-    auto_refill:
-        When True (default), ``acquire()`` on an empty pool synchronously
-        generates one bundle (recorded as a *miss*); when False it raises
-        :class:`PoolExhausted` — the strict mode the exhaustion tests use.
     """
 
-    def __init__(
-        self,
-        program: SecureProgram,
-        batch: int,
-        dealer_seed: int = 0,
-        auto_refill: bool = True,
-    ):
+    def __init__(self, program: SecureProgram, batch: int, dealer_seed: int = 0):
         if batch < 1:
             raise ValueError("batch must be positive")
         self.program = program
         self.batch = batch
-        self.auto_refill = auto_refill
         self.stats = PoolStats()
         self._dealer = TrustedDealer(seed=dealer_seed)
         self._bundles: deque[list[tuple[MaterialRequest, object]]] = deque()
         self._trace: list[MaterialRequest] | None = None
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         # Dealer generation runs under its own lock so the rng stream
         # stays strictly ordered (determinism) *without* holding the pool
         # lock for the whole generation: `available` and `acquire()` of an
         # already-generated bundle must complete while a slow refill is in
-        # flight. Only the deque/stats mutations take the pool lock.
+        # flight — concurrent workers share the anonymous pools. Only the
+        # deque/stats mutations take the pool lock.
         self._generation_lock = threading.Lock()
-        # Bundles scheduled by refill_async but not yet generated. Tracked
-        # under the lock so concurrent acquirers can tell "a refill is on
-        # its way" from "the pool is genuinely dry" without racing on a
-        # thread handle (the seed kept only the *latest* thread and
-        # checked is_alive() outside the lock, so two consumers could
-        # join a stale thread and both fall through to miss-generation).
-        self._pending_refills = 0
-        self._refill_done = threading.Condition(self._lock)
-        # A generation failure inside a background refill thread must not
-        # evaporate with the daemon thread while acquirers keep waiting
-        # for material that will never arrive: the worker parks it here
-        # and the next acquire()/refill() re-raises it to a caller that
-        # can actually handle (or report) it.
-        self._refill_error: BaseException | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -375,7 +344,6 @@ class PreprocessingPool:
         already-generated bundles (and ``available``) never block behind
         a refill in progress.
         """
-        self._raise_deferred_failure()
         trace = self.requirements()
         for _ in range(bundles):
             with self._generation_lock:
@@ -387,49 +355,8 @@ class PreprocessingPool:
                 self.stats.bundles_generated += 1
                 self.stats.material_items += len(bundle)
                 self.stats.offline_seconds += elapsed
-                self._refill_done.notify_all()
         with self._lock:
             self.stats.refills += 1
-
-    def refill_async(self, bundles: int = 1) -> threading.Thread:
-        """Refill in a background thread (daemon); returns the thread.
-
-        The scheduled bundle count is registered under the lock *before*
-        the thread starts, so an ``acquire()`` that races the generator
-        waits for it instead of double-generating miss bundles.
-        """
-        with self._lock:
-            self._pending_refills += bundles
-
-        def work() -> None:
-            try:
-                self.refill(bundles)
-            except BaseException as exc:  # noqa: BLE001 - deferred, not dropped
-                # The daemon thread is the wrong place for this failure to
-                # die: record it so the next acquire()/refill() raises it
-                # where a caller is actually listening.
-                with self._lock:
-                    self._refill_error = exc
-            finally:
-                with self._lock:
-                    self._pending_refills -= bundles
-                    self._refill_done.notify_all()
-
-        thread = threading.Thread(
-            target=work, name="c2pi-preprocessing", daemon=True
-        )
-        thread.start()
-        return thread
-
-    def _raise_deferred_failure(self) -> None:
-        """Re-raise (once) a generation error parked by a background refill."""
-        with self._lock:
-            error, self._refill_error = self._refill_error, None
-        if error is not None:
-            raise RuntimeError(
-                "background preprocessing refill failed; the pool recorded "
-                "the error and is re-raising it on the next acquire/refill"
-            ) from error
 
     def restore(self, bundle: list[tuple[MaterialRequest, object]]) -> None:
         """Return an acquired-but-unused bundle to the *front* of the pool.
@@ -444,7 +371,6 @@ class PreprocessingPool:
         with self._lock:
             self._bundles.appendleft(bundle)
             self.stats.bundles_returned += 1
-            self._refill_done.notify_all()
 
     def poison(self, count: int = 1) -> None:
         """Record ``count`` acquired bundles as spent-but-unserved.
@@ -458,33 +384,20 @@ class PreprocessingPool:
             self.stats.bundles_poisoned += count
 
     def acquire(self) -> ReplayDealer:
-        """Pop the oldest bundle as a :class:`ReplayDealer`.
-
-        Waits for any pending background refill first if the pool is
-        empty; failing that, either generates one bundle on the spot (a
-        *miss*, when ``auto_refill``) or raises :class:`PoolExhausted`.
-        """
+        """Pop the oldest bundle as a :class:`ReplayDealer`."""
         return ReplayDealer(self.acquire_bundle())
 
     def acquire_bundle(self) -> list[tuple[MaterialRequest, object]]:
-        """Pop the oldest raw bundle (the two-process serving path splits
-        it into per-party halves before shipping the client's half)."""
+        """Pop the oldest raw bundle, or — on an empty pool — generate one
+        now, on the caller's thread (a *miss*). The two-process serving
+        path splits it into per-party halves before shipping the
+        client's half."""
         while True:
-            self._raise_deferred_failure()
             with self._lock:
-                while not self._bundles and self._pending_refills:
-                    self._refill_done.wait()
-                if self._refill_error is not None:
-                    continue  # woken by a failed refill: re-raise at loop top
                 if self._bundles:
                     self.stats.bundles_consumed += 1
                     return self._bundles.popleft()
                 self.stats.misses += 1
-                if not self.auto_refill:
-                    raise PoolExhausted(
-                        f"preprocessing pool for batch={self.batch} is empty "
-                        "(auto_refill disabled)"
-                    )
             # Miss generation happens outside the pool lock too; a racing
             # consumer may pop the fresh bundle first, in which case the
             # loop simply generates another.
@@ -494,12 +407,11 @@ class PreprocessingPool:
         """Pop the oldest raw bundle if one is in the deque *now*, else ``None``.
 
         The ask of a caller that wants material only if it costs
-        nothing: never generates inline, never waits on a pending
-        background refill and — a :class:`DealerBackedPool` inherits this
-        unchanged — never calls the dealer. A pop is an acquisition like
-        any other (``bundles_consumed``, resolved by serve / ``restore``
-        / ``poison``); coming away empty is not a miss, and a parked
-        refill failure stays parked for a caller that asked for work.
+        nothing: never generates inline, never waits on a refill in
+        flight and — a :class:`DealerBackedPool` inherits this unchanged
+        — never calls the dealer. A pop is an acquisition like any other
+        (``bundles_consumed``, resolved by serve / ``restore`` /
+        ``poison``); coming away empty is not a miss.
         """
         with self._lock:
             if not self._bundles:

@@ -23,12 +23,11 @@ module extracts the dealer into its own process:
   deadline is spent.
 * :class:`DealerBackedPool` — a :class:`~repro.mpc.preprocessing.
   PreprocessingPool` whose refill fetches from the dealer instead of
-  generating. Each fetched record carries the dealer's rng state, which
-  the pool mirrors into its *local* dealer — so when the remote dealer
-  is unreachable and ``fallback`` is enabled, inline generation resumes
-  at exactly the remote stream's position and the served logits stay
-  byte-identical. Fallbacks, remote fetches and RPC retries are
-  accounted in :class:`~repro.mpc.preprocessing.PoolStats`.
+  generating. It never generates locally: a dealer that stays busy or
+  unreachable past the fetch deadline fails the acquisition typed
+  (:class:`DealerBusy` / :class:`DealerUnreachable`), which the serving
+  layer answers with a retriable busy reply. Remote fetches and RPC
+  retries are accounted in :class:`~repro.mpc.preprocessing.PoolStats`.
 
 Request idempotency is structural: a bundle, once generated, is stored
 and re-served verbatim for any later request of the same ``seq`` —
@@ -38,16 +37,18 @@ split one stream position across two different bundles.
 Trust topology: the dealer is the same third party the in-process
 :class:`~repro.mpc.dealer.TrustedDealer` already models (it learns the
 weights like a Delphi server, never a client input). The default RPC
-mode ships both party halves plus the rng state to the *serving*
-process — exactly the joint view the server holds today, since the
-server has always run the dealer locally. The ``party=0/1`` request
-mode serves a single half (without the rng state, which would reveal
-the whole stream) for the stricter topology where each party fetches
-its own half directly; the tests pin that a directly-fetched half is
-byte-identical to the server-forwarded one.
+mode ships both party halves to the *serving* process — the joint view
+the server holds when it draws material itself; the serving process
+also names the stream's seed, so it is not yet a separate party
+(ROADMAP item 12). The rng state stays in the dealer's own store: no
+reply carries it. The ``party=0/1`` request mode serves a single half
+for the stricter topology where each party fetches its own half
+directly; the tests pin that a directly-fetched half is byte-identical
+to the server-forwarded one.
 
-``python -m repro.serve.dealer_service --listen H:P --store DIR ...``
-(or ``c2pi dealer``) runs the process standalone.
+``c2pi dealer --listen H:P --store DIR ...`` runs the process
+standalone; ``python -m repro.serve.dealer_service`` takes the same
+arguments.
 """
 
 from __future__ import annotations
@@ -94,14 +95,13 @@ DEALER_PROTOCOL = 1
 # generating the bundle. len0/len1/len_state header, then the three byte
 # strings; the header is 24 bytes and a container a multiple of 8, so
 # both halves sit 8-aligned in the record and are read where they lie.
-# Party-split replies blank the fields the requesting party must not see
-# (state pins the whole stream — joint-mode only).
+# Replies blank the state (it pins the whole stream, so only the store
+# keeps it) and a party-split reply the other party's half too.
 _RECORD_HEADER = struct.Struct("!QQQ")
 
 
 class DealerBusy(RuntimeError):
-    """Typed, retriable refusal: the dealer is at its admission limit
-    (or was asked for an unstored bundle in ``generate=False`` mode)."""
+    """Typed, retriable refusal: the dealer is at its admission limit."""
 
 
 class DealerUnreachable(RuntimeError):
@@ -141,21 +141,19 @@ def _unpack_record(record) -> tuple[memoryview, memoryview, memoryview]:
 
 def _seal_reply(record: bytes, party: int | None) -> list:
     """The wire form of a stored record for one requester, as the
-    segments of its blob frame.
+    segments of its blob frame: views of the record, not copies.
 
-    ``party=None`` (the server-forwarded topology) ships the record
-    verbatim — which is what makes a re-served bundle byte-identical
-    across dealer restarts. A single-party request gets only its own
-    sealed half (a view of the record, not a copy), and never the rng
-    state: the state determines every party's future material, so it
-    travels joint-mode only.
+    ``party=None`` (the server-forwarded topology) gets both halves, a
+    single-party request only its own. No reply carries the rng state:
+    it determines every party's future material, and only a restarted
+    dealer needs it, from its own store.
     """
-    if party is None:
-        return [record]
     blob0, blob1, _state = _unpack_record(record)
-    if party == 0:
-        return _record_segments([blob0], [], b"")
-    return _record_segments([], [blob1], b"")
+    return _record_segments(
+        [blob0] if party in (None, 0) else [],
+        [blob1] if party in (None, 1) else [],
+        b"",
+    )
 
 
 class _Stream:
@@ -196,10 +194,6 @@ class DealerServer:
         Admission limit: how many bundle *generations* may run at once.
         Requests beyond it get a retriable busy reply instead of a
         convoy; serves from the store are never throttled.
-    generate:
-        ``False`` turns the dealer into a pure cache: unstored seqs get
-        a retriable ``pool-exhausted`` busy reply (the strict mode the
-        exhaustion tests use).
     """
 
     def __init__(
@@ -210,7 +204,6 @@ class DealerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_active_generations: int = 2,
-        generate: bool = True,
         timeout: float = 120.0,
     ):
         if max_active_generations < 1:
@@ -218,7 +211,6 @@ class DealerServer:
         self.program = program
         self.fingerprint = program_fingerprint(program)
         self.store = store
-        self.generate = generate
         self.host = host
         self.timeout = timeout
         self._listener = PeerChannel.listen(host, port)
@@ -341,8 +333,6 @@ class DealerServer:
             with self._state_lock:
                 self.served_from_store += 1
             return record, "store"
-        if not self.generate:
-            raise _Busy("pool-exhausted")
         if not self._admission.acquire(blocking=False):
             with self._state_lock:
                 self.busy_rejections += 1
@@ -644,12 +634,10 @@ class DealerBackedPool(PreprocessingPool):
     Drop-in for :class:`PreprocessingPool` on the serving side: same
     locks, same acquire/restore/poison books, same per-session seeding.
     A refill asks the dealer for the stream's next record and rejoins
-    the party halves; the embedded rng state is mirrored into the local
-    dealer after every fetch, so inline **fallback** generation (dealer
-    down or busy, ``fallback=True``) continues the stream byte-for-byte
-    where the remote left off. With ``fallback=False`` the typed
-    :class:`DealerBusy` / :class:`DealerUnreachable` propagates out of
-    ``acquire()`` for the serving layer to convert into a retriable
+    the party halves. It never generates locally: a dealer that stays
+    down or busy past ``fetch_deadline`` surfaces as the typed
+    :class:`DealerBusy` / :class:`DealerUnreachable` out of
+    ``acquire()``, for the serving layer to convert into a retriable
     busy reply.
     """
 
@@ -658,54 +646,33 @@ class DealerBackedPool(PreprocessingPool):
         program: SecureProgram,
         batch: int,
         dealer_seed: int = 0,
-        auto_refill: bool = True,
         *,
         client: DealerClient,
-        fallback: bool = True,
         fetch_deadline: float = 5.0,
     ):
-        super().__init__(
-            program, batch, dealer_seed=dealer_seed, auto_refill=auto_refill
-        )
+        super().__init__(program, batch, dealer_seed=dealer_seed)
         self._client = client
         self._session_seed = dealer_seed
-        self._fallback = fallback
         self._fetch_deadline = fetch_deadline
         self._next_seq = 0
 
     def _generate(self, trace) -> Bundle:
-        """One stream step: remote fetch, or state-synced inline fallback.
+        """One stream step: the dealer's record for the next ``seq``.
 
         Callers hold ``_generation_lock`` (stream order is the
         determinism contract, exactly as in the base pool).
         """
-        seq = self._next_seq
-        try:
-            record = self._client.fetch(
-                self.batch, self._session_seed, seq,
-                deadline=self._fetch_deadline,
-            )
-        except DealerError:
-            raise  # a refusal is a configuration bug, never degraded mode
-        except (DealerBusy, DealerUnreachable, TransportError, OSError):
-            if not self._fallback:
-                raise
-            fetched = False
-            bundle = super()._generate(trace)
-        else:
-            fetched = True
-            blob0, blob1, state = _unpack_record(record)
-            bundle = join_party_bundle(
-                unpack_party_bundle(blob0), unpack_party_bundle(blob1)
-            )
-            if state:
-                # Mirror the remote stream position: a later inline fallback
-                # must continue exactly where the dealer's rng stands.
-                self._dealer.restore_state(json.loads(bytes(state)))
-        self._next_seq = seq + 1
+        record = self._client.fetch(
+            self.batch, self._session_seed, self._next_seq,
+            deadline=self._fetch_deadline,
+        )
+        blob0, blob1, _state = _unpack_record(record)
+        bundle = join_party_bundle(
+            unpack_party_bundle(blob0), unpack_party_bundle(blob1)
+        )
+        self._next_seq += 1
         with self._lock:  # one client per pool: its retries are the pool's
-            self.stats.bundles_fetched_remote += fetched
-            self.stats.dealer_fallbacks += not fetched
+            self.stats.bundles_fetched_remote += 1
             self.stats.dealer_rpc_retries = self._client.rpc_retries
         return bundle
 
@@ -717,85 +684,12 @@ class DealerBackedPool(PreprocessingPool):
 # standalone process entry point
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
-    import argparse
+    """``c2pi dealer`` under its module name: one argument parser."""
+    import sys
 
-    parser = argparse.ArgumentParser(
-        prog="c2pi dealer",
-        description="Standalone crypto-producer: serves preprocessing "
-        "bundles over the framed transport, spilling every bundle to a "
-        "disk-backed store so a killed dealer restarts where it left off.",
-    )
-    parser.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address (port 0 picks an ephemeral port)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="PoolStore directory (omit for in-memory retention only)",
-    )
-    parser.add_argument(
-        "--arch", default="resnet20",
-        choices=("alexnet", "vgg16", "vgg19", "resnet20"),
-        help="untrained victim architecture (must match the server's)",
-    )
-    parser.add_argument(
-        "--untrained-width", type=float, default=0.25, metavar="MULT",
-        help="width multiplier of the untrained victim",
-    )
-    parser.add_argument(
-        "--model-seed", type=int, default=0,
-        help="weight seed of the untrained victim",
-    )
-    parser.add_argument(
-        "--tiny", type=int, default=None, metavar="SEED",
-        help="serve the tiny chaos-check victim with this weight seed "
-        "(test/CI mode; overrides --arch)",
-    )
-    parser.add_argument(
-        "--boundary", type=float, default=2.5,
-        help="crypto/clear boundary depth of the compiled program",
-    )
-    parser.add_argument(
-        "--generation-slots", type=int, default=2, metavar="N",
-        help="admission limit: concurrent bundle generations",
-    )
-    args = parser.parse_args(argv)
+    from ..cli import main as cli_main
 
-    from ..mpc.fixedpoint import DEFAULT_CONFIG
-    from ..mpc.program import compile_program
-
-    if args.tiny is not None:
-        from .chaos_check import tiny_victim
-
-        model = tiny_victim(args.tiny)
-    else:
-        from .remote import _demo_victim
-
-        model = _demo_victim(args.arch, args.untrained_width, args.model_seed)
-    program = compile_program(model, args.boundary, DEFAULT_CONFIG)
-
-    host, _, port_text = args.listen.partition(":")
-    store = PoolStore(args.store) if args.store else None
-    server = DealerServer(
-        program,
-        store=store,
-        host=host or "127.0.0.1",
-        port=int(port_text or 0),
-        max_active_generations=args.generation_slots,
-    )
-    # The launcher (tests, CI, an operator) reads the bound endpoint from
-    # stdout; no protocol value is in scope here.
-    # audit: allow[secrecy/print-in-protocol] -- startup banner only
-    print(f"dealer listening on {server.host}:{server.port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        pass
-    finally:
-        server.stop()
-        if store is not None:
-            store.close()
-    return 0
+    return cli_main(["dealer", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -89,7 +89,6 @@ from ..mpc.network import NetworkModel, TrafficSnapshot
 from ..mpc.party import PartyEngine, program_fingerprint, program_manifest
 from ..mpc.preprocessing import (
     MaterialMismatch,
-    PoolExhausted,
     PreprocessingPool,
     ReplayDealer,
     party_bundle_segments,
@@ -101,6 +100,7 @@ from .dealer_service import (
     DealerBackedPool,
     DealerBusy,
     DealerClient,
+    DealerError,
     DealerUnreachable,
 )
 from ..mpc.shm import ShmChannel
@@ -134,10 +134,10 @@ class ServerBusy(TransportError):
 
 class PoolBusy(ServerBusy):
     """The server admitted the request but its offline material is
-    momentarily unavailable (pool exhausted, dealer busy/unreachable
-    with fallback disabled). Retriable on the *same* connection: the
-    session stays in lock-step and :meth:`RemoteClient.infer` with
-    ``retries`` backs off and replays the request key."""
+    momentarily unavailable (its dealer busy or unreachable past the
+    fetch deadline). Retriable on the *same* connection: the session
+    stays in lock-step and :meth:`RemoteClient.infer` with ``retries``
+    backs off and replays the request key."""
 
 
 def _snapshot_dict(snapshot: TrafficSnapshot) -> dict:
@@ -252,7 +252,13 @@ class RemoteServer:
     The server owns the model: it compiles the crypto segment once,
     plays the dealer for the offline phase, executes party 1 of the
     online protocol, and evaluates the clear layers on the noised
-    boundary activation.
+    boundary activation. With ``dealer=`` it fetches every bundle from
+    a ``c2pi dealer`` process instead and never draws one itself: a
+    dealer busy or down past ``dealer_fetch_deadline`` answers the
+    request with a retriable :class:`PoolBusy`, a dealer refusal
+    (another program's fingerprint) with a non-retriable
+    :class:`~repro.serve.dealer_service.DealerError` — in the bundle
+    slot, so the connection and the worker both live on.
 
     Concurrency model (DESIGN.md sections 8 and 14):
 
@@ -305,7 +311,6 @@ class RemoteServer:
         dealer: tuple[str, int] | None = None,
         dealer_timeout: float = 5.0,
         dealer_fetch_deadline: float | None = None,
-        dealer_fallback: bool = True,
         dealer_transport_wrapper=None,
     ):
         if workers < 1:
@@ -314,10 +319,9 @@ class RemoteServer:
             raise ValueError("request_timeout must be positive")
         # Offline material source: None = generate in-process (the
         # historical mode); a (host, port) endpoint delegates generation
-        # to the standalone crypto-producer (serve/dealer_service.py),
-        # falling back to inline generation — byte-identically, the
-        # fetched rng state keeps the local dealer in sync — when the
-        # dealer is unreachable and `dealer_fallback` is set.
+        # to the standalone crypto-producer (serve/dealer_service.py).
+        # A dealer-backed server never generates: a dealer down or busy
+        # past the fetch deadline answers the request with PoolBusy.
         self._dealer_endpoint = dealer
         self._dealer_timeout = dealer_timeout
         # The per-RPC timeout bounds one socket wait; the fetch deadline
@@ -329,7 +333,6 @@ class RemoteServer:
             if dealer_fetch_deadline is None
             else dealer_fetch_deadline
         )
-        self._dealer_fallback = dealer_fallback
         self._dealer_wrapper = dealer_transport_wrapper
         # Shared-memory placement is granted per session, and only to
         # unshaped links (a shaped "WAN" session must stay on the socket
@@ -479,7 +482,6 @@ class RemoteServer:
                     timeout=self._dealer_timeout,
                     transport_wrapper=self._dealer_wrapper,
                 ),
-                fallback=self._dealer_fallback,
                 fetch_deadline=self._dealer_fetch_deadline,
             )
         with self._pools_lock:
@@ -1202,15 +1204,17 @@ class RemoteServer:
             self._settle_promise(self._take_promise(stats))
         try:
             record = self._acquire_for_request(request, batch, stats, promise)
-        except (PoolExhausted, DealerBusy, DealerUnreachable) as exc:
-            # Offline material is momentarily unavailable. Nothing has
-            # been written to the wire for this request yet, so the
-            # session stays in lock-step: fill the bundle slot with a
-            # typed retriable refusal instead of killing the connection.
+        except (DealerBusy, DealerUnreachable, DealerError) as exc:
+            # No offline material: the dealer is busy or down (retriable)
+            # or refused the pool (a configuration error, not retriable).
+            # Nothing has been written to the wire for this request yet,
+            # so the session stays in lock-step: fill the bundle slot
+            # with a typed refusal instead of killing the connection —
+            # or, escaping `_process`, the worker thread.
             transport.send_obj(
                 {
                     "busy": True,
-                    "retriable": True,
+                    "retriable": not isinstance(exc, DealerError),
                     "reason": type(exc).__name__,
                     "detail": str(exc),
                 },
@@ -1345,12 +1349,8 @@ class RemoteServer:
             host, port = self._dealer_endpoint
             result["dealer"] = {
                 "endpoint": f"{host}:{port}",
-                "fallback": self._dealer_fallback,
                 "bundles_fetched_remote": sum(
                     p["bundles_fetched_remote"] for p in pools.values()
-                ),
-                "dealer_fallbacks": sum(
-                    p["dealer_fallbacks"] for p in pools.values()
                 ),
                 "dealer_rpc_retries": sum(
                     p["dealer_rpc_retries"] for p in pools.values()
@@ -1707,9 +1707,10 @@ class RemoteClient:
         kind, payload = transport.recv_reply("bundle")
         if kind == "obj":
             # The bundle slot carried a typed refusal: the server is up
-            # and the session is still in lock-step, its offline material
-            # just isn't ready. Retriable on this same connection.
-            raise PoolBusy(
+            # and the session is still in lock-step. Retriable on this
+            # same connection unless the dealer refused outright.
+            refusal = PoolBusy if payload.get("retriable") else DealerError
+            raise refusal(
                 f"server deferred request {key}: {payload.get('reason')} "
                 f"({payload.get('detail')})"
             )

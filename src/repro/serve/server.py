@@ -6,8 +6,7 @@
 * the crypto segment is compiled into a
   :class:`~repro.mpc.program.SecureProgram` **once**, at startup;
 * per-batch :class:`~repro.mpc.preprocessing.PreprocessingPool`\\ s are
-  kept warm (and can be refilled in the background between requests), so
-  the request path is online-phase work only;
+  kept warm, so the request path is online-phase work only;
 * queued requests are **coalesced** into batched secure executions —
   a batch of b images costs one protocol round trip per layer instead of
   b, which is where the serving throughput comes from;
@@ -164,10 +163,10 @@ class C2PIServer:
         return self.pipeline.program
 
     # ------------------------------------------------------------------
-    def warm(self, bundles: int = 1, batch: int | None = None, background: bool = False):
+    def warm(self, bundles: int = 1, batch: int | None = None):
         """Offline phase: pool ``bundles`` bundles for ``batch``-sized runs."""
         return self.pipeline.prepare_offline(
-            batch=batch or self.max_batch, bundles=bundles, background=background
+            batch=batch or self.max_batch, bundles=bundles
         )
 
     def submit(self, image: np.ndarray, session: int | str | None = None) -> int:

@@ -7,7 +7,6 @@ from repro import nn
 from repro.core import C2PIPipeline
 from repro.models import vgg16
 from repro.mpc import (
-    PoolExhausted,
     PreprocessingPool,
     SecureInferenceEngine,
     compile_program,
@@ -181,101 +180,14 @@ class TestPoolLifecycle:
         # The trace is cached: a second call returns an equal list.
         assert trace == pool.requirements()
 
-    def test_exhaustion_raises_when_strict(self, program, image):
-        pool = PreprocessingPool(program, batch=1, auto_refill=False)
-        pool.refill(1)
-        engine = SecureInferenceEngine.from_program(program)
-        engine.run(image, material=pool.acquire())
-        with pytest.raises(PoolExhausted):
-            pool.acquire()
-        assert pool.stats.misses == 1
-
-    def test_exhaustion_refills_when_auto(self, program, image):
-        pool = PreprocessingPool(program, batch=1, auto_refill=True)
+    def test_empty_pool_generates_on_acquire(self, program, image):
+        pool = PreprocessingPool(program, batch=1)
         assert pool.available == 0
         engine = SecureInferenceEngine.from_program(program)
         result = engine.run(image, material=pool.acquire())  # miss -> refill
         assert result.shares[0].shape == (1, *program.output_shape)
         assert pool.stats.misses == 1
         assert pool.stats.bundles_generated == 1
-
-    def test_background_refill(self, program, image):
-        pool = PreprocessingPool(program, batch=1)
-        pool.refill_async(1).join()
-        assert pool.available == 1
-        assert pool.stats.bundles_generated == 1
-        # acquire() also joins a pending refill on demand.
-        pool.refill_async(1)
-        engine = SecureInferenceEngine.from_program(program)
-        engine.run(image, material=pool.acquire())
-        assert pool.stats.misses == 0
-
-    def test_background_refill_failure_surfaces_on_next_acquire(self, program):
-        """A generation error in the daemon refill thread must not
-        evaporate: the pool records it and re-raises it from the next
-        acquire(), instead of parking the acquirer (or silently serving
-        nothing) while the error dies with the thread."""
-        pool = PreprocessingPool(program, batch=1)
-
-        def throwing_generate(trace):
-            raise ValueError("dealer exploded mid-generation")
-
-        pool._generate = throwing_generate
-        pool.refill_async(1).join()
-        with pytest.raises(RuntimeError, match="background preprocessing refill"):
-            pool.acquire()
-        # The error is delivered once; with generation still broken the
-        # subsequent acquire fails in the miss path, not with a stale error.
-        with pytest.raises(ValueError, match="dealer exploded"):
-            pool.acquire()
-
-    def test_background_refill_failure_surfaces_on_next_refill(self, program):
-        pool = PreprocessingPool(program, batch=1)
-        original_generate = pool._generate
-
-        def throwing_generate(trace):
-            raise ValueError("dealer exploded mid-generation")
-
-        pool._generate = throwing_generate
-        pool.refill_async(1).join()
-        pool._generate = original_generate
-        with pytest.raises(RuntimeError, match="background preprocessing refill"):
-            pool.refill(1)
-        # The deferred failure is consumed: the pool works again.
-        pool.refill(1)
-        assert pool.available == 1
-
-    def test_waiting_acquirer_wakes_on_failed_refill(self, program):
-        """An acquirer already parked on a pending refill is woken by the
-        failure and re-raises it — it must not wait forever for material
-        that will never arrive."""
-        import threading
-
-        release = threading.Event()
-
-        pool = PreprocessingPool(program, batch=1)
-
-        def blocking_then_throwing(trace):
-            release.wait(5.0)
-            raise ValueError("dealer exploded mid-generation")
-
-        pool._generate = blocking_then_throwing
-        pool.refill_async(1)
-        failures = []
-
-        def acquirer():
-            try:
-                pool.acquire()
-            except RuntimeError as exc:
-                failures.append(exc)
-
-        thread = threading.Thread(target=acquirer, daemon=True)
-        thread.start()
-        release.set()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive(), "acquirer still parked after failed refill"
-        assert len(failures) == 1
-        assert isinstance(failures[0].__cause__, ValueError)
 
     def test_wrong_batch_bundle_is_rejected(self, program):
         pool = PreprocessingPool(program, batch=2)
@@ -295,60 +207,14 @@ class TestPoolLifecycle:
 
 
 class TestConcurrentAcquire:
-    """Regression: concurrent consumers must not double-generate bundles.
-
-    The seed tracked only the *latest* refill thread and checked
-    ``is_alive() and not available`` outside the lock, so a consumer that
-    lost the race joined a stale (or finished) thread and fell through to
-    miss-generation even though a scheduled refill covered its demand.
-    Pending refills are now registered under the lock before the worker
-    starts, making the assertion below deterministic.
-    """
-
-    def test_concurrent_acquire_waits_for_scheduled_refill(self, program):
-        import threading
-
-        consumers = 4
-        pool = PreprocessingPool(program, batch=1)
-        pool.refill_async(consumers)  # registered before any acquire runs
-        acquired = []
-        errors = []
-
-        def consume():
-            try:
-                acquired.append(pool.acquire())
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=consume) for _ in range(consumers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not errors
-        assert len(acquired) == consumers
-        # Exactly the scheduled bundles were generated: no miss, no double.
-        assert pool.stats.bundles_generated == consumers
-        assert pool.stats.misses == 0
-        assert pool.stats.bundles_consumed == consumers
-        assert pool.available == 0
-
-    def test_strict_pool_waits_rather_than_raising_for_pending_refill(
-        self, program
-    ):
-        pool = PreprocessingPool(program, batch=1, auto_refill=False)
-        pool.refill_async(1)
-        # With a refill scheduled, a strict pool waits for it instead of
-        # raising PoolExhausted.
-        replay = pool.acquire()
-        assert replay.remaining > 0
-        assert pool.stats.misses == 0
+    """A refill in flight on one thread must not stall an acquire on
+    another: concurrent serving workers share the anonymous pools."""
 
     def test_acquire_does_not_block_behind_slow_refill(self, program):
         """Regression: generation must happen outside the pool lock.
 
-        ``refill`` used to hold the pool RLock for the whole dealer
-        generation, so a "background" ``refill_async`` blocked every
+        ``refill`` used to hold the pool lock for the whole dealer
+        generation, so a refill on another thread blocked every
         concurrent ``acquire()`` — and even ``available`` — for the full
         generation time. With a ready bundle in the deque, both must
         complete while a deliberately slow refill is still in flight.
@@ -370,7 +236,8 @@ class TestConcurrentAcquire:
 
         pool._generate = slow_generate
         try:
-            refill_thread = pool.refill_async(1)
+            refill_thread = threading.Thread(target=pool.refill)
+            refill_thread.start()
             assert generation_entered.wait(timeout=30.0)
             # The refill worker is parked inside generation. The ready
             # bundle and the counters must stay reachable.
@@ -429,12 +296,9 @@ class TestAcquireReady:
     def test_empty_pool_returns_none_without_generating(self, program):
         pool = PreprocessingPool(program, batch=1)
         assert pool.acquire_ready() is None
-        strict = PreprocessingPool(program, batch=1, auto_refill=False)
-        assert strict.acquire_ready() is None  # not PoolExhausted either
-        for stats in (pool.stats, strict.stats):
-            assert stats.bundles_generated == 0
-            assert stats.bundles_consumed == 0
-            assert stats.misses == 0
+        assert pool.stats.bundles_generated == 0
+        assert pool.stats.bundles_consumed == 0
+        assert pool.stats.misses == 0
 
     def test_ready_bundle_is_the_one_acquire_bundle_would_pop(self, program):
         pool = PreprocessingPool(program, batch=1, dealer_seed=3)
@@ -463,7 +327,8 @@ class TestAcquireReady:
             return original(trace)
 
         pool._generate = slow_generate
-        refill = pool.refill_async(1)
+        refill = threading.Thread(target=pool.refill)
+        refill.start()
         try:
             assert entered.wait(timeout=30.0)
             start = time.perf_counter()
@@ -475,18 +340,6 @@ class TestAcquireReady:
         assert not refill.is_alive()
         assert pool.acquire_ready() is not None  # the refill landed: ready now
         assert pool.stats.misses == 0
-
-    def test_parked_refill_failure_stays_parked(self, program):
-        pool = PreprocessingPool(program, batch=1)
-
-        def throwing_generate(trace):
-            raise ValueError("dealer exploded mid-generation")
-
-        pool._generate = throwing_generate
-        pool.refill_async(1).join()
-        assert pool.acquire_ready() is None
-        with pytest.raises(RuntimeError, match="background preprocessing refill"):
-            pool.acquire()  # still there for a caller that asked for work
 
     def test_restored_bundle_is_ready_and_first(self, program):
         pool = PreprocessingPool(program, batch=1, dealer_seed=3)

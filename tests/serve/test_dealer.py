@@ -8,11 +8,12 @@ The acceptance contract of the standalone dealer process:
   serving request rides the restart out — retried logits byte-identical,
   ``bundles_recovered > 0``, restored bundles actually re-served;
 * a dealer link under scheduled chaos (drop / corrupt / stall) recovers
-  inside the RPC retry loop — no fallback, logits unchanged;
-* an unreachable dealer degrades gracefully to inline generation
-  (counted in metrics, logits byte-identical), or — with fallback
-  disabled — surfaces as a typed retriable busy reply that leaves the
-  session connection alive;
+  inside the RPC retry loop — logits unchanged;
+* an unreachable dealer surfaces as a typed retriable busy reply that
+  leaves the session connection alive, and the server never generates
+  a bundle itself (every pool fetched all it generated);
+* a dealer refusal reaches every client as a typed ``DealerError`` and
+  costs no serving worker thread;
 * pool accounting balances across all of it.
 """
 
@@ -22,6 +23,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.serve.dealer_service import (
     DealerError,
     DealerServer,
     _unpack_record,
+    stream_key,
 )
 from repro.serve.remote import (
     PoolBusy,
@@ -100,6 +103,15 @@ def _start_dealer(program, store=None, **kwargs):
     return dealer
 
 
+def _assert_fetched(metrics):
+    """A dealer-backed server draws nothing itself: every bundle any of
+    its pools generated was fetched from the dealer."""
+    for name, pool in metrics["pools"].items():
+        assert pool["bundles_fetched_remote"] == pool["bundles_generated"], (
+            name, pool,
+        )
+
+
 def _assert_balanced(metrics, served):
     for name, pool in metrics["pools"].items():
         outstanding = (
@@ -125,7 +137,7 @@ class TestDealerBackedServing:
             assert server.wait_idle(timeout=10.0)
             metrics = server.metrics()
             assert metrics["dealer"]["bundles_fetched_remote"] == REQUESTS
-            assert metrics["dealer"]["dealer_fallbacks"] == 0
+            _assert_fetched(metrics)
             _assert_balanced(metrics, REQUESTS)
             assert store.stats.bundles_spilled == REQUESTS
         finally:
@@ -138,14 +150,17 @@ class TestDealerBackedServing:
         self, program, tmp_path
     ):
         """The stricter topology: a party fetching its own half directly
-        receives bytes identical to the half the server would forward."""
+        receives bytes identical to the half the server would forward.
+        No reply carries the rng state; the stored record keeps it."""
         store = PoolStore(tmp_path)
         dealer = _start_dealer(program, store=store)
         client = DealerClient("127.0.0.1", dealer.port)
         try:
             joint = client.fetch(1, 42, 0)
             blob0, blob1, state = _unpack_record(joint)
-            assert state, "joint record must carry the rng state"
+            assert state == b"", "a forwarded reply must not carry the rng state"
+            stored = _unpack_record(store.get(stream_key(dealer.fingerprint, 1, 42), 0))
+            assert stored[:2] == (blob0, blob1) and stored[2], stored[2]
             half0 = _unpack_record(client.fetch(1, 42, 0, party=0))
             half1 = _unpack_record(client.fetch(1, 42, 0, party=1))
             assert half0 == (blob0, b"", b"")
@@ -227,8 +242,8 @@ class TestChaosOnDealerLink:
         self, victim, program, images, baseline_logits, tmp_path
     ):
         """Scheduled faults on the dealer link are absorbed inside the
-        RPC retry loop: every bundle is still fetched remotely (zero
-        fallbacks) and the logits stay byte-identical."""
+        RPC retry loop: every bundle is still fetched remotely and the
+        logits stay byte-identical."""
         store = PoolStore(tmp_path)
         dealer = _start_dealer(program, store=store)
         controller = ChaosController(
@@ -244,7 +259,7 @@ class TestChaosOnDealerLink:
             dealer=("127.0.0.1", dealer.port),
             dealer_timeout=1.0,
             # Room for all three faults (the stall alone holds the frame
-            # for 2 s) before the fetch would give up and fall back.
+            # for 2 s) before the fetch would give up.
             dealer_fetch_deadline=10.0,
             dealer_transport_wrapper=controller.wrap,
         )
@@ -254,7 +269,7 @@ class TestChaosOnDealerLink:
             assert server.wait_idle(timeout=10.0)
             metrics = server.metrics()
             assert metrics["dealer"]["bundles_fetched_remote"] == REQUESTS
-            assert metrics["dealer"]["dealer_fallbacks"] == 0
+            _assert_fetched(metrics)
             assert metrics["dealer"]["dealer_rpc_retries"] >= 3
             assert len(controller.trace.events) == 3, "all faults fired"
         finally:
@@ -265,11 +280,13 @@ class TestChaosOnDealerLink:
 
 
 class TestGracefulDegradation:
-    def test_unreachable_dealer_falls_back_inline_byte_identically(
-        self, victim, images, baseline_logits
+    def test_dead_dealer_surfaces_typed_busy_and_keeps_connection(
+        self, victim, program, images, baseline_logits
     ):
-        """No dealer at the endpoint at all: every bundle generates
-        inline, counted as fallbacks, logits byte-identical."""
+        """No dealer at the endpoint: the client gets a typed retriable
+        busy reply on a connection that stays alive, and the server
+        generates nothing itself. A dealer then starting on that port
+        serves the *same* connection's retry byte-identical logits."""
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
@@ -280,45 +297,18 @@ class TestGracefulDegradation:
             dealer_timeout=0.3,
             dealer_fetch_deadline=0.3,
         )
-        try:
-            logits = _session_logits(server.port, images)
-            assert logits == baseline_logits
-            assert server.wait_idle(timeout=10.0)
-            metrics = server.metrics()
-            assert metrics["dealer"]["dealer_fallbacks"] == REQUESTS
-            assert metrics["dealer"]["bundles_fetched_remote"] == 0
-            _assert_balanced(metrics, REQUESTS)
-        finally:
-            server.stop()
-            thread.join(timeout=10.0)
-
-    def test_no_fallback_surfaces_typed_busy_and_keeps_connection(
-        self, victim, program, images, baseline_logits, tmp_path
-    ):
-        """Fallback disabled + a dealer that refuses to generate: the
-        client gets a typed retriable busy reply on a connection that
-        stays alive — re-enabling material on the same connection serves
-        byte-identical logits."""
-        store = PoolStore(tmp_path)
-        dealer = _start_dealer(program, store=store, generate=False)
-        server, thread = _start_server(
-            victim,
-            dealer=("127.0.0.1", dealer.port),
-            dealer_timeout=0.4,
-            dealer_fetch_deadline=0.5,
-            dealer_fallback=False,
-        )
         client = RemoteClient(
             "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
             session="s", timeout=CLIENT_TIMEOUT,
         )
+        dealer = None
         try:
             with pytest.raises(PoolBusy):
                 client.infer(images[0])
+            assert server.metrics()["dealer"]["bundles_fetched_remote"] == 0
+            _assert_fetched(server.metrics())
             transport_before = client.transport
-            # The dealer starts generating again: the *same* connection
-            # retries the same request key and succeeds.
-            dealer.generate = True
+            dealer = _start_dealer(program, port=dead_port)
             logits = [
                 client.infer(batch, retries=3).logits.tobytes()
                 for batch in images
@@ -332,47 +322,51 @@ class TestGracefulDegradation:
             metrics = server.metrics()
             assert metrics["requests_busy"] >= 1
             assert metrics["requests_served"] == REQUESTS
+            _assert_fetched(metrics)
+            _assert_balanced(metrics, REQUESTS)
         finally:
             client.close()
+            server.stop()
+            thread.join(timeout=10.0)
+            if dealer is not None:
+                dealer.stop()
+
+
+class TestDealerRefusal:
+    def test_refusal_reaches_every_client_and_no_worker_dies(
+        self, victim, images
+    ):
+        """A dealer compiled at another boundary refuses the server's
+        pools (fingerprint mismatch). Each of ``workers + 1`` requests
+        gets that refusal as a typed ``DealerError`` in its bundle slot,
+        well inside its timeout, and every worker thread lives on — a
+        refusal escaping the request used to end the thread serving it,
+        until no worker was left to answer."""
+        dealer = _start_dealer(compile_program(victim, TINY_BOUNDARY - 1))
+        server, thread = _start_server(victim, dealer=("127.0.0.1", dealer.port))
+        timeout = 3.0
+        try:
+            for _ in range(server.workers + 1):
+                client = RemoteClient(
+                    "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
+                    timeout=timeout,
+                )
+                start = time.monotonic()
+                with pytest.raises(DealerError, match="fingerprint-mismatch"):
+                    client.infer(images[0])
+                assert time.monotonic() - start < timeout / 2
+                client.close()
+            workers = server._worker_threads
+            assert len(workers) == server.workers
+            assert all(worker.is_alive() for worker in workers)
+            assert server.wait_idle(timeout=10.0)
+            metrics = server.metrics()
+            assert metrics["requests_served"] == 0
+            _assert_fetched(metrics)
+        finally:
             server.stop()
             thread.join(timeout=10.0)
             dealer.stop()
-            store.close()
-
-    def test_pool_exhausted_is_retriable_not_fatal(
-        self, victim, images, baseline_logits
-    ):
-        """Satellite 2 on a plain (dealer-less) server: an exhausted
-        strict pool answers with the typed busy reply; infer(retries=)
-        backs off on the live connection and wins once material lands."""
-        server, thread = _start_server(victim)
-        pool = server.pool(1, session="s")
-        pool.auto_refill = False
-        client = RemoteClient(
-            "127.0.0.1", server.port, noise_magnitude=0.1, seed=9,
-            session="s", timeout=CLIENT_TIMEOUT,
-        )
-        try:
-            with pytest.raises(PoolBusy):
-                client.infer(images[0])
-            refiller = threading.Timer(0.3, pool.refill, args=(REQUESTS,))
-            refiller.start()
-            logits = [
-                client.infer(batch, retries=8).logits.tobytes()
-                for batch in images
-            ]
-            refiller.join()
-            assert logits == baseline_logits
-            assert client.requests_retried >= 1
-            client.close()
-            assert server.wait_idle(timeout=10.0)
-            metrics = server.metrics()
-            assert metrics["requests_busy"] >= 1
-            assert metrics["requests_served"] == REQUESTS
-        finally:
-            client.close()
-            server.stop()
-            thread.join(timeout=10.0)
 
 
 class TestKillDashNine:
@@ -443,7 +437,7 @@ class TestKillDashNine:
             assert server.wait_idle(timeout=10.0)
             metrics = server.metrics()
             assert metrics["dealer"]["bundles_fetched_remote"] == REQUESTS
-            assert metrics["dealer"]["dealer_fallbacks"] == 0
+            _assert_fetched(metrics)
             _assert_balanced(metrics, REQUESTS)
         finally:
             if server is not None:
@@ -466,8 +460,7 @@ class TestAcquireReady:
         dealer = _start_dealer(program)
         client = DealerClient("127.0.0.1", dealer.port)
         pool = DealerBackedPool(
-            program, 1, dealer_seed=7, client=client, fallback=False,
-            fetch_deadline=0.5,
+            program, 1, dealer_seed=7, client=client, fetch_deadline=0.5
         )
         try:
             assert pool.acquire_ready() is None
@@ -478,8 +471,9 @@ class TestAcquireReady:
             assert pool.acquire_ready() is None  # acquire_bundle would raise here
             stats = pool.stats.as_dict()
             assert stats["bundles_fetched_remote"] == 1
+            assert stats["bundles_fetched_remote"] == stats["bundles_generated"]
             assert stats["bundles_consumed"] == 1
-            assert stats["misses"] == 0 and stats["dealer_fallbacks"] == 0
+            assert stats["misses"] == 0
             assert stats["dealer_rpc_retries"] == 0
         finally:
             pool.close()
