@@ -1,5 +1,8 @@
 """Offline preprocessing pools: determinism, exhaustion and the clean split."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,20 @@ from repro.mpc import (
     compile_program,
 )
 from repro.mpc.dealer import TrustedDealer
+from repro.mpc.party import program_fingerprint
 from repro.mpc.preprocessing import (
     MaterialMismatch,
     RecordingDealer,
     ReplayDealer,
     material_plan,
+)
+from repro.serve.dealer_service import (
+    DealerBackedPool,
+    DealerBusy,
+    DealerClient,
+    DealerError,
+    DealerServer,
+    DealerUnreachable,
 )
 
 
@@ -75,6 +87,13 @@ class TestPoolDeterminism:
             dealer.comparison_masks_issued,
         )
         assert before == after == (0, 0, 0, 0)
+
+    def test_prepare_offline_fills_the_pool_before_returning(self, victim):
+        pipeline = C2PIPipeline(victim, 2.5, seed=0)
+        threads = threading.active_count()
+        pool = pipeline.prepare_offline(batch=1, bundles=2)
+        assert pool.available == pool.stats.bundles_generated == 2
+        assert threading.active_count() == threads  # drawn on this thread
 
 
 class TestBundleSeeds:
@@ -189,6 +208,37 @@ class TestPoolLifecycle:
         assert pool.stats.misses == 1
         assert pool.stats.bundles_generated == 1
 
+    def test_failed_refill_raises_to_its_caller_and_publishes_nothing(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        original, pool._generate = pool._generate, _exploding
+        with pytest.raises(ValueError, match="exploded"):
+            pool.refill(2)
+        stats = pool.stats
+        assert pool.available == stats.bundles_generated == stats.refills == 0
+        pool._generate = original  # the generation lock was released
+        pool.refill(1)
+        assert pool.available == 1 and pool.stats.refills == 1
+
+    def test_failed_miss_raises_to_the_acquirer(self, program):
+        pool = PreprocessingPool(program, batch=1)
+        original, pool._generate = pool._generate, _exploding
+        with pytest.raises(ValueError, match="exploded"):
+            pool.acquire_bundle()
+        pool._generate = original
+        assert pool.acquire_bundle()
+        assert pool.stats.misses == 2
+        assert pool.stats.bundles_generated == pool.stats.bundles_consumed == 1
+
+    def test_refill_on_another_thread_deals_the_same_stream(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        twin = PreprocessingPool(program, batch=1, dealer_seed=3)
+        _run_threads(lambda: pool.refill(2), 1)
+        assert pool.available == 2
+        twin.refill(2)
+        seeds = [pool.acquire_bundle().seed for _ in range(2)]
+        assert seeds == [twin.acquire_bundle().seed for _ in range(2)]
+        assert pool.stats.misses == 0
+
     def test_wrong_batch_bundle_is_rejected(self, program):
         pool = PreprocessingPool(program, batch=2)
         pool.refill(1)
@@ -219,9 +269,6 @@ class TestConcurrentAcquire:
         generation time. With a ready bundle in the deque, both must
         complete while a deliberately slow refill is still in flight.
         """
-        import threading
-        import time
-
         pool = PreprocessingPool(program, batch=1)
         pool.refill(1)  # the bundle a concurrent acquirer should get
 
@@ -252,6 +299,32 @@ class TestConcurrentAcquire:
             refill_thread.join(timeout=30.0)
         assert pool.stats.bundles_generated == 2
         assert pool.stats.misses == 0
+
+    def test_concurrent_misses_each_take_a_distinct_bundle_of_the_stream(
+        self, program
+    ):
+        consumers = 4
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        seeds = []
+        _run_threads(lambda: seeds.append(pool.acquire_bundle().seed), consumers)
+        assert len(set(seeds)) == consumers
+        stats = pool.stats
+        assert stats.bundles_consumed == consumers
+        assert stats.misses == stats.bundles_generated  # one draw per miss
+        assert stats.bundles_generated == consumers + pool.available
+        twin = PreprocessingPool(program, batch=1, dealer_seed=3)
+        stream = {twin.acquire_bundle().seed for _ in range(stats.bundles_generated)}
+        assert set(seeds) <= stream
+
+    def test_concurrent_refills_draw_each_stream_position_once(self, program):
+        pool = PreprocessingPool(program, batch=1, dealer_seed=3)
+        _run_threads(lambda: pool.refill(2), 2)
+        twin = PreprocessingPool(program, batch=1, dealer_seed=3)
+        twin.refill(4)
+        assert pool._dealer.state() == twin._dealer.state()
+        seeds = {pool.acquire_bundle().seed for _ in range(4)}
+        assert seeds == {twin.acquire_bundle().seed for _ in range(4)}
+        assert pool.stats.refills == 2 and pool.stats.misses == 0
 
 
 class TestRestoreAndPoison:
@@ -314,9 +387,6 @@ class TestAcquireReady:
         assert pool.stats.misses == 0
 
     def test_refill_in_flight_is_not_waited_for(self, program):
-        import threading
-        import time
-
         pool = PreprocessingPool(program, batch=1)
         entered, release = threading.Event(), threading.Event()
         original = pool._generate
@@ -341,6 +411,16 @@ class TestAcquireReady:
         assert pool.acquire_ready() is not None  # the refill landed: ready now
         assert pool.stats.misses == 0
 
+    def test_failed_refill_leaves_nothing_ready(self, program):
+        pool = PreprocessingPool(program, batch=1)
+        original, pool._generate = pool._generate, _exploding
+        with pytest.raises(ValueError, match="exploded"):
+            pool.refill()
+        assert pool.acquire_ready() is None
+        pool._generate = original
+        assert pool.acquire_bundle()  # a caller that asks for work draws it
+        assert pool.stats.misses == 1 and pool.stats.bundles_consumed == 1
+
     def test_restored_bundle_is_ready_and_first(self, program):
         pool = PreprocessingPool(program, batch=1, dealer_seed=3)
         pool.refill(2)
@@ -353,3 +433,74 @@ class TestAcquireReady:
         assert stats["bundles_returned"] == 1
         assert stats["bundles_poisoned"] == 1
         assert pool.available == 1
+
+
+class TestDealerBackedPool:
+    """A dealer-backed pool fetches each stream position or raises typed:
+    it never draws a bundle itself. A dealer compiled at another boundary
+    refuses the pool's fingerprint."""
+
+    @staticmethod
+    def _pool(program, port, deadline=0.3):
+        fingerprint = program_fingerprint(program)
+        client = DealerClient("127.0.0.1", port, fingerprint, timeout=deadline)
+        return DealerBackedPool(program, 1, 7, client=client, fetch_deadline=deadline)
+
+    def test_fetched_stream_equals_the_local_stream(self, program):
+        dealer = DealerServer(program)
+        dealer.start()
+        pool = self._pool(program, dealer.port, deadline=5.0)
+        local = PreprocessingPool(program, batch=1, dealer_seed=7)
+        try:
+            for _ in range(2):
+                fetched, drawn = pool.acquire_bundle(), local.acquire_bundle()
+                assert fetched.seed == drawn.seed
+                for (_, ours), (_, theirs) in zip(fetched, drawn, strict=True):
+                    for key, array in vars(theirs).items():
+                        np.testing.assert_array_equal(getattr(ours, key), array)
+            stats = pool.stats
+            assert stats.bundles_fetched_remote == stats.bundles_generated == 2
+        finally:
+            pool.close()
+            dealer.stop()
+
+    @pytest.mark.parametrize("fault, error", [
+        ("stopped", DealerUnreachable), ("busy", DealerBusy), ("refusing", DealerError)
+    ])
+    def test_failed_fetch_raises_typed_and_draws_nothing(
+        self, victim, program, fault, error
+    ):
+        served = compile_program(victim, 1.5) if fault == "refusing" else program
+        dealer = DealerServer(served, max_active_generations=1)
+        dealer.start()
+        pool = self._pool(program, dealer.port)
+        if fault == "stopped":
+            dealer.stop()
+        if fault == "busy":
+            dealer._admission.acquire()  # the one generation slot is taken
+        try:
+            with pytest.raises(error):
+                pool.acquire_bundle()
+            stats = pool.stats
+            assert stats.misses == 1 and pool.available == 0
+            assert stats.bundles_generated == stats.bundles_fetched_remote == 0
+            if fault == "busy":  # the retry fetches the position that failed
+                dealer._admission.release()
+                local = PreprocessingPool(program, batch=1, dealer_seed=7)
+                assert pool.acquire_bundle().seed == local.acquire_bundle().seed
+        finally:
+            pool.close()
+            dealer.stop()
+
+
+def _exploding(trace):
+    raise ValueError("dealer exploded mid-generation")
+
+
+def _run_threads(target, count):
+    threads = [threading.Thread(target=target) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
