@@ -56,13 +56,10 @@ def main():
     replies = server.drain()
     for reply in replies[:3]:
         print(f"  request {reply.request_id}: class {reply.prediction} "
-              f"(batch of {reply.batch_size}, online {reply.online_s * 1e3:.1f} ms, "
-              f"pooled material: {reply.used_pool})")
+              f"(batch of {reply.batch_size}, online {reply.online_s * 1e3:.1f} ms)")
     snapshot = server.snapshot()
     print(f"...\nserved {snapshot['requests']} requests in "
           f"{snapshot['batches']} secure executions")
-    print(f"online dealer generation: {snapshot['online_dealer_generation']} "
-          "(all zero: the online phase only consumed pooled material)")
 
     print("\n== the offline/online split ==\n")
     pools = [*snapshot["pools"].values(), *snapshot["session_pools"].values()]

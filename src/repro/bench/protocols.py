@@ -275,7 +275,7 @@ def bench_serve_placements(requests: int = 4) -> dict:
         # `--warm requests` pre-generates the offline pool: the
         # placement comparison measures the *online* serving path,
         # exactly like the in-process leg above (prepare_offline) — not
-        # inline dealer generation.
+        # cold-pool misses.
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",

@@ -247,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dealer.add_argument(
         "--store",
-        default=None,
+        required=True,
         metavar="DIR",
-        help="PoolStore directory (omit for in-memory retention only)",
+        help="PoolStore directory every served bundle is spilled to",
     )
     dealer.add_argument(
         "--arch",
@@ -628,7 +628,7 @@ def _cmd_dealer(args) -> int:
         model = _demo_victim(args.arch, args.untrained_width, args.model_seed)
     program = compile_program(model, _boundary(args))
     host, port = _parse_endpoint(args.listen)
-    store = PoolStore(args.store) if args.store else None
+    store = PoolStore(args.store)
     server = DealerServer(
         program,
         store=store,
@@ -645,8 +645,7 @@ def _cmd_dealer(args) -> int:
         pass
     finally:
         server.stop()
-        if store is not None:
-            store.close()
+        store.close()
     return 0
 
 

@@ -20,11 +20,12 @@ boundary to the last layer recovers standard full PI (zero clear layers),
 which is how the Table II baselines are produced.
 
 The pipeline compiles its crypto segment into a
-:class:`~repro.mpc.program.SecureProgram` once at construction and can
-split the work into a real offline/online phase pair:
-:meth:`C2PIPipeline.prepare_offline` fills per-batch preprocessing pools
-(:mod:`repro.mpc.preprocessing`), after which :meth:`C2PIPipeline.infer`
-consumes pooled material and performs zero dealer generation online.
+:class:`~repro.mpc.program.SecureProgram` once at construction and
+splits the work into a real offline/online phase pair: every request
+consumes the next bundle of its engine's per-batch preprocessing pool
+(:mod:`repro.mpc.preprocessing`), which
+:meth:`C2PIPipeline.prepare_offline` fills ahead of time and a cold
+request fills on a miss — the online phase generates nothing.
 
 The flow itself is written once, over the party axis: :func:`noised_reveal`
 and :func:`clear_tail` take the channel they are handed as the placement
@@ -86,7 +87,6 @@ class C2PIResult:
     tallies: list[LayerTally]
     traffic_by_label: dict[str, TrafficSnapshot] = field(default_factory=dict)
     online_s: float = 0.0
-    used_pool: bool = False
     offline_miss_s: float = 0.0  # cold-pool generation this request paid
 
     @property
@@ -122,38 +122,21 @@ class C2PIPipeline:
         self.engine = SecureInferenceEngine.from_program(
             self.program, dealer_seed=seed, share_seed=seed + 1
         )
-        self._pools: dict[int, PreprocessingPool] = {}
 
     # ------------------------------------------------------------------
     def prepare_offline(self, batch: int = 1, bundles: int = 1) -> PreprocessingPool:
         """Run the offline phase: pool ``bundles`` sets of correlated
-        randomness for ``batch``-sized requests.
-
-        The pool's dealer is seeded like the engine's, so warm-pool
-        inference is byte-identical to the single-shot path.
-        """
-        pool = self._pools.get(batch)
-        if pool is None:
-            pool = PreprocessingPool(
-                self.program, batch, dealer_seed=self.engine.dealer_seed
-            )
-            self._pools[batch] = pool
-        if bundles:
-            pool.refill(bundles)
-        return pool
+        randomness for ``batch``-sized requests (the engine's pool)."""
+        return self.engine.prepare_offline(batch, bundles)
 
     def pool_stats(self) -> dict[int, dict]:
         """Offline-phase counters per batch size (serving metrics)."""
-        return {batch: pool.stats.as_dict() for batch, pool in self._pools.items()}
+        return self.engine.pool_stats()
 
     # ------------------------------------------------------------------
     def infer(self, images: np.ndarray) -> C2PIResult:
-        """Run the full protocol on a float NCHW batch.
-
-        When :meth:`prepare_offline` has pooled material for this batch
-        size, only that material is consumed — the engine's dealer
-        generates nothing online.
-        """
+        """Run the full protocol on a float NCHW batch, on the next bundle
+        of this batch size's pool (drawn now if the pool is cold)."""
         return infer_groups([(self, images)])
 
     # ------------------------------------------------------------------
@@ -185,7 +168,8 @@ def derive_session_seed(base_seed: int, session: int | str | None) -> int:
     ``None`` (an anonymous session) maps to ``base_seed`` itself — the
     historical single-client behaviour. A named session hashes
     ``(base_seed, session)`` into an independent 64-bit seed, so each
-    session owns deterministic dealer, share and noise streams that no
+    session owns deterministic share and noise streams, and one dealer
+    stream per batch size (:func:`~repro.mpc.dealer.stream_seed`), that no
     interleaving with other sessions can perturb: the same session key
     against the same server seed always replays the same draws, whether
     it runs alone, fused with other sessions' rows in one
@@ -271,7 +255,6 @@ def infer_groups(
     the batch; the bundles are fused along it — into ``fused``, the
     caller's retained buffer, when given), and so does the clear tail:
     :func:`clear_tail` is row-separable, so one call serves every group.
-    A lone group without a pool has the engine's dealer generate inline.
 
     Any failure restores the acquired bundles to their pools' fronts
     (reverse order, so each pool's ordering survives) and rewinds every
@@ -293,9 +276,7 @@ def infer_groups(
         # Acquisition and fusion stay outside the online clock: a pool
         # miss refills synchronously, and those seconds are offline work.
         for pipeline, images in groups:
-            pool = pipeline._pools.get(len(images))
-            if pool is None:
-                continue
+            pool = pipeline.prepare_offline(batch=len(images), bundles=0)
             misses, offline_s = pool.stats.misses, pool.stats.offline_seconds
             acquired.append((pool, pool.acquire_bundle()))
             if pool.stats.misses > misses:
@@ -306,7 +287,7 @@ def infer_groups(
             if fused and fused[0][0].shape != plan[0].shape:
                 fused.clear()  # another width: free the old buffer first
             bundles = [fuse_bundles(bundles, plan, fused)]
-        material = ReplayDealer(bundles[0]) if bundles else None
+        material = ReplayDealer(bundles[0])
         start = time.perf_counter()
         input_shares = np.concatenate(
             [
@@ -346,7 +327,6 @@ def infer_groups(
         tallies=execution.tallies,
         traffic_by_label=channel.label_breakdown(),
         online_s=online_s,
-        used_pool=material is not None,
         offline_miss_s=offline_miss_s,
     )
 

@@ -37,8 +37,9 @@ def require_joint(channel: Channel) -> None:
 class ProtocolSuite:
     """The three secure operations the engine composes layers from.
 
-    A suite owns whatever preprocessing state its protocols need (dealer,
-    OT sessions, HE keys). Shares are ``(party, ...)`` uint64 arrays over
+    A functional suite owns the preprocessing state its protocols need
+    (OT sessions, HE keys); :class:`DealerSuite` is built per run over
+    that run's dealer material. Shares are ``(party, ...)`` uint64 arrays over
     Z_2^64 — row 0 the client's, row 1 the server's — and every method
     returns such an array; ``bias`` arrives pre-encoded at double
     fixed-point scale (or ``None``). ``channel`` is the placement (see
@@ -48,17 +49,6 @@ class ProtocolSuite:
     """
 
     name = "abstract"
-
-    def with_dealer(self, dealer) -> "ProtocolSuite":
-        """A view of this suite drawing correlated randomness from ``dealer``.
-
-        Suites that do not consume dealer material (the functional
-        Delphi/Cheetah stacks run their own preprocessing) return
-        themselves; :class:`DealerSuite` rebinds, which is how the engine
-        swaps in a :class:`~repro.mpc.preprocessing.ReplayDealer` bundle
-        for the online phase.
-        """
-        return self
 
     def linear(self, shares: Shares, ring_fn, bias, channel: Channel) -> Shares:
         """Shares of ``f(x) + bias`` for the server-known linear map f."""
@@ -78,15 +68,14 @@ class ProtocolSuite:
 
 
 class DealerSuite(ProtocolSuite):
-    """Trusted-dealer protocols (:mod:`repro.mpc.protocols`) — the default."""
+    """Trusted-dealer protocols (:mod:`repro.mpc.protocols`) — the default,
+    over one run's material (a :class:`~repro.mpc.preprocessing.ReplayDealer`
+    bundle)."""
 
     name = "dealer"
 
     def __init__(self, dealer):
         self.dealer = dealer
-
-    def with_dealer(self, dealer) -> "DealerSuite":
-        return DealerSuite(dealer)
 
     def linear(self, shares, ring_fn, bias, channel):
         return secure_linear(shares, ring_fn, bias, self.dealer, channel)

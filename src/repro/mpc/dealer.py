@@ -18,6 +18,7 @@ weights like the Delphi server does, but never sees the client's input.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from .fixedpoint import FixedPointConfig
 from .sharing import (
-    COMPARISON_BITS,
     LOW63_MASK,
     random_bits,
     random_lanes,
@@ -43,6 +43,7 @@ __all__ = [
     "CLIENT_MASKS",
     "SEED_BYTES",
     "client_stream",
+    "stream_seed",
     "TrustedDealer",
 ]
 
@@ -137,6 +138,22 @@ def client_stream(seed: bytes) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(seed, "little"))
 
 
+def stream_seed(seed: int, batch: int) -> int:
+    """The dealer seed of ``seed``'s stream of batch-``batch`` bundles.
+
+    Every pool and dealer-service stream is seeded here, so two batch
+    sizes never deal one stream (image 0 of a batch-2 bundle would carry
+    the batch-1 bundle's masks). Batch 1 keeps ``seed``; a wider batch
+    hashes ``(seed, batch)`` under a prefix of its own.
+    """
+    if batch == 1:
+        return seed
+    digest = hashlib.blake2b(
+        f"c2pi-stream:{seed}:{batch}".encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
 class TrustedDealer:
     """Generates all correlated randomness from one seeded generator.
 
@@ -145,16 +162,13 @@ class TrustedDealer:
     a new dealer has one open) by taking 32 bytes off it that seed the
     bundle's *client stream*, from which every party-0 row is drawn and
     nothing else: the client's half of a bundle is that seed, and the
-    secret stream's position — session, sequence, rewind — fixes it.
+    secret stream's position — session, batch, sequence, rewind — fixes
+    it.
     """
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         self.begin_bundle()
-        self.triples_issued = 0
-        self.bit_triples_issued = 0
-        self.dabits_issued = 0
-        self.comparison_masks_issued = 0
 
     # ------------------------------------------------------------------
     def state(self) -> dict:
@@ -163,9 +177,7 @@ class TrustedDealer:
         Taken at a bundle boundary it pins every bundle after it, seed
         included. The crypto-producer service persists it next to each
         spilled bundle: a restarted dealer restores the last stored state
-        and continues the stream byte-identically, and a serving process
-        falling back to inline generation fast-forwards its local dealer
-        to the same position.
+        and continues the stream byte-identically.
         """
         return self._rng.bit_generator.state
 
@@ -184,7 +196,6 @@ class TrustedDealer:
         """Elementwise multiplication triples over Z_2^64."""
         a = _random_ring(self._rng, shape)
         b = _random_ring(self._rng, shape)
-        self.triples_issued += int(np.prod(shape))
         return BeaverTriple(*(share_additive(x, self._client) for x in (a, b, a * b)))
 
     def bit_triples(self, shape) -> BitTriple:
@@ -192,13 +203,10 @@ class TrustedDealer:
 
         ``shape`` is the *element* shape: each element receives one
         ``uint64`` triple word whose low 63 lanes are independent AND
-        triples (lane 63 is zero on every share). ``bit_triples_issued``
-        keeps counting AND *gates* (63 per word), the unit the serving
-        metrics have always reported.
+        triples (lane 63 is zero on every share).
         """
         a = random_lanes(self._rng, shape)
         b = random_lanes(self._rng, shape)
-        self.bit_triples_issued += int(np.prod(shape)) * COMPARISON_BITS
         return BitTriple(
             *(share_boolean_words(x, self._client) for x in (a, b, a & b))
         )
@@ -206,7 +214,6 @@ class TrustedDealer:
     def dabits(self, shape) -> DaBit:
         """Random bits shared in both GF(2) and Z_2^64 (for B2A)."""
         bits = random_bits(self._rng, shape)
-        self.dabits_issued += int(np.prod(shape))
         return DaBit(
             boolean=share_boolean(bits, self._client),
             arithmetic=share_additive(bits.astype(np.uint64), self._client),
@@ -216,7 +223,6 @@ class TrustedDealer:
         """Masks for the masked-reveal DReLU protocol (packed low bits)."""
         r = _random_ring(self._rng, shape)
         msb = (r >> np.uint64(63)).astype(np.uint8)
-        self.comparison_masks_issued += int(np.prod(shape))
         return ComparisonMask(
             r=share_additive(r, self._client),
             low_bits=share_boolean_words(r & LOW63_MASK, self._client),

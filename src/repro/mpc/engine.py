@@ -9,7 +9,7 @@ in this process (two rows, nothing moves), a
 :class:`~repro.mpc.transport.Transport` runs one party against its peer
 process (one row, real bytes). The two public entry points are thin:
 :class:`SecureInferenceEngine` here (both parties, pluggable protocol
-suite, inline or replayed dealer material) and
+suite, pooled dealer material) and
 :class:`~repro.mpc.party.PartyEngine` (one party over a transport).
 
 * the **client** (party 0) contributes the input image as a secret;
@@ -20,11 +20,13 @@ suite, inline or replayed dealer material) and
   shape tracing — happened once at compile time, so ``run()`` is the
   *online phase* only.
 
-``run(x, material=...)`` executes against pre-generated correlated
-randomness from a :class:`~repro.mpc.preprocessing.PreprocessingPool`
-bundle, touching the engine's own dealer not at all — the real
-offline/online split of the Delphi/Cheetah stacks. Without ``material``
-the dealer generates inline (the classic single-shot mode).
+Dealer material has one source: a
+:class:`~repro.mpc.preprocessing.PreprocessingPool` bundle, drawn offline
+and consumed once — the real offline/online split of the Delphi/Cheetah
+stacks. The engine owns one pool per batch size (:meth:`prepare_offline`
+fills them ahead of time); ``run(x)`` acquires the next bundle of the
+pool for ``x``'s batch size, and a cold pool draws it on a miss.
+``run(x, material=...)`` executes against a bundle the caller holds.
 
 The executor also produces a per-layer :class:`LayerTally` stream (element
 counts, MACs, actual traffic) that the cost models in
@@ -44,9 +46,9 @@ import numpy as np
 from ..models.layered import LayeredModel
 from ..nn.functional import im2col
 from .backends.suite import DealerSuite, ProtocolSuite, Shares
-from .dealer import TrustedDealer
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .network import Channel
+from .preprocessing import PreprocessingPool
 from .program import (
     AddOp,
     AvgPoolOp,
@@ -278,11 +280,13 @@ class SecureInferenceEngine:
 
     Both parties in this process. The protocol instantiation is pluggable
     through ``suite`` (:class:`~repro.mpc.backends.suite.ProtocolSuite`):
-    the default trusted-dealer suite is fast enough for paper-scale runs,
-    while the functional Delphi/Cheetah suites execute the real primitive
-    stacks at demonstration scale. Pass a pre-compiled ``program`` to
-    share one compilation across engines (the serve-many path); otherwise
-    the model prefix is compiled here, once, at construction.
+    the default (``None``) runs the trusted-dealer protocols on this
+    engine's pooled material, fast enough for paper-scale runs, while the
+    functional Delphi/Cheetah suites execute the real primitive stacks at
+    demonstration scale and draw no dealer material. Pass a pre-compiled
+    ``program`` to share one compilation across engines (the serve-many
+    path); otherwise the model prefix is compiled here, once, at
+    construction.
     """
 
     def __init__(
@@ -304,10 +308,10 @@ class SecureInferenceEngine:
         self.config = config
         self.program = program
         self.dealer_seed = dealer_seed
-        self.dealer = TrustedDealer(seed=dealer_seed)
-        self.suite = suite if suite is not None else DealerSuite(self.dealer)
+        self.suite = suite
         self.share_rng = np.random.default_rng(share_seed)
         self._executor = ProgramExecutor(program.ops, program.input_shape, config)
+        self._pools: dict[int, PreprocessingPool] = {}
 
     @classmethod
     def from_program(
@@ -329,15 +333,37 @@ class SecureInferenceEngine:
         )
 
     # ------------------------------------------------------------------
+    def prepare_offline(self, batch: int = 1, bundles: int = 1) -> PreprocessingPool:
+        """Run the offline phase: pool ``bundles`` sets of correlated
+        randomness for ``batch``-sized runs; returns the pool.
+
+        One pool per batch size, created on first use and seeded with
+        ``dealer_seed``: its stream is ``(dealer_seed, batch)``'s.
+        """
+        pool = self._pools.get(batch)
+        if pool is None:
+            pool = self._pools.setdefault(
+                batch, PreprocessingPool(self.program, batch, self.dealer_seed)
+            )
+        if bundles:
+            pool.refill(bundles)
+        return pool
+
+    def pool_stats(self) -> dict[int, dict]:
+        """Offline-phase counters per batch size (serving metrics)."""
+        return {batch: pool.stats.as_dict() for batch, pool in self._pools.items()}
+
     def run(
         self, x: np.ndarray, material=None, input_shares: Shares | None = None
     ) -> SecureExecutionResult:
         """Securely evaluate the program on a float NCHW input batch.
 
-        ``material`` is an optional dealer-like source of pre-generated
-        correlated randomness (a :class:`~repro.mpc.preprocessing.ReplayDealer`);
-        when given, the online phase performs **zero** dealer generation and
-        the engine's own dealer counters do not move.
+        ``material`` is the run's dealer material (a
+        :class:`~repro.mpc.preprocessing.ReplayDealer`); without it the
+        default suite acquires the next bundle of this engine's pool for
+        the batch size — a cold pool misses and draws it. The online
+        phase itself generates nothing. A functional suite consumes no
+        dealer material and ignores ``material``.
 
         ``input_shares`` optionally injects the additive sharing of the
         (already validated) input instead of drawing it from the engine's
@@ -347,14 +373,16 @@ class SecureInferenceEngine:
         the anonymous pipeline stays byte-identical whether or not fused
         batches ran in between.
         """
-        suite = self.suite if material is None else self.suite.with_dealer(material)
-        if material is None:  # inline: this run is one bundle, opened as a pool's is
-            self.dealer.begin_bundle()
+        self._executor.check_input(x)
+        suite = self.suite
+        if suite is None:
+            if material is None:
+                material = self.prepare_offline(batch=len(x), bundles=0).acquire()
+            suite = DealerSuite(material)
         channel = Channel()
         if input_shares is None:
             shares = self._executor.share_input(channel, self.share_rng, x=x)
         else:
-            self._executor.check_input(x)
             shares = np.asarray(input_shares)
             if shares.shape != (2, *x.shape):
                 raise ValueError(

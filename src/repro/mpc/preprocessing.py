@@ -22,10 +22,11 @@ real:
   blob through :func:`unpack_party_bundle`) for a party over a
   transport. The online phase then performs zero dealer generation.
 
-Determinism: a pool seeded like the engine's inline dealer generates the
-byte-identical material stream the engine would have generated lazily, so
-warm-pool inference reproduces the single-shot results bit for bit (see
-the equivalence tests).
+Determinism: a pool's dealer is seeded with
+:func:`~repro.mpc.dealer.stream_seed` of its seed and batch size, so one
+``(seed, batch)`` names one material stream wherever it is dealt — a
+local pool, a dealer-service stream, a cold miss or a warm refill — and
+two batch sizes under one seed never deal the same material.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,6 +53,7 @@ from .dealer import (
     LinearCorrelation,
     TrustedDealer,
     client_stream,
+    stream_seed,
 )
 from .fixedpoint import FixedPointConfig
 from .program import AvgPoolOp, ConvOp, LinearOp, MaxPoolOp, ReluOp, SecureProgram
@@ -288,8 +291,10 @@ class PreprocessingPool:
         shapes include the batch dimension, so one pool serves exactly one
         batch size).
     dealer_seed:
-        Seed of the generating dealer. Match the engine's ``dealer_seed``
-        to reproduce the inline (single-shot) results byte for byte.
+        The seed (a session's, see
+        :func:`~repro.core.c2pi.derive_session_seed`) whose batch-``batch``
+        stream this pool deals: its dealer is seeded with
+        :func:`~repro.mpc.dealer.stream_seed` ``(dealer_seed, batch)``.
     """
 
     def __init__(self, program: SecureProgram, batch: int, dealer_seed: int = 0):
@@ -297,8 +302,8 @@ class PreprocessingPool:
             raise ValueError("batch must be positive")
         self.program = program
         self.batch = batch
+        self.dealer_seed = dealer_seed
         self.stats = PoolStats()
-        self._dealer = TrustedDealer(seed=dealer_seed)
         self._bundles: deque[list[tuple[MaterialRequest, object]]] = deque()
         self._trace: list[MaterialRequest] | None = None
         self._lock = threading.Lock()
@@ -330,6 +335,12 @@ class PreprocessingPool:
             return list(self._trace)
 
     # ------------------------------------------------------------------
+    @cached_property
+    def _dealer(self) -> TrustedDealer:
+        """The stream's dealer, built by the first draw (a
+        :class:`~repro.serve.dealer_service.DealerBackedPool` never draws)."""
+        return TrustedDealer(seed=stream_seed(self.dealer_seed, self.batch))
+
     def _generate(self, trace: list[MaterialRequest]) -> Bundle:
         """One bundle's dealer generation. Callers hold ``_generation_lock``."""
         return draw_bundle(self._dealer, trace)

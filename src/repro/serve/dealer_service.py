@@ -9,8 +9,9 @@ module extracts the dealer into its own process:
 * :class:`DealerServer` — owns one compiled program (identified by its
   weight-free :func:`~repro.mpc.party.program_fingerprint`) and serves
   sealed preprocessing bundles over the wire-v2 framed transport, one
-  deterministic stream per ``(batch, session_seed)``. Every bundle is
-  spilled to a disk-backed :class:`~repro.mpc.pool_store.PoolStore`
+  deterministic stream per ``(batch, session_seed)``, its dealer seeded
+  with :func:`~repro.mpc.dealer.stream_seed` like a local pool's. Every
+  bundle is spilled to a disk-backed :class:`~repro.mpc.pool_store.PoolStore`
   before it is served, so a ``kill -9``'d dealer restarts, replays its
   manifest, restores the stream's rng position from the last stored
   record and resumes serving — stored bundles byte-identical, future
@@ -47,8 +48,7 @@ directly; the tests pin that a directly-fetched half is byte-identical
 to the server-forwarded one.
 
 ``c2pi dealer --listen H:P --store DIR ...`` runs the process
-standalone; ``python -m repro.serve.dealer_service`` takes the same
-arguments.
+standalone.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import struct
 import threading
 import time
 
-from ..mpc.dealer import TrustedDealer
+from ..mpc.dealer import TrustedDealer, stream_seed
 from ..mpc.party import program_fingerprint
 from ..mpc.pool_store import PoolStore
 from ..mpc.preprocessing import (
@@ -85,7 +85,6 @@ __all__ = [
     "DealerClient",
     "DealerBackedPool",
     "stream_key",
-    "main",
 ]
 
 DEALER_PROTOCOL = 1
@@ -159,16 +158,13 @@ def _seal_reply(record: bytes, party: int | None) -> list:
 class _Stream:
     """One ``(batch, session_seed)`` material stream on the dealer."""
 
-    def __init__(self, key: str, session_seed: int):
+    def __init__(self, key: str, seed: int):
         self.key = key
-        self.dealer = TrustedDealer(seed=session_seed)
+        self.dealer = TrustedDealer(seed=seed)
         self.next_seq = 0
         # Held across dealer generation + the store spill: the rng
         # stream's strict ordering is the byte-identity contract.
         self.generation_lock = threading.Lock()
-        # In-memory retention when no store is attached (idempotent
-        # re-serves still work; durability obviously does not).
-        self.cache: dict[int, bytes] = {}
 
 
 class _Busy(Exception):
@@ -187,9 +183,9 @@ class DealerServer:
     program:
         The compiled crypto segment; its fingerprint gates every client.
     store:
-        Optional :class:`PoolStore` spilling every generated bundle to
-        disk before it is served (the durability tentpole). Without one
-        the dealer retains bundles in memory only.
+        The :class:`PoolStore` every generated bundle is spilled to
+        before it is served: re-serves and a restarted dealer read it,
+        and no record is held in memory.
     max_active_generations:
         Admission limit: how many bundle *generations* may run at once.
         Requests beyond it get a retriable busy reply instead of a
@@ -200,7 +196,7 @@ class DealerServer:
         self,
         program: SecureProgram,
         *,
-        store: PoolStore | None = None,
+        store: PoolStore,
         host: str = "127.0.0.1",
         port: int = 0,
         max_active_generations: int = 2,
@@ -271,15 +267,14 @@ class DealerServer:
             stream = self._streams.get((batch, session_seed))
             if stream is not None:
                 return stream
-            key = stream_key(self.fingerprint, batch, session_seed)
-            stream = _Stream(key, session_seed)
-            if self.store is not None:
-                last = self.store.max_seq(key)
-                if last is not None:
-                    record = self.store.get(key, last)
-                    _blob0, _blob1, state = _unpack_record(record)
-                    stream.dealer.restore_state(json.loads(bytes(state)))
-                    stream.next_seq = last + 1
+            seed = stream_seed(session_seed, batch)
+            stream = _Stream(stream_key(self.fingerprint, batch, seed), seed)
+            last = self.store.max_seq(stream.key)
+            if last is not None:
+                record = self.store.get(stream.key, last)
+                _blob0, _blob1, state = _unpack_record(record)
+                stream.dealer.restore_state(json.loads(bytes(state)))
+                stream.next_seq = last + 1
             self._streams[(batch, session_seed)] = stream
             return stream
 
@@ -290,11 +285,6 @@ class DealerServer:
                 trace = material_plan(self.program, batch)
                 self._traces[batch] = trace
             return trace
-
-    def _stored(self, stream: _Stream, seq: int) -> bytes | None:
-        if self.store is not None:
-            return self.store.get(stream.key, seq)
-        return stream.cache.get(seq)
 
     def _generate_bundle(self, stream: _Stream, trace) -> bytes:
         """One generation step at ``stream.next_seq``; returns the record.
@@ -314,10 +304,7 @@ class DealerServer:
                 json.dumps(dealer.state()).encode("utf-8"),
             )
         )
-        if self.store is not None:
-            self.store.put(stream.key, stream.next_seq, record)
-        else:
-            stream.cache[stream.next_seq] = record
+        self.store.put(stream.key, stream.next_seq, record)
         stream.next_seq += 1
         with self._state_lock:
             self.bundles_generated += 1
@@ -328,7 +315,7 @@ class DealerServer:
     ) -> tuple[bytes, str]:
         """The sealed record for one stream position (store or generate)."""
         stream = self._stream(batch, session_seed)
-        record = self._stored(stream, seq)
+        record = self.store.get(stream.key, seq)
         if record is not None:
             with self._state_lock:
                 self.served_from_store += 1
@@ -341,16 +328,16 @@ class DealerServer:
             trace = self._trace(batch)
             with stream.generation_lock:
                 # A racing request may have generated it while we queued.
-                record = self._stored(stream, seq)
+                record = self.store.get(stream.key, seq)
                 if record is not None:
                     with self._state_lock:
                         self.served_from_store += 1
                     return record, "store"
                 if seq < stream.next_seq:
-                    # Stored history was lost (no store / torn record)
-                    # and the rng has moved past: regenerating would fork
+                    # Stored history was lost (a torn record) and the
+                    # rng has moved past: regenerating would fork
                     # the stream. Refuse rather than lie.
-                    # The stream key embeds the session seed — name only
+                    # The stream key embeds the stream's seed — name only
                     # the public positions here.
                     raise DealerError(
                         f"bundle {seq} predates the dealer's position "
@@ -378,9 +365,7 @@ class DealerServer:
                 "protocol": DEALER_PROTOCOL,
                 "ok": reason is None,
                 "fingerprint": self.fingerprint,
-                "bundles_recovered": (
-                    self.store.stats.bundles_recovered if self.store else 0
-                ),
+                "bundles_recovered": self.store.stats.bundles_recovered,
             }
             if reason is not None:
                 hello["reason"] = reason
@@ -469,7 +454,7 @@ class DealerServer:
                 "busy_rejections": self.busy_rejections,
                 "streams": len(self._streams),
             }
-        counters["store"] = self.store.stats.as_dict() if self.store else None
+        counters["store"] = self.store.stats.as_dict()
         return counters
 
 
@@ -652,7 +637,6 @@ class DealerBackedPool(PreprocessingPool):
     ):
         super().__init__(program, batch, dealer_seed=dealer_seed)
         self._client = client
-        self._session_seed = dealer_seed
         self._fetch_deadline = fetch_deadline
         self._next_seq = 0
 
@@ -663,7 +647,7 @@ class DealerBackedPool(PreprocessingPool):
         determinism contract, exactly as in the base pool).
         """
         record = self._client.fetch(
-            self.batch, self._session_seed, self._next_seq,
+            self.batch, self.dealer_seed, self._next_seq,
             deadline=self._fetch_deadline,
         )
         blob0, blob1, _state = _unpack_record(record)
@@ -678,19 +662,3 @@ class DealerBackedPool(PreprocessingPool):
 
     def close(self) -> None:
         self._client.close()
-
-
-# ----------------------------------------------------------------------
-# standalone process entry point
-# ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    """``c2pi dealer`` under its module name: one argument parser."""
-    import sys
-
-    from ..cli import main as cli_main
-
-    return cli_main(["dealer", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

@@ -19,8 +19,8 @@
 * every reply carries its own latency, and the server aggregates
   throughput, online/offline wall-clock and the per-label traffic
   breakdown of :class:`~repro.mpc.network.Channel`
-  (:meth:`C2PIServer.snapshot`: the offline/online split, pool misses
-  and the online dealer-generation counters, which must read zero).
+  (:meth:`C2PIServer.snapshot`: the offline/online split and the pool
+  counters — a miss is offline work a request paid for).
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class InferenceReply:
     online_s: float  # secure online phase of the batch this rode in
     queued_s: float  # time spent waiting for coalescing (queue wait only)
     batch_size: int
-    used_pool: bool
     offline_miss_s: float = 0.0  # cold-pool offline generation this batch paid
 
 
@@ -246,8 +245,6 @@ class C2PIServer:
         else:
             groups = [(self.pipeline, np.stack([r.image for r in requests]))]
         try:
-            for pipeline, images in groups:
-                pipeline.prepare_offline(batch=len(images), bundles=0)
             result = infer_groups(groups, self._fused)
         except Exception:
             # A failed secure execution must not swallow the requests it
@@ -277,7 +274,6 @@ class C2PIServer:
                 online_s=result.online_s,
                 queued_s=dequeued - request.enqueued_s,
                 batch_size=take,
-                used_pool=result.used_pool,
                 offline_miss_s=result.offline_miss_s,
             )
             for i, request in enumerate(requests)
@@ -300,6 +296,7 @@ class C2PIServer:
                 seed=derive_session_seed(self.seed, session),
                 program=self.program,
             )
+            pipeline.prepare_offline(batch=1, bundles=0)  # its rows' one pool
             self._sessions[session] = pipeline
         return pipeline
 
@@ -318,14 +315,13 @@ class C2PIServer:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-able metrics: request/batch counters, offline/online split,
-        dealer counters (summed over every session) and the per-label
-        traffic breakdown."""
+        pool counters (the anonymous pipeline's per batch size, each named
+        session's batch-1 pool) and the per-label traffic breakdown."""
         pools = self.pipeline.pool_stats()
         pipelines = [self.pipeline, *self._sessions.values()]
         offline_s = sum(
             s["offline_seconds"] for p in pipelines for s in p.pool_stats().values()
         )
-        dealers = [pipeline.engine.dealer for pipeline in pipelines]
         return {
             "requests": self.metrics.requests,
             "batches": self.metrics.batches,
@@ -347,10 +343,6 @@ class C2PIServer:
             "session_pools": {
                 str(session): pipeline.pool_stats()[1]
                 for session, pipeline in self._sessions.items()
-            },
-            "online_dealer_generation": {
-                key: sum(getattr(dealer, f"{key}_issued") for dealer in dealers)
-                for key in ("triples", "bit_triples", "dabits", "comparison_masks")
             },
             "traffic_by_label": self.metrics.traffic_by_label,
         }

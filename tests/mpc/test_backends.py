@@ -5,12 +5,13 @@ import pytest
 
 from repro import nn
 from repro.models.layered import LayeredModel
-from repro.mpc.backends import DealerSuite, linear_map_matrix
+from repro.mpc.backends import linear_map_matrix
 from repro.mpc.backends.cheetah import CheetahSuite
 from repro.mpc.backends.delphi import DelphiSuite
 from repro.mpc.backends.suite import PlacementError
 from repro.mpc.engine import SecureInferenceEngine
 from repro.mpc.network import Channel
+from repro.mpc.preprocessing import PreprocessingPool
 from repro.mpc.transport import QueueTransport
 
 
@@ -85,6 +86,24 @@ class TestFunctionalSuitesNeedBothRows:
                 suite.maximum(one_row, one_row, io)
 
 
+class TestFunctionalSuitesDrawNoDealerMaterial:
+    def test_cheetah_run_creates_no_pool(self, monkeypatch):
+        """The functional stacks run their own preprocessing: a run
+        builds no preprocessing pool and so draws no dealer bundle."""
+        built = []
+        monkeypatch.setattr(
+            PreprocessingPool, "__init__", lambda pool, *args, **kwargs: built.append(args)
+        )
+        model = _tiny_model()
+        x = np.random.default_rng(4).normal(0, 0.5, (1, 2, 8, 8)).astype(np.float32)
+        suite = CheetahSuite(np.random.default_rng(2), ring_dim=256, ot_security=40)
+        result = SecureInferenceEngine(model, 1.0, suite=suite).run(x)
+        np.testing.assert_allclose(
+            result.reconstruct(), _reference(model, x, 1.0), atol=0.01
+        )
+        assert built == []
+
+
 @pytest.mark.slow
 class TestFunctionalSuites:
     @pytest.mark.parametrize(
@@ -125,9 +144,13 @@ class TestFunctionalSuites:
         assert cheetah.rounds > delphi.rounds
 
     def test_dealer_suite_is_engine_default(self):
+        """No suite given: the dealer protocols, on the engine's pool."""
         model = _tiny_model()
         engine = SecureInferenceEngine(model, 1.5)
-        assert isinstance(engine.suite, DealerSuite)
+        engine.run(np.zeros((1, 2, 8, 8), np.float32))
+        assert engine.suite is None
+        stats = engine.pool_stats()[1]
+        assert stats["misses"] == stats["bundles_consumed"] == 1
 
     def test_cheetah_rejects_oversized_layer(self):
         suite = CheetahSuite(np.random.default_rng(0), ring_dim=16, ot_security=48)

@@ -63,18 +63,14 @@ class TestDealer:
         b = TrustedDealer(seed=9).beaver_triples((16,))
         np.testing.assert_array_equal(a.a[0], b.a[0])
 
-    def test_issue_counters(self):
+    def test_each_draw_covers_its_element_shape(self):
+        """One party-stacked word per element: a packed bit-triple word
+        carries an element's 63 AND gates."""
         dealer = TrustedDealer(seed=0)
-        dealer.beaver_triples((10,))
-        dealer.bit_triples((20,))
-        dealer.dabits((30,))
-        dealer.comparison_masks((40,))
-        assert dealer.triples_issued == 10
-        # bit_triples_issued counts AND gates (63 lanes per packed word),
-        # the same unit the byte-per-bit seed implementation reported.
-        assert dealer.bit_triples_issued == 20 * 63
-        assert dealer.dabits_issued == 30
-        assert dealer.comparison_masks_issued == 40
+        assert dealer.beaver_triples((10,)).c.shape == (2, 10)
+        assert dealer.bit_triples((20,)).c.shape == (2, 20)
+        assert dealer.dabits((30,)).arithmetic.shape == (2, 30)
+        assert dealer.comparison_masks((40,)).low_bits.shape == (2, 40)
 
 
 class TestChannel:

@@ -16,12 +16,16 @@ from repro.mpc import (
 )
 from repro.mpc.dealer import TrustedDealer
 from repro.mpc.party import program_fingerprint
+from repro.mpc.pool_store import PoolStore
 from repro.mpc.preprocessing import (
     MaterialMismatch,
     RecordingDealer,
-    ReplayDealer,
+    join_party_bundle,
     material_plan,
+    unpack_party_bundle,
 )
+from repro.serve import C2PIServer
+from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.dealer_service import (
     DealerBackedPool,
     DealerBusy,
@@ -29,6 +33,7 @@ from repro.serve.dealer_service import (
     DealerError,
     DealerServer,
     DealerUnreachable,
+    _unpack_record,
 )
 
 
@@ -57,36 +62,27 @@ class TestPoolDeterminism:
             runs.append(engine.run(image, material=pool.acquire()).shares[0])
         np.testing.assert_array_equal(runs[0], runs[1])
 
-    def test_pool_matches_inline_generation_byte_for_byte(self, victim, image):
-        """Warm-pool inference reproduces the single-shot path exactly."""
-        inline = C2PIPipeline(victim, 2.5, noise_magnitude=0.1, seed=3)
-        pooled = C2PIPipeline(victim, 2.5, noise_magnitude=0.1, seed=3)
-        pooled.prepare_offline(batch=1, bundles=2)
-        for _ in range(2):  # bundle sequence mirrors the inline rng stream
-            a = inline.infer(image)
-            b = pooled.infer(image)
+    def test_cold_and_warmed_pipelines_give_identical_logits(self, victim, image):
+        """A cold pool draws on a miss exactly the bundle a warmed pool
+        drew ahead of time: one seed, one stream, the same bytes."""
+        cold = C2PIPipeline(victim, 2.5, noise_magnitude=0.1, seed=3)
+        warmed = C2PIPipeline(victim, 2.5, noise_magnitude=0.1, seed=3)
+        warmed.prepare_offline(batch=1, bundles=2)
+        for _ in range(2):
+            a = cold.infer(image)
+            b = warmed.infer(image)
             np.testing.assert_array_equal(a.logits, b.logits)
             np.testing.assert_array_equal(a.server_view, b.server_view)
-            assert b.used_pool and not a.used_pool
+        assert cold.pool_stats()[1]["misses"] == 2
+        assert warmed.pool_stats()[1]["misses"] == 0
 
     def test_online_phase_generates_nothing(self, victim, image):
         pipeline = C2PIPipeline(victim, 2.5, seed=0)
         pipeline.prepare_offline(batch=1, bundles=1)
-        dealer = pipeline.engine.dealer
-        before = (
-            dealer.triples_issued,
-            dealer.bit_triples_issued,
-            dealer.dabits_issued,
-            dealer.comparison_masks_issued,
-        )
-        pipeline.infer(image)
-        after = (
-            dealer.triples_issued,
-            dealer.bit_triples_issued,
-            dealer.dabits_issued,
-            dealer.comparison_masks_issued,
-        )
-        assert before == after == (0, 0, 0, 0)
+        result = pipeline.infer(image)
+        stats = pipeline.pool_stats()[1]
+        assert stats["misses"] == 0 and result.offline_miss_s == 0.0
+        assert stats["bundles_generated"] == stats["bundles_consumed"] == 1
 
     def test_prepare_offline_fills_the_pool_before_returning(self, victim):
         pipeline = C2PIPipeline(victim, 2.5, seed=0)
@@ -121,24 +117,6 @@ class TestBundleSeeds:
             seeds.update(pool.acquire_bundle().seed for _ in range(3))
         assert len(seeds) == 15
 
-    def test_inline_and_pooled_dealers_open_their_bundles_alike(self, program, image):
-        """The engine's inline dealer takes each run's seed where a pool
-        seeded alike takes its bundle's: same position, same seed, same
-        shares — run after run."""
-        inline = SecureInferenceEngine.from_program(program, dealer_seed=9, share_seed=5)
-        pooled = SecureInferenceEngine.from_program(program, share_seed=5)
-        pool = PreprocessingPool(program, batch=1, dealer_seed=9)
-        seeds, begin = [], inline.dealer.begin_bundle
-        inline.dealer.begin_bundle = lambda: seeds.append(begin()) or seeds[-1]
-        for _ in range(2):
-            bundle = pool.acquire_bundle()
-            ours = inline.run(image).shares
-            theirs = pooled.run(image, material=ReplayDealer(bundle)).shares
-            np.testing.assert_array_equal(ours, theirs)
-            assert seeds[-1] == bundle.seed
-        assert len(set(seeds)) == 2
-        assert inline.dealer.state() == pool._dealer.state()
-
     def test_a_rewound_dealer_replays_the_same_seed(self, program):
         pool = PreprocessingPool(program, batch=1, dealer_seed=4)
         pool.acquire_bundle()
@@ -150,6 +128,78 @@ class TestBundleSeeds:
         for (_, ours), (_, theirs) in zip(replay, first, strict=True):
             for key, array in vars(theirs).items():
                 np.testing.assert_array_equal(getattr(ours, key), array)
+
+
+class TestNoStreamDealtTwice:
+    """Material is dealt once: a request's masks never reach a second
+    input. Two bundles that open with one seed carry the same masks, and
+    the two masked inputs then subtract to the difference of the inputs
+    (``tests/serve/test_remote.py::TestWireView`` reads it off the wire).
+    On the 2x8x8 chaos-check victim, so each bundle is small."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return tiny_victim(0)
+
+    @pytest.fixture(scope="class")
+    def tiny_program(self, tiny):
+        return compile_program(tiny, TINY_BOUNDARY)
+
+    @staticmethod
+    def _images(count):
+        return np.random.default_rng(9).random((count, 2, 8, 8), np.float32)
+
+    def test_cold_then_warm_requests_share_no_material(self, tiny, monkeypatch):
+        acquired = _record_acquisitions(monkeypatch)
+        pipeline = C2PIPipeline(tiny, TINY_BOUNDARY, seed=5)
+        images = self._images(2)
+        pipeline.infer(images[:1])  # cold: the pool misses and draws
+        pipeline.prepare_offline(batch=1, bundles=1)
+        pipeline.infer(images[1:])  # warm: the bundle drawn ahead
+        assert len(acquired) == 2
+        cold, warm = acquired
+        assert cold.seed != warm.seed
+        assert not _shared_words(cold, warm).size
+        stats = pipeline.pool_stats()[1]
+        assert stats["misses"] == 1 and stats["bundles_generated"] == 2
+
+    def test_batch_sizes_under_one_seed_deal_distinct_streams(self, tiny_program):
+        narrow, wide = (
+            PreprocessingPool(tiny_program, batch, dealer_seed=77).acquire_bundle()
+            for batch in (1, 2)
+        )
+        assert narrow.seed != wide.seed
+        assert not _shared_words(narrow, wide).size
+
+    def test_dealer_streams_of_two_batch_sizes_are_distinct(
+        self, tiny_program, tmp_path
+    ):
+        with PoolStore(tmp_path) as store:
+            dealer = DealerServer(tiny_program, store=store)
+            dealer.start()
+            client = DealerClient("127.0.0.1", dealer.port)
+            try:
+                narrow, wide = (
+                    _joined(client.fetch(batch, 77, 0)) for batch in (1, 2)
+                )
+            finally:
+                client.close()
+                dealer.stop()
+        assert narrow.seed != wide.seed
+        assert not _shared_words(narrow, wide).size
+        # The batch-1 stream is the seed's own: a local pool deals it too.
+        local = PreprocessingPool(tiny_program, 1, dealer_seed=77).acquire_bundle()
+        assert narrow.seed == local.seed
+
+    def test_server_remainder_steps_share_no_material(self, tiny, monkeypatch):
+        acquired = _record_acquisitions(monkeypatch)
+        server = C2PIServer(tiny, TINY_BOUNDARY, max_batch=4, warm_bundles=0)
+        for image in self._images(7):
+            server.submit(image)
+        assert [reply.batch_size for reply in server.drain()] == [4] * 4 + [3] * 3
+        four, three = acquired
+        assert four.seed != three.seed
+        assert not _shared_words(four, three).size
 
 
 class TestMaterialPlan:
@@ -441,37 +491,44 @@ class TestDealerBackedPool:
     refuses the pool's fingerprint."""
 
     @staticmethod
-    def _pool(program, port, deadline=0.3):
+    def _pool(program, port, deadline=0.3, batch=1):
         fingerprint = program_fingerprint(program)
         client = DealerClient("127.0.0.1", port, fingerprint, timeout=deadline)
-        return DealerBackedPool(program, 1, 7, client=client, fetch_deadline=deadline)
+        return DealerBackedPool(
+            program, batch, 7, client=client, fetch_deadline=deadline
+        )
 
-    def test_fetched_stream_equals_the_local_stream(self, program):
-        dealer = DealerServer(program)
+    def test_fetched_stream_equals_the_local_stream(self, program, tmp_path):
+        store = PoolStore(tmp_path)
+        dealer = DealerServer(program, store=store)
         dealer.start()
-        pool = self._pool(program, dealer.port, deadline=5.0)
-        local = PreprocessingPool(program, batch=1, dealer_seed=7)
+        pools = [self._pool(program, dealer.port, 5.0, batch) for batch in (1, 2)]
         try:
-            for _ in range(2):
-                fetched, drawn = pool.acquire_bundle(), local.acquire_bundle()
-                assert fetched.seed == drawn.seed
-                for (_, ours), (_, theirs) in zip(fetched, drawn, strict=True):
-                    for key, array in vars(theirs).items():
-                        np.testing.assert_array_equal(getattr(ours, key), array)
-            stats = pool.stats
-            assert stats.bundles_fetched_remote == stats.bundles_generated == 2
+            for pool in pools:
+                local = PreprocessingPool(program, pool.batch, dealer_seed=7)
+                for _ in range(2):
+                    fetched, drawn = pool.acquire_bundle(), local.acquire_bundle()
+                    assert fetched.seed == drawn.seed
+                    for (_, ours), (_, theirs) in zip(fetched, drawn, strict=True):
+                        for key, array in vars(theirs).items():
+                            np.testing.assert_array_equal(getattr(ours, key), array)
+                stats = pool.stats
+                assert stats.bundles_fetched_remote == stats.bundles_generated == 2
         finally:
-            pool.close()
+            for pool in pools:
+                pool.close()
             dealer.stop()
+            store.close()
 
     @pytest.mark.parametrize("fault, error", [
         ("stopped", DealerUnreachable), ("busy", DealerBusy), ("refusing", DealerError)
     ])
     def test_failed_fetch_raises_typed_and_draws_nothing(
-        self, victim, program, fault, error
+        self, victim, program, fault, error, tmp_path
     ):
         served = compile_program(victim, 1.5) if fault == "refusing" else program
-        dealer = DealerServer(served, max_active_generations=1)
+        store = PoolStore(tmp_path)
+        dealer = DealerServer(served, store=store, max_active_generations=1)
         dealer.start()
         pool = self._pool(program, dealer.port)
         if fault == "stopped":
@@ -491,6 +548,7 @@ class TestDealerBackedPool:
         finally:
             pool.close()
             dealer.stop()
+            store.close()
 
 
 def _exploding(trace):
@@ -504,3 +562,33 @@ def _run_threads(target, count):
     for thread in threads:
         thread.join(timeout=60.0)
         assert not thread.is_alive()
+
+
+def _record_acquisitions(monkeypatch) -> list:
+    """Every bundle any pool hands out from here on, in order."""
+    acquired, acquire = [], PreprocessingPool.acquire_bundle
+    monkeypatch.setattr(
+        PreprocessingPool,
+        "acquire_bundle",
+        lambda pool: acquired.append(acquire(pool)) or acquired[-1],
+    )
+    return acquired
+
+
+def _shared_words(a, b) -> np.ndarray:
+    """The 64-bit material words two bundles have in common."""
+    a, b = (
+        np.concatenate([
+            array.ravel()
+            for _, material in bundle
+            for array in vars(material).values()
+            if array is not None and array.dtype == np.uint64
+        ])
+        for bundle in (a, b)
+    )
+    return np.intersect1d(a, b)
+
+
+def _joined(record):
+    blob0, blob1, _state = _unpack_record(record)
+    return join_party_bundle(unpack_party_bundle(blob0), unpack_party_bundle(blob1))

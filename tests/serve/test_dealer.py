@@ -3,7 +3,7 @@
 The acceptance contract of the standalone dealer process:
 
 * logits served from dealer-fetched material are **byte-identical** to
-  the in-process (inline-generation) server under equal seeds;
+  a server drawing its own bundles under equal seeds;
 * a ``kill -9``'d dealer restarts from its disk-backed store and the
   serving request rides the restart out — retried logits byte-identical,
   ``bundles_recovered > 0``, restored bundles actually re-served;
@@ -88,7 +88,7 @@ def _session_logits(port, images, session="s", seed=9, retries=0):
 
 @pytest.fixture(scope="module")
 def baseline_logits(victim, images):
-    """Fault-free logits from an inline-generation server, same seeds."""
+    """Fault-free logits from a server drawing its own bundles, same seeds."""
     server, thread = _start_server(victim)
     try:
         return _session_logits(server.port, images)
@@ -97,7 +97,7 @@ def baseline_logits(victim, images):
         thread.join(timeout=10.0)
 
 
-def _start_dealer(program, store=None, **kwargs):
+def _start_dealer(program, store, **kwargs):
     dealer = DealerServer(program, store=store, **kwargs)
     dealer.start()
     return dealer
@@ -175,10 +175,11 @@ class TestDealerBackedServing:
     ):
         """A dealer restarted from its store resumes the rng stream: the
         *next* (never-stored) bundle equals the uninterrupted stream's."""
-        store = PoolStore(tmp_path)
+        store = PoolStore(tmp_path / "restarted")
         dealer = _start_dealer(program, store=store)
         client = DealerClient("127.0.0.1", dealer.port)
-        uninterrupted = _start_dealer(program)  # in-memory, never restarted
+        witness_store = PoolStore(tmp_path / "uninterrupted")
+        uninterrupted = _start_dealer(program, witness_store)  # never restarted
         witness = DealerClient("127.0.0.1", uninterrupted.port)
         try:
             for seq in range(2):
@@ -187,7 +188,7 @@ class TestDealerBackedServing:
             client.close()
             store.close()
 
-            reopened = PoolStore(tmp_path)
+            reopened = PoolStore(tmp_path / "restarted")
             revived = _start_dealer(program, store=reopened)
             client = DealerClient("127.0.0.1", revived.port)
             assert reopened.stats.bundles_recovered == 2
@@ -202,6 +203,7 @@ class TestDealerBackedServing:
             client.close()
             witness.close()
             uninterrupted.stop()
+            witness_store.close()
 
 
 def _assert_records_equal(record, reference):
@@ -212,20 +214,24 @@ def _assert_records_equal(record, reference):
 
 
 class TestWarmRefusal:
-    def test_warm_replies_typed_error_and_keeps_connection(self, program):
+    def test_warm_replies_typed_error_and_keeps_connection(
+        self, program, tmp_path
+    ):
         """Regression: a non-retriable DealerError raised while warming
         must come back as a typed error reply. Before the fix it escaped
         _dispatch and killed the connection thread without any reply, so
         the client retried a configuration error until its deadline and
         reported DealerUnreachable."""
-        dealer = _start_dealer(program)  # in-memory cache, no store
+        store = PoolStore(tmp_path)
+        dealer = _start_dealer(program, store)
         client = DealerClient("127.0.0.1", dealer.port, timeout=2.0)
         try:
             client.warm(1, 7, count=1)
-            # Lose the stored history after the rng moved past it: the
-            # next warm of seq 0 cannot regenerate without forking the
-            # stream -> DealerError, immediately, with zero retries.
-            dealer._streams[(1, 7)].cache.clear()
+            # Lose the stored history after the rng moved past it (as a
+            # torn record is dropped): the next warm of seq 0 cannot
+            # regenerate without forking the stream -> DealerError,
+            # immediately, with zero retries.
+            store._index.clear()
             with pytest.raises(DealerError, match="predates"):
                 client.warm(1, 7, count=1)
             assert client.rpc_retries == 0
@@ -235,6 +241,7 @@ class TestWarmRefusal:
         finally:
             client.close()
             dealer.stop()
+            store.close()
 
 
 class TestChaosOnDealerLink:
@@ -281,7 +288,7 @@ class TestChaosOnDealerLink:
 
 class TestGracefulDegradation:
     def test_dead_dealer_surfaces_typed_busy_and_keeps_connection(
-        self, victim, program, images, baseline_logits
+        self, victim, program, images, baseline_logits, tmp_path
     ):
         """No dealer at the endpoint: the client gets a typed retriable
         busy reply on a connection that stays alive, and the server
@@ -302,13 +309,14 @@ class TestGracefulDegradation:
             session="s", timeout=CLIENT_TIMEOUT,
         )
         dealer = None
+        store = PoolStore(tmp_path)
         try:
             with pytest.raises(PoolBusy):
                 client.infer(images[0])
             assert server.metrics()["dealer"]["bundles_fetched_remote"] == 0
             _assert_fetched(server.metrics())
             transport_before = client.transport
-            dealer = _start_dealer(program, port=dead_port)
+            dealer = _start_dealer(program, store, port=dead_port)
             logits = [
                 client.infer(batch, retries=3).logits.tobytes()
                 for batch in images
@@ -330,11 +338,12 @@ class TestGracefulDegradation:
             thread.join(timeout=10.0)
             if dealer is not None:
                 dealer.stop()
+            store.close()
 
 
 class TestDealerRefusal:
     def test_refusal_reaches_every_client_and_no_worker_dies(
-        self, victim, images
+        self, victim, images, tmp_path
     ):
         """A dealer compiled at another boundary refuses the server's
         pools (fingerprint mismatch). Each of ``workers + 1`` requests
@@ -342,7 +351,8 @@ class TestDealerRefusal:
         well inside its timeout, and every worker thread lives on — a
         refusal escaping the request used to end the thread serving it,
         until no worker was left to answer."""
-        dealer = _start_dealer(compile_program(victim, TINY_BOUNDARY - 1))
+        store = PoolStore(tmp_path)
+        dealer = _start_dealer(compile_program(victim, TINY_BOUNDARY - 1), store)
         server, thread = _start_server(victim, dealer=("127.0.0.1", dealer.port))
         timeout = 3.0
         try:
@@ -367,13 +377,14 @@ class TestDealerRefusal:
             server.stop()
             thread.join(timeout=10.0)
             dealer.stop()
+            store.close()
 
 
 class TestKillDashNine:
     def _spawn_dealer(self, store_dir, port=0, wait=True):
         process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.serve.dealer_service",
+                sys.executable, "-m", "repro.cli", "dealer",
                 "--tiny", "0", "--boundary", str(TINY_BOUNDARY),
                 "--listen", f"127.0.0.1:{port}", "--store", str(store_dir),
             ],
@@ -453,11 +464,14 @@ class TestKillDashNine:
 
 
 class TestAcquireReady:
-    def test_dealer_backed_pool_pops_ready_or_none_without_an_rpc(self, program):
+    def test_dealer_backed_pool_pops_ready_or_none_without_an_rpc(
+        self, program, tmp_path
+    ):
         """The non-blocking acquire a ride-ahead promise is cut from: what
         a refill already fetched, or nothing — never a dealer call, so a
         dealer that is slow, busy or gone cannot reach a reply path."""
-        dealer = _start_dealer(program)
+        store = PoolStore(tmp_path)
+        dealer = _start_dealer(program, store)
         client = DealerClient("127.0.0.1", dealer.port)
         pool = DealerBackedPool(
             program, 1, dealer_seed=7, client=client, fetch_deadline=0.5
@@ -478,3 +492,4 @@ class TestAcquireReady:
         finally:
             pool.close()
             dealer.stop()
+            store.close()

@@ -174,7 +174,6 @@ class TestFusedByteIdentity:
         server.submit(images[0], session="alice")
         server.submit(images[1], session="bob")
         replies = server.step()
-        assert all(reply.used_pool for reply in replies)
         assert all(reply.offline_miss_s == 0.0 for reply in replies)
         snapshot = server.snapshot()
         for session in ("alice", "bob"):
@@ -327,7 +326,7 @@ class TestRetainedFusedBuffer:
             sum(stats["offline_seconds"] for stats in pools)
         )
         assert snapshot["offline_s"] > 0
-        assert set(snapshot["online_dealer_generation"].values()) == {0}
+        assert all(stats["misses"] == 0 for stats in pools)
 
 
 def _pooled_bundles(program, count, dealer_seed=3):

@@ -20,6 +20,8 @@ import pytest
 
 from repro.core import C2PIPipeline
 from repro.mpc import LAN
+from repro.mpc.fixedpoint import DEFAULT_CONFIG
+from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.remote import (
     RemoteClient,
     RemoteServer,
@@ -107,6 +109,57 @@ class TestRemoteServing:
         finally:
             server.stop()
             thread.join(timeout=10.0)
+
+
+class TestWireView:
+    """What the server receives of one request: the input share
+    ``x1 = enc(x) - x0`` and the first masked input ``h = x0 - mask``, so
+    ``x1 + h = enc(x) - mask``. Two requests dealt the same mask would
+    subtract to the difference of their inputs, with no key at all — the
+    mask of each stream position must reach one input only."""
+
+    @pytest.mark.parametrize("session", ["alice", None], ids=["named", "anonymous"])
+    def test_two_batch_sizes_leak_no_input_difference(self, session):
+        server = RemoteServer(tiny_victim(0), TINY_BOUNDARY, seed=987654321)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        heard: dict[str, list[np.ndarray]] = {}
+        client = RemoteClient(
+            "127.0.0.1", server.port, seed=12345, session=session,
+            transport_wrapper=lambda transport: _tap(transport, heard),
+        )
+        a, b, c = np.random.default_rng(5).random((3, 1, 2, 8, 8), np.float32)
+        try:
+            views = []
+            for images in (a, np.concatenate([b, c])):
+                heard.clear()
+                client.infer(images)
+                x1, h = (
+                    heard[label][0].reshape(len(images), -1)[0]
+                    for label in ("input-share", "linear-masked-input")
+                )
+                views.append(x1 + h)
+        finally:
+            client.close()
+            server.stop()
+            thread.join(timeout=10.0)
+        encode = DEFAULT_CONFIG.encode
+        error = views[0] - views[1] - (encode(a) - encode(b)).ravel()
+        distance = np.minimum(error, np.uint64(0) - error)  # |error| on the ring
+        assert distance.size == 128
+        assert (distance >= np.uint64(1 << 40)).all()
+
+
+def _tap(transport, heard):
+    """Keep a copy of every message the client hands the server."""
+    queue = transport.push_deferred
+
+    def push_deferred(data, label):
+        heard.setdefault(label, []).append(np.frombuffer(bytes(data), np.uint64))
+        queue(data, label)
+
+    transport.push_deferred = push_deferred
+    return transport
 
 
 class TestRideAhead:

@@ -59,9 +59,10 @@ class TestServing:
 
     def test_online_phase_is_generation_free_for_warm_batches(self, server_and_replies):
         server, replies = server_and_replies
-        generation = server.snapshot()["online_dealer_generation"]
-        assert set(generation.values()) == {0}
-        assert all(r.used_pool for r in replies)
+        pools = server.snapshot()["pools"]
+        assert pools[2]["misses"] == 0  # the warmed width drew nothing online
+        assert all(r.offline_miss_s == 0.0 for r in replies if r.batch_size == 2)
+        assert sum(stats["bundles_consumed"] for stats in pools.values()) == 3
 
     def test_metrics_expose_label_breakdown(self, server_and_replies):
         server, _ = server_and_replies
@@ -117,10 +118,15 @@ class TestRemainderBatches:
         assert pools[2]["bundles_consumed"] == 1
 
     def test_remainder_still_uses_pool_material(self, remainder_run):
-        server, replies = remainder_run
-        assert all(r.used_pool for r in replies)
-        generation = server.snapshot()["online_dealer_generation"]
-        assert set(generation.values()) == {0}
+        server, _ = remainder_run
+        pools = server.snapshot()["pools"]
+        assert {batch: stats["bundles_consumed"] for batch, stats in pools.items()} == {
+            3: 1, 2: 1
+        }
+        assert all(
+            stats["bundles_generated"] == stats["bundles_consumed"]
+            for stats in pools.values()
+        )
 
     def test_miss_offline_time_reported_separately(self, remainder_run):
         server, replies = remainder_run
