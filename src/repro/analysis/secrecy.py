@@ -94,7 +94,8 @@ _DECLASSIFIERS = {"noised-reveal": "perturb_share"}
 _STAGING_CALLS = {"stage"}
 # Sealed-bundle producers: per-party material laid out by
 # party_bundle_segments / pack_party_bundle (each half is individually
-# uniform; both refuse a joint bundle), and the dealer reply sealer that
+# uniform; a seeded bundle packs as its seed alone, a joint one without a
+# seed is refused), and the dealer reply sealer that
 # selects/blanks record fields for one requester. These are the only
 # sanctioned sources for a dealer-bound blob frame.
 _SEALED_CALLS = {"party_bundle_segments", "pack_party_bundle", "_seal_reply"}

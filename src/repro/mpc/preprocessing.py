@@ -179,7 +179,8 @@ class ReplayDealer(_DealerFace):
     protocols call, but *generates nothing*: every method pops the next
     (request, material) pair and validates that the online protocol asked
     for exactly the method **and** shape the offline phase produced — on
-    every placement, so a wrong-batch or wrong-program bundle is a
+    every placement and either party's half (each names every request's
+    shape), so a wrong-batch or wrong-program bundle is a
     :class:`MaterialMismatch` at its first item on both parties, never a
     broadcasting error on one and a timeout on the other.
     """
@@ -200,9 +201,7 @@ class ReplayDealer(_DealerFace):
                 "but no material is left"
             )
         request, material = self._items.popleft()
-        # shape None: a lone server half of a linear correlation (its
-        # only array has the *output* shape) — see unpack_party_bundle.
-        if request.method != method or request.shape not in (shape, None):
+        if request.method != method or request.shape != shape:
             raise MaterialMismatch(
                 f"online phase requested {method}{shape} but the bundle holds "
                 f"{request.method}{request.shape} — program/batch mismatch"
@@ -634,83 +633,104 @@ def join_party_bundle(
     return joined
 
 
-def _wire_arrays(material) -> dict[str, np.ndarray]:
-    """The arrays of one party's row view as they travel: no party axis."""
-    held = {f.name: getattr(material, f.name) for f in fields(material)}
-    if isinstance(material, LinearCorrelation):
-        held = {key: array for key, array in held.items() if array is not None}
-        joint = len(held) == 3
-    else:
-        joint = any(len(array) != 1 for array in held.values())
-        held = {key: array[0] for key, array in held.items()}
-    if joint:
-        # Packing both parties' rows would hand one party the other's
-        # halves of the correlated randomness.
-        raise ValueError(
-            "pack_party_bundle takes one party's rows (split_bundle), not a "
-            "joint bundle"
-        )
-    return held
-
-
 # ----------------------------------------------------------------------
 # the container one party's rows are stored and shipped in
 # ----------------------------------------------------------------------
 #     <4sIQ     magic | version | manifest length m
 #     m bytes   JSON manifest, space-padded so what follows starts 8-aligned
-#     bodies    raw little-endian C-order array bytes, each 8-aligned
-#        or     the bundle's 32-byte seed, when the rows are party 0's
+#     bodies    party 1: raw little-endian C-order field bytes, each 8-aligned
+#        or     party 0: the bundle's 32-byte seed
 #
-# The manifest is ``{"items": [{"method", "arrays": [[key, dtype code,
-# shape, offset], ...]}, ...], "bytes": total body length}``; offsets
-# count from the first body byte and every array starts where the one
-# before it ended (8-aligned). Party 0's rows are the bundle's client
-# stream laid out exactly so: their container says ``"seed": 32`` and
-# carries the seed where the bodies would be. Nothing in either form
-# depends on when or where it was written, so the same material always
-# packs to the same bytes.
+# The manifest is ``{"party": p, "items": [[method, shape], ...]}``, a
+# linear correlation's item ``[method, input shape, output shape]``: what
+# the material plan cannot derive. Everything else comes from _FIELDS —
+# which fields party ``p`` holds of each item, in order, their dtypes and
+# shapes — so every field starts where the one before it ended (8-aligned)
+# and the body length is the sum. Party 0's rows are the bundle's client
+# stream laid out exactly so, and travel as its seed. Nothing in either
+# form depends on when or where it was written, so the same material
+# always packs to the same bytes.
 _CONTAINER = struct.Struct("<4sIQ")
 _CONTAINER_MAGIC = b"C2PB"
-_CONTAINER_VERSION = 2
+_CONTAINER_VERSION = 3
 _ALIGN = 8
-_WIRE_DTYPES = {code: np.dtype(code) for code in ("<u8", "|u1")}
+# Per method, every field either party holds, in container order, and its
+# dtype: the client stream's (CLIENT_MASKS), plus the server's linear offset.
+_FIELDS = {
+    method: {key: np.dtype(mask.dtype).newbyteorder("<") for key, mask in masks.items()}
+    for method, masks in CLIENT_MASKS.items()
+}
+_FIELDS["linear_correlation"]["server_offset"] = np.dtype("<u8")
+_LINEAR_KEYS = (("mask", "client_offset"), ("server_offset",))  # by party
+_OUTPUT_KEYS = ("client_offset", "server_offset")  # of a linear layer's output shape
+
+
+def _layout(method: str, party: int, shape: tuple, out: tuple | None) -> list:
+    """``(key, dtype, shape)`` of each field ``party`` holds of one item."""
+    held = _FIELDS[method]
+    keys = _LINEAR_KEYS[party] if method == "linear_correlation" else held
+    return [(key, held[key], out if key in _OUTPUT_KEYS else shape) for key in keys]
+
+
+def _body_segments(request: MaterialRequest, material, out) -> list:
+    """Party 1's fields of one item as body segments: a view of each array,
+    then its alignment padding."""
+    if type(material) is not _MATERIAL_TYPES.get(request.method):
+        raise TypeError(f"unknown dealer material: {material!r}")
+    linear = isinstance(material, LinearCorrelation)
+    held = [getattr(material, f.name) for f in fields(material)]
+    layout = _layout(request.method, 1, request.shape, out)
+    if sum(a is not None for a in held) != len(layout) or not linear and any(
+        len(a) != 1 for a in held
+    ):
+        # Packing both parties' rows would hand one party the other's
+        # halves of the correlated randomness; party 0's travel as a seed.
+        raise ValueError(
+            "pack_party_bundle takes one party's rows (split_bundle), party "
+            "0's under their seed, not a joint bundle"
+        )
+    segments = []
+    for key, dtype, shape in layout:
+        array = getattr(material, key) if linear else getattr(material, key)[0]
+        if (array.dtype, array.shape) != (dtype, shape):
+            raise TypeError(
+                f"{request.method} {key} is {array.dtype}{array.shape}, not "
+                f"the {dtype}{shape} its request implies"
+            )
+        if array.size:
+            segments.append(memoryview(np.ascontiguousarray(array)).cast("B"))
+            if array.nbytes % _ALIGN:
+                segments.append(bytes(-array.nbytes % _ALIGN))
+    return segments
 
 
 def party_bundle_segments(items: list[tuple[MaterialRequest, object]]) -> list:
     """One party's bundle in container form, as the buffers that make it up.
 
-    The first segment is the header and manifest; the rest are views of
-    the material's own arrays (plus alignment padding), so a carrier that
-    scatters segments (a framed socket, a file) never copies the bodies —
-    or, for party 0's rows (``items.seed``), the seed alone.
+    A seeded bundle (``items.seed``: as drawn, or party 0's rows of it)
+    is written as party 0's half, from its requests and seed alone —
+    nothing of its arrays but a linear layer's output shape is read. Any
+    other is party 1's rows: the first segment is the header and
+    manifest, the rest views of the material's own arrays (plus alignment
+    padding), so a carrier that scatters segments (a framed socket, a
+    file) never copies the bodies.
     """
-    entries, bodies, offset = [], [], 0
-    for request, material in items:
-        arrays = []
-        for key, array in _wire_arrays(material).items():
-            code = array.dtype.newbyteorder("<").str
-            if code not in _WIRE_DTYPES:
-                raise TypeError(
-                    f"dealer material of dtype {array.dtype} has no container code"
-                )
-            arrays.append([key, code, list(array.shape), offset])
-            if array.size:
-                body = np.ascontiguousarray(array, dtype=_WIRE_DTYPES[code])
-                bodies.append(memoryview(body).cast("B"))
-                offset += body.nbytes
-                pad = -offset % _ALIGN
-                if pad:
-                    bodies.append(bytes(pad))
-                    offset += pad
-        entries.append({"method": request.method, "arrays": arrays})
-    manifest = {"items": entries, "bytes": offset}
     seed = getattr(items, "seed", None)
-    if seed is not None:  # party 0's rows: the same manifest over their seed
-        manifest["seed"], bodies = len(seed), [seed]
+    entries, bodies = [], []
+    for request, material in items:
+        entry, out = [request.method, list(request.shape)], None
+        if request.method == "linear_correlation":  # off either offset it holds
+            offset = material.client_offset
+            out = (offset if offset is not None else material.server_offset).shape
+            entry.append(list(out))
+        entries.append(entry)
+        if seed is None:
+            bodies += _body_segments(request, material, out)
+    manifest = {"party": 1 if seed is None else 0, "items": entries}
     manifest = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     manifest += b" " * (-(_CONTAINER.size + len(manifest)) % _ALIGN)
     head = _CONTAINER.pack(_CONTAINER_MAGIC, _CONTAINER_VERSION, len(manifest))
-    return [head + manifest, *bodies]
+    return [head + manifest, *(bodies if seed is None else [seed])]
 
 
 def pack_party_bundle(items: list[tuple[MaterialRequest, object]]) -> bytes:
@@ -722,45 +742,44 @@ def _malformed(why: str) -> MaterialMismatch:
     return MaterialMismatch(f"malformed party bundle: {why}")
 
 
-def _array_spec(spec, offset: int, extent: int) -> tuple[str, np.dtype, list, int]:
-    """One manifest entry as ``(key, dtype, shape, byte size)``: it must start
-    at ``offset``, where the one before it ended, and end inside ``extent``."""
-    if not (isinstance(spec, list) and len(spec) == 4):
-        raise _malformed("an array entry is not [key, dtype, shape, offset]")
-    key, code, shape, declared = spec
-    if not isinstance(key, str):
-        raise _malformed("an array key is not a string")
-    dtype = _WIRE_DTYPES.get(code) if isinstance(code, str) else None
-    if dtype is None:
-        raise _malformed(f"array {key!r} has unknown dtype code {code!r}")
-    if not isinstance(shape, list) or len(shape) > 32 or not all(
-        type(dim) is int and 0 <= dim <= extent for dim in shape
+def _shape(dims) -> tuple[int, ...]:
+    if not isinstance(dims, list) or len(dims) > 32 or not all(
+        type(dim) is int and 0 <= dim <= MAX_FRAME_BYTES for dim in dims
     ):
-        raise _malformed(f"array {key!r} declares an impossible shape")
-    if type(declared) is not int or declared != offset:
-        raise _malformed(f"array {key!r} declares a bad offset")
-    size = math.prod(shape) * dtype.itemsize
-    if offset + size > extent:
-        raise _malformed(f"array {key!r} overruns the container")
-    return key, dtype, shape, size
+        raise _malformed("an item declares an impossible shape")
+    return tuple(dims)
+
+
+def _item(entry) -> tuple[str, tuple, tuple | None]:
+    """One manifest item as ``(method, request shape, output shape | None)``."""
+    method = entry[0] if isinstance(entry, list) and entry else None
+    if not isinstance(method, str) or method not in _FIELDS:
+        raise MaterialMismatch(f"unknown material method {method!r}")
+    linear = method == "linear_correlation"
+    if len(entry) != 2 + linear:
+        shapes = "input shape, output shape" if linear else "shape"
+        raise _malformed(f"a {method} item is [method, {shapes}]")
+    return method, _shape(entry[1]), _shape(entry[2]) if linear else None
 
 
 def unpack_party_bundle(data) -> Bundle:
     """Inverse of :func:`pack_party_bundle`.
 
-    ``data`` is any bytes-like object; the arrays handed back are
+    ``data`` is any bytes-like object; party 1's arrays handed back are
     **read-only views** of its bodies — nothing is copied. Party 0's
     container holds a seed instead: its bodies are one draw of the seed's
-    stream, masked field by field (:data:`~repro.mpc.dealer.CLIENT_MASKS`),
-    made once the whole manifest has been checked and no larger than a
-    frame. Anything that is not a well-formed container is a
-    :class:`MaterialMismatch`.
+    stream, masked field by field (:data:`~repro.mpc.dealer.CLIENT_MASKS`).
+    The layout of either comes from the items' methods and shapes alone
+    (``_FIELDS``), and is checked whole — every method known, every shape
+    a list of at most 32 non-negative ints, a linear item's output shape
+    present, a frame's worth of rows at most, party 1's bodies exactly as
+    long as it implies, party 0's exactly its 32-byte seed — before a view
+    is made or a word is drawn. Anything that is not a well-formed
+    container is a :class:`MaterialMismatch`; so is a container of another
+    version (``unknown party bundle version 2``).
 
-    The request shapes are read back off the arrays. A server half of a
-    linear correlation carries only its output-shaped offset, so its
-    request shape is ``None`` (unknown; :class:`ReplayDealer` then checks
-    the method alone) — a serving process never runs from a lone server
-    half, it holds the joint bundle.
+    Each item comes back under its request, shape and all, so
+    :class:`ReplayDealer` checks method and shape on either party's half.
     """
     view = memoryview(data).toreadonly().cast("B")
     if view.nbytes < _CONTAINER.size:
@@ -777,63 +796,40 @@ def unpack_party_bundle(data) -> Bundle:
         manifest = json.loads(str(view[_CONTAINER.size : start], "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise _malformed("the manifest is not JSON") from exc
+    party = manifest.get("party") if isinstance(manifest, dict) else None
+    entries = manifest.get("items") if type(party) is int else None
+    if party not in (0, 1) or not isinstance(entries, list):
+        raise _malformed("the manifest is not {party, items}")
     body = view[start:]
-    entries = manifest.get("items") if isinstance(manifest, dict) else None
-    extent = manifest.get("bytes") if entries is not None else None
-    if not isinstance(entries, list) or type(extent) is not int:
-        raise _malformed("the manifest does not describe these bytes")
-    seeded = "seed" in manifest
-    if seeded:
-        if manifest["seed"] != SEED_BYTES or body.nbytes != SEED_BYTES:
-            raise _malformed(f"a seeded half ends in its {SEED_BYTES}-byte seed")
-        if not 0 <= extent <= MAX_FRAME_BYTES:
-            raise _malformed("the seed is asked for more than a frame of rows")
-    elif extent != body.nbytes:
-        raise _malformed("the manifest does not describe these bytes")
+    if party == 0 and body.nbytes != SEED_BYTES:
+        raise _malformed(f"a seeded half ends in its {SEED_BYTES}-byte seed")
     layout, offset = [], 0
     for entry in entries:
-        specs = entry.get("arrays") if isinstance(entry, dict) else None
-        if not isinstance(specs, list):
-            raise _malformed("an item lists no arrays")
-        method = entry.get("method")
-        kind = _MATERIAL_TYPES.get(method) if isinstance(method, str) else None
-        if kind is None:
-            raise MaterialMismatch(f"unknown material method {method!r}")
-        arrays = []
-        for spec in specs:
-            key, dtype, shape, size = _array_spec(spec, offset, extent)
-            arrays.append((key, dtype, shape, offset))
+        method, shape, out = _item(entry)
+        placed = []
+        for key, dtype, dims in _layout(method, party, shape, out):
+            size = math.prod(dims) * dtype.itemsize
+            placed.append((key, dtype, dims, offset))
             offset += size + -size % _ALIGN
-        keys = [key for key, *_ in arrays]
-        if kind is LinearCorrelation:
-            whole = keys == (["mask", "client_offset"] if seeded else ["server_offset"])
-        else:
-            whole = keys == [f.name for f in fields(kind)] and all(
-                shape == arrays[0][2] for _, _, shape, _ in arrays
-            )
-        if seeded and whole:  # each field in the dtype it is drawn in
-            whole = all(
-                dtype == CLIENT_MASKS[method][key].dtype for key, dtype, _, _ in arrays
-            )
-        if not whole:
-            raise _malformed(f"{method} does not hold one party's fields")
-        layout.append((method, kind, arrays))
-    if offset != extent:
+            if offset > MAX_FRAME_BYTES:
+                raise _malformed("the items ask for more than a frame of rows")
+        layout.append((method, shape, placed))
+    if party == 1 and offset != body.nbytes:
         raise _malformed("the manifest does not describe these bytes")
-    items = Bundle(seed=bytes(body) if seeded else None)
-    if seeded:
-        words = FixedPointConfig.random_ring(client_stream(items.seed), extent // _ALIGN)
+    items = Bundle(seed=bytes(body) if party == 0 else None)
+    if party == 0:
+        words = FixedPointConfig.random_ring(client_stream(items.seed), offset // _ALIGN)
         body = memoryview(words.astype("<u8", copy=False)).cast("B")
-    for method, kind, arrays in layout:
+    for method, shape, placed in layout:
         held = {
-            key: np.frombuffer(body, dtype, math.prod(shape), at).reshape(shape)
-            for key, dtype, shape, at in arrays
+            key: np.frombuffer(body, dtype, math.prod(dims), at).reshape(dims)
+            for key, dtype, dims, at in placed
         }
-        if seeded:
+        if party == 0:
             for key, array in held.items():
                 array &= CLIENT_MASKS[method][key]
                 array.flags.writeable = False  # material is, however it came
-        shape = None if "server_offset" in held else next(iter(held.values())).shape
+        kind = _MATERIAL_TYPES[method]
         if kind is not LinearCorrelation:
             held = {key: array[None] for key, array in held.items()}
         items.append((MaterialRequest(method, shape), kind(**held)))

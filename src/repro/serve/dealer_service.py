@@ -299,7 +299,7 @@ class DealerServer:
         # the dealer's heap into the record that is stored and served.
         record = b"".join(
             _record_segments(
-                party_bundle_segments(split_bundle(bundle, 0)),
+                party_bundle_segments(bundle),  # seeded: party 0's half
                 party_bundle_segments(split_bundle(bundle, 1)),
                 json.dumps(dealer.state()).encode("utf-8"),
             )

@@ -256,7 +256,8 @@ class RemoteServer:
     a ``c2pi dealer`` process instead and never draws one itself: a
     dealer busy or down past ``dealer_fetch_deadline`` answers the
     request with a retriable :class:`PoolBusy`, a dealer refusal
-    (another program's fingerprint) with a non-retriable
+    (another program's fingerprint) or a bundle it cannot read (a store
+    of another container version) with a non-retriable
     :class:`~repro.serve.dealer_service.DealerError` — in the bundle
     slot, so the connection and the worker both live on.
 
@@ -1204,17 +1205,18 @@ class RemoteServer:
             self._settle_promise(self._take_promise(stats))
         try:
             record = self._acquire_for_request(request, batch, stats, promise)
-        except (DealerBusy, DealerUnreachable, DealerError) as exc:
-            # No offline material: the dealer is busy or down (retriable)
-            # or refused the pool (a configuration error, not retriable).
-            # Nothing has been written to the wire for this request yet,
-            # so the session stays in lock-step: fill the bundle slot
-            # with a typed refusal instead of killing the connection —
-            # or, escaping `_process`, the worker thread.
+        except (DealerBusy, DealerUnreachable, DealerError, MaterialMismatch) as exc:
+            # No offline material: the dealer is busy or down (retriable),
+            # refused the pool or served a bundle this build cannot read
+            # (a configuration error, not retriable). Nothing has been
+            # written to the wire for this request yet, so the session
+            # stays in lock-step: fill the bundle slot with a typed
+            # refusal instead of killing the connection — or, escaping
+            # `_process`, the worker thread.
             transport.send_obj(
                 {
                     "busy": True,
-                    "retriable": not isinstance(exc, DealerError),
+                    "retriable": isinstance(exc, (DealerBusy, DealerUnreachable)),
                     "reason": type(exc).__name__,
                     "detail": str(exc),
                 },
@@ -1249,8 +1251,9 @@ class RemoteServer:
         # is the one fallible step before any byte can leave the
         # server, and the window in which a failed bundle is still
         # restorable. Once send_blob is attempted, a partial write is
-        # indistinguishable from none: shipped means "maybe".
-        segments = party_bundle_segments(split_bundle(record.bundle, 0))
+        # indistinguishable from none: shipped means "maybe". Party
+        # 0's half of a seeded bundle is its requests and seed alone.
+        segments = party_bundle_segments(record.bundle)
         record.shipped = True
         transport.send_blob(segments, "bundle")
         record.offline_s = time.perf_counter() - since

@@ -93,9 +93,9 @@ DRIFTS = {
     "serve/logits-identical": _set("logits_identical", False),
     "serve/bytes-match": _set(*_SHM, "bytes_match", False),
     "serve/shm-active": _set(*_SHM, "shm_active", False),
-    "serve/offline-bundle-bytes": _set(*_SOCKET, "offline_bundle_bytes", [3928]),
+    "serve/offline-bundle-bytes": _set(*_SOCKET, "offline_bundle_bytes", [920]),
     "serve/offline-bundle-bytes-two-sizes": _set(
-        *_SOCKET, "offline_bundle_bytes", [3920, 3928]
+        *_SOCKET, "offline_bundle_bytes", [912, 920]
     ),
     "serve/offline-bundle-bytes-whole-half": _set(
         *_SOCKET, "offline_bundle_bytes", [2_871_080]

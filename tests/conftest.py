@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,3 +55,37 @@ def assert_gradients_close(build_loss, arrays: list[np.ndarray], atol: float = 1
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def _version_2_container(items) -> bytes:
+    """One party's rows in the version-2 party-bundle container: a JSON
+    manifest naming every array's key, dtype, shape and offset, then the
+    bodies — or, for seeded rows, the same manifest and the seed. What a
+    peer or a dealer store of that version holds."""
+    entries, bodies, offset = [], [], 0
+    for request, material in items:
+        arrays = []
+        for field in fields(material):
+            array = getattr(material, field.name)
+            if array is None:
+                continue
+            if request.method != "linear_correlation":
+                array = array[0]  # the party axis does not travel
+            arrays.append([field.name, array.dtype.str, list(array.shape), offset])
+            pad = -array.nbytes % 8
+            bodies.append(array.tobytes() + bytes(pad))
+            offset += array.nbytes + pad
+        entries.append({"method": request.method, "arrays": arrays})
+    manifest = {"items": entries, "bytes": offset}
+    if items.seed is not None:
+        manifest["seed"], bodies = len(items.seed), [items.seed]
+    encoded = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    encoded += b" " * (-(16 + len(encoded)) % 8)
+    return struct.pack("<4sIQ", b"C2PB", 2, len(encoded)) + encoded + b"".join(bodies)
+
+
+@pytest.fixture
+def version_2_container():
+    """Writes one party's rows (``split_bundle`` / ``unpack_party_bundle``
+    output) as a version-2 container."""
+    return _version_2_container

@@ -36,6 +36,7 @@ from repro.mpc import SecureInferenceEngine, compile_program
 from repro.mpc.network import Channel
 from repro.mpc.party import PartyEngine, ops_from_manifest, program_manifest
 from repro.mpc.preprocessing import (
+    Bundle,
     MaterialMismatch,
     PreprocessingPool,
     ReplayDealer,
@@ -325,15 +326,15 @@ class TestPartyBundles:
                     else:
                         assert getattr(ours, key).dtype == array.dtype
                         np.testing.assert_array_equal(getattr(ours, key), array)
-                # A lone server half cannot name a linear layer's input shape.
-                lone = party == 1 and request.method == "linear_correlation"
-                assert request.shape == (None if lone else original.shape)
+                assert request.shape == original.shape  # either half names it
 
     def test_pack_refuses_a_joint_bundle(self, program):
-        """Packing both parties' rows would ship one party the other's halves."""
+        """Packing both parties' rows would ship one party the other's
+        halves; a seeded bundle packs as party 0's, from its seed alone."""
         bundle = _bundle(program, 1, dealer_seed=2)
         with pytest.raises(ValueError, match="one party's rows"):
-            pack_party_bundle(bundle)
+            pack_party_bundle(Bundle(bundle))  # no seed: bodies, of both rows
+        assert pack_party_bundle(bundle) == pack_party_bundle(split_bundle(bundle, 0))
         relu_item = next(item for item in bundle if item[0].method == "dabits")
         with pytest.raises(ValueError, match="one party's rows"):
             pack_party_bundle([relu_item])

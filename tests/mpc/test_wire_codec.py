@@ -33,6 +33,9 @@ from hypothesis import strategies as st
 from placements import feed
 
 from repro.mpc import transport as wire
+from repro.mpc.dealer import SEED_BYTES
+from repro.mpc.preprocessing import PreprocessingPool, pack_party_bundle
+from repro.mpc.program import compile_program
 from repro.mpc.shm import ShmChannel, ShmRing
 from repro.mpc.transport import (
     FRAME_BLOB,
@@ -252,8 +255,8 @@ def _record(victim, boundary, image) -> dict:
 
 @pytest.fixture(scope="module")
 def resnet_session():
-    """One resnet20 batch-1 request (handshake, request, the 2.87 MB
-    bundle, every online round, the logits, bye), as it crossed TCP."""
+    """One resnet20 batch-1 request (handshake, request, the client's
+    bundle half, every online round, the logits, bye), as it crossed TCP."""
     image = np.random.default_rng(7).random((1, 3, 32, 32), dtype=np.float32)
     return _record(_demo_victim("resnet20", 0.25, 0), 3.5, image)
 
@@ -331,7 +334,12 @@ class TestRecordedSession:
             }
         from_server, _, _ = reference_decode(resnet_session["server-to-client"])
         blobs = [payload for kind, _, payload in from_server if kind == FRAME_BLOB]
-        assert [len(blob) for blob in blobs] == [3_920]  # the one bundle: manifest + seed
+        # The one bundle: the client's half of the served program, whose
+        # bytes but the seed the plan alone fixes.
+        program = compile_program(_demo_victim("resnet20", 0.25, 0), 3.5)
+        half = pack_party_bundle(PreprocessingPool(program, 1).acquire_bundle())
+        assert [len(blob) for blob in blobs] == [len(half)]
+        assert bytes(blobs[0][:-SEED_BYTES]) == half[:-SEED_BYTES]
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("piece", (1, 7, 4096, None))

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.mpc.chaos import ChaosController, ChaosLink, ChaosTrace, FaultSpec
-from repro.mpc.preprocessing import MaterialMismatch
+from repro.mpc.preprocessing import MaterialMismatch, unpack_party_bundle
 from repro.mpc.transport import FRAME_BLOB, TransportError
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.remote import RemoteClient, RemoteServer
@@ -446,6 +446,33 @@ class TestMalformedBundle:
         assert "timed out" not in reaped["error"]
         assert metrics["sessions_reaped"] == 1
         assert results["bystander"] == baselines("bystander", 31)
+
+    def test_a_version_2_half_is_refused_by_version(
+        self, victim, images, version_2_container
+    ):
+        """The same client half as a version-2 peer would ship it: one
+        typed refusal naming the version, not a parse of its manifest."""
+        server, thread = _start(victim)
+        try:
+            client = RemoteClient(
+                "127.0.0.1", server.port, noise_magnitude=0.1, seed=32,
+                session="older", timeout=CLIENT_TIMEOUT,
+                transport_wrapper=lambda io: _BundleHook(
+                    io, ChaosController([]),
+                    lambda blob: version_2_container(unpack_party_bundle(blob)),
+                ),
+            )
+            with pytest.raises(
+                MaterialMismatch, match="^unknown party bundle version 2$"
+            ) as refused:
+                client.infer(images[0], retries=2)
+            assert refused.value.__context__ is None  # no parse error behind it
+            assert client.transport is None
+            assert client.requests_retried == 0
+            assert server.wait_idle(timeout=10.0)
+        finally:
+            server.stop()
+            thread.join(timeout=10.0)
 
 
 class TestBundleReship:

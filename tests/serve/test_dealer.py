@@ -17,6 +17,7 @@ The acceptance contract of the standalone dealer process:
 * pool accounting balances across all of it.
 """
 
+import json
 import os
 import signal
 import socket
@@ -29,7 +30,15 @@ import numpy as np
 import pytest
 
 from repro.mpc.chaos import ChaosController, FaultSpec
+from repro.mpc.dealer import TrustedDealer
+from repro.mpc.party import program_fingerprint
 from repro.mpc.pool_store import PoolStore
+from repro.mpc.preprocessing import (
+    MaterialMismatch,
+    draw_bundle,
+    material_plan,
+    split_bundle,
+)
 from repro.mpc.program import compile_program
 from repro.serve.chaos_check import TINY_BOUNDARY, tiny_victim
 from repro.serve.dealer_service import (
@@ -37,6 +46,7 @@ from repro.serve.dealer_service import (
     DealerClient,
     DealerError,
     DealerServer,
+    _record_segments,
     _unpack_record,
     stream_key,
 )
@@ -211,6 +221,81 @@ def _assert_records_equal(record, reference):
     function of the material and the record of its containers, whenever
     and by whichever dealer process they were written."""
     assert bytes(record) == bytes(reference)
+
+
+class TestVersion2Store:
+    @staticmethod
+    def _write_version_2_record(program, seed, directory, version_2_container):
+        """The first batch-1 record of ``seed``'s stream, as a dealer of
+        container version 2 stored it."""
+        dealer = TrustedDealer(seed=seed)  # batch 1: the stream seed is the seed
+        bundle = draw_bundle(dealer, material_plan(program, 1))
+        record = b"".join(
+            _record_segments(
+                [version_2_container(split_bundle(bundle, 0))],
+                [version_2_container(split_bundle(bundle, 1))],
+                json.dumps(dealer.state()).encode("utf-8"),
+            )
+        )
+        with PoolStore(directory) as written:
+            written.put(stream_key(program_fingerprint(program), 1, seed), 0, record)
+
+    def test_a_version_2_record_is_refused_by_version(
+        self, program, tmp_path, version_2_container
+    ):
+        """A store an older dealer wrote, reopened: the dealer serves the
+        record verbatim and the pool refuses it typed, naming the version."""
+        self._write_version_2_record(program, 7, tmp_path, version_2_container)
+        store = PoolStore(tmp_path)
+        server = _start_dealer(program, store)
+        client = DealerClient("127.0.0.1", server.port)
+        pool = DealerBackedPool(
+            program, 1, dealer_seed=7, client=client, fetch_deadline=2.0
+        )
+        try:
+            with pytest.raises(
+                MaterialMismatch, match="^unknown party bundle version 2$"
+            ) as refused:
+                pool.acquire_bundle()
+            assert refused.value.__context__ is None  # no parse error behind it
+            assert server.stats()["served_from_store"] == 1
+            assert pool.available == 0
+        finally:
+            pool.close()
+            server.stop()
+            store.close()
+
+    def test_a_served_version_2_record_is_a_typed_refusal(
+        self, victim, program, images, tmp_path, version_2_container
+    ):
+        """The same record behind a serving process: each request gets the
+        version refusal as a non-retriable ``DealerError`` in its bundle
+        slot, and every worker thread lives on — the refusal escaping the
+        request used to end the worker and close the client's connection."""
+        seed = derive_session_seed(3, None)  # _start_server's anonymous session
+        self._write_version_2_record(program, seed, tmp_path, version_2_container)
+        store = PoolStore(tmp_path)
+        dealer = _start_dealer(program, store)
+        server, thread = _start_server(victim, dealer=("127.0.0.1", dealer.port))
+        client = RemoteClient(
+            "127.0.0.1", server.port, noise_magnitude=0.1, seed=9, timeout=3.0
+        )
+        try:
+            for _ in range(server.workers + 1):
+                with pytest.raises(DealerError, match="unknown party bundle version 2"):
+                    client.infer(images[0])
+            workers = server._worker_threads
+            assert len(workers) == server.workers
+            assert all(worker.is_alive() for worker in workers)
+            client.close()
+            assert server.wait_idle(timeout=10.0)
+            assert server.metrics()["requests_served"] == 0
+        finally:
+            client.close()
+            server.stop()
+            thread.join(timeout=10.0)
+            dealer.stop()
+            store.close()
 
 
 class TestWarmRefusal:
